@@ -29,9 +29,7 @@ from .fields import (
     MatrixField,
     cumulative_integral,
     cumulative_trapezoid,
-    derivative,
     periodic_diff,
-    quadrature,
 )
 from .flows import (
     FlowBlowupError,
@@ -41,7 +39,6 @@ from .flows import (
     curve_flow_rhs,
     evolve,
     leading_order_generator,
-    second_order_rhs,
     stability_bound,
     step,
     sym_pohlmeyer_curve,

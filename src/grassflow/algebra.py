@@ -109,11 +109,6 @@ def inner(spec: AlgebraSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sign * np.real(trace_product(a, b))
 
 
-def inner_imag_defect(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest |Im tr(ab)| over the batch; zero for true members."""
-    return float(np.max(np.abs(np.imag(trace_product(a, b)))))
-
-
 def frobenius(a: np.ndarray) -> float:
     """Largest Frobenius norm over the batch."""
     a = np.asarray(a)

@@ -21,7 +21,16 @@ import numpy as np
 from . import __version__
 from .algebra import AlgebraSpec, Family
 from .fields import Grid
-from .flows import FlowBlowupError, FlowKind, StabilityError, evolve, stability_bound
+from .flows import (
+    FlowBlowupError,
+    FlowKind,
+    StabilityError,
+    Trajectory,
+    _march,
+    _output_times,
+    evolve,
+    stability_bound,
+)
 from .functionals import FlowParams
 from .gauge import GaugeError, evolve_potential, gauge_transform
 from .initial_data import make_initial_potential, make_initial_state
@@ -241,18 +250,18 @@ def build_state(rc: RunConfig) -> OrbitState:
 
 def resolve_dt(rc: RunConfig) -> float:
     if rc.dt_raw == "auto":
-        return 0.5 * stability_bound(rc.params, rc.grid.h, rc.kind)
+        dt = 0.5 * stability_bound(rc.params, rc.grid.h, rc.kind)
+        if not np.isfinite(dt):
+            raise ConfigError(["dt: these params have no stability bound; give dt as a number"])
+        return dt
     return float(rc.dt_raw)
 
 
-def _resolve_output_times(rc: RunConfig, t0: float) -> list:
-    if rc.output_times is not None:
-        times = rc.output_times
-        lo, hi = t0 - 1e-9, t0 + rc.T + 1e-9
-        if times[0] < lo or times[-1] > hi:
-            raise ConfigError(["output_times: must lie within [start, start + T]"])
-        return times
-    return [t0, t0 + rc.T] if rc.T > 0 else [t0]
+def _resolve_output_times(t0: float, T: float, dt: float, times) -> list:
+    try:
+        return _output_times(t0, T, dt, times)
+    except ValueError as exc:
+        raise ConfigError([f"output_times: {exc}"]) from None
 
 
 def _fmt(value) -> str:
@@ -297,28 +306,42 @@ def _abort(manifest, out_dir, exc) -> int:
     return 1
 
 
+# Errors that abort a run once its manifest is written.
+_RUN_ERRORS = (FlowBlowupError, StabilityError, SpectralError, GaugeError, ValueError)
+
+
+def _run(rc: RunConfig, out_dir: str, resolved: dict, body) -> int:
+    """Write the manifest as running, run body(), then mark the manifest
+    completed, or aborted if body raised one of _RUN_ERRORS."""
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = _manifest(rc, resolved)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    try:
+        body()
+    except _RUN_ERRORS as exc:
+        return _abort(manifest, out_dir, exc)
+    manifest["status"] = "completed"
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    return 0
+
+
+def _segment(state: OrbitState, rc: RunConfig, target: float, dt: float) -> Trajectory:
+    """Evolve state on to a single output time."""
+    return evolve(state, rc.params, rc.kind, target - state.time, dt, output_times=[target])
+
+
 def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
     state = build_state(rc)
     dt = resolve_dt(rc)
-    times = _resolve_output_times(rc, state.time)
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = _manifest(rc, {"dt": dt, "output_times": times, "seed": rc.seed})
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    times = _resolve_output_times(state.time, rc.T, dt, rc.output_times)
     csv_path = os.path.join(out_dir, "observables.csv")
-    with open(csv_path, "w") as f:
-        f.write(",".join(OBSERVABLE_COLUMNS) + "\n")
-    current = state
-    try:
+
+    def body():
+        with open(csv_path, "w") as f:
+            f.write(",".join(OBSERVABLE_COLUMNS) + "\n")
+        current = state
         for index, target in enumerate(times):
-            seg = evolve(
-                current,
-                rc.params,
-                rc.kind,
-                target - current.time,
-                dt,
-                output_times=[target],
-                record_steps=False,
-            )
+            seg = _segment(current, rc, target, dt)
             current = seg.states[0]
             _write_json(
                 os.path.join(out_dir, f"snapshot_{index:04d}.json"), current.to_json_dict()
@@ -338,11 +361,8 @@ def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
             )
             with open(csv_path, "a") as f:
                 f.write(",".join(_fmt(v) for v in row) + "\n")
-    except (FlowBlowupError, StabilityError, SpectralError) as exc:
-        return _abort(manifest, out_dir, exc)
-    manifest["status"] = "completed"
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return 0
+
+    return _run(rc, out_dir, {"dt": dt, "output_times": times, "seed": rc.seed}, body)
 
 
 def cmd_verify(cfg: dict | None, out_dir: str | None, suite: str) -> int:
@@ -373,27 +393,16 @@ def cmd_gauge_compare(rc: RunConfig, out_dir: str, window=(0.1, 0.9)) -> int:
     except ValueError as exc:
         raise ConfigError([f"initial_data: {exc}"]) from None
     dt = resolve_dt(rc)
-    times = _resolve_output_times(rc, ps0.time)
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = _manifest(rc, {"dt": dt, "output_times": times, "seed": rc.seed})
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    times = _resolve_output_times(ps0.time, rc.T, dt, rc.output_times)
     lo, hi = window
     mask = (rc.grid.x >= lo * rc.grid.length) & (rc.grid.x <= hi * rc.grid.length)
-    rows = []
-    state = state_from_potential(ps0)
-    ps = ps0
-    try:
+
+    def body():
+        rows = []
+        state = state_from_potential(ps0)
+        ps = ps0
         for target in times:
-            seg = evolve(
-                state,
-                rc.params,
-                rc.kind,
-                target - state.time,
-                dt,
-                output_times=[target],
-                record_steps=False,
-            )
-            state = seg.states[0]
+            state = _segment(state, rc, target, dt).states[0]
             fixed = gauge_fix_frame(rc.spec, state.frame, time=state.time)
             matrix_q = gauge_transform(fixed).q
             pseg = evolve_potential(ps, rc.params, target - ps.time, dt, output_times=[target])
@@ -402,12 +411,11 @@ def cmd_gauge_compare(rc: RunConfig, out_dir: str, window=(0.1, 0.9)) -> int:
             ng = np.linalg.norm(ps.q, axis=(1, 2))
             gap = np.abs(nm - ng)
             rows.append((target, float(np.max(gap)), float(np.max(gap[mask]))))
-    except (FlowBlowupError, StabilityError, SpectralError, GaugeError) as exc:
-        return _abort(manifest, out_dir, exc)
-    _write_csv(os.path.join(out_dir, "gauge_compare.csv"), ("t", "norm_gap", "interior_linf"), rows)
-    manifest["status"] = "completed"
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return 0
+        _write_csv(
+            os.path.join(out_dir, "gauge_compare.csv"), ("t", "norm_gap", "interior_linf"), rows
+        )
+
+    return _run(rc, out_dir, {"dt": dt, "output_times": times, "seed": rc.seed}, body)
 
 
 def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
@@ -418,14 +426,8 @@ def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
     if rc.kind is FlowKind.SECOND_ORDER:
         raise ConfigError(["flow: reduce covers the commutator flows"])
     state = build_state(rc)
-    sf = phi_to_s(state)
     dt = resolve_dt(rc)
-    times = _resolve_output_times(rc, state.time)
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = _manifest(
-        rc, {"dt": dt, "output_times": times, "seed": rc.seed, "geometry": geometry.value}
-    )
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    times = _resolve_output_times(state.time, rc.T, dt, rc.output_times)
     header = (
         "x",
         "s1_matrix",
@@ -435,38 +437,32 @@ def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
         "s2_vector",
         "s3_vector",
     )
-    summary = []
-    t_vec = state.time
-    try:
+
+    def body():
+        summary = []
+        current = state
+        vector_side = _march(
+            phi_to_s(state),
+            state.time,
+            times,
+            dt,
+            lambda sf, h: spin_step(sf, rc.params, h),
+            lambda sf: (sf.s,),
+        )
         for index, target in enumerate(times):
-            seg = evolve(
-                state,
-                rc.params,
-                rc.kind,
-                target - state.time,
-                dt,
-                output_times=[target],
-                record_steps=False,
-            )
-            state = seg.states[0]
-            matrix_s = phi_to_s(state).s
-            while target - t_vec > 1e-9 * max(1.0, abs(target)):
-                remaining = target - t_vec
-                dt_step = dt if remaining > dt * (1.0 + 1e-9) else remaining
-                sf = spin_step(sf, rc.params, dt_step)
-                t_vec += dt_step
+            current = _segment(current, rc, target, dt).states[0]
+            matrix_s = phi_to_s(current).s
+            _, sf = next(vector_side)
             rows = [
                 (x, ms[0], ms[1], ms[2], vs[0], vs[1], vs[2])
                 for x, ms, vs in zip(rc.grid.x, matrix_s, sf.s)
             ]
             _write_csv(os.path.join(out_dir, f"reduce_{index:04d}.csv"), header, rows)
             summary.append((target, float(np.max(np.abs(matrix_s - sf.s)))))
-    except (FlowBlowupError, StabilityError, SpectralError, ValueError) as exc:
-        return _abort(manifest, out_dir, exc)
-    _write_csv(os.path.join(out_dir, "reduce_summary.csv"), ("t", "max_gap"), summary)
-    manifest["status"] = "completed"
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return 0
+        _write_csv(os.path.join(out_dir, "reduce_summary.csv"), ("t", "max_gap"), summary)
+
+    resolved = {"dt": dt, "output_times": times, "seed": rc.seed, "geometry": geometry.value}
+    return _run(rc, out_dir, resolved, body)
 
 
 def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
@@ -485,34 +481,20 @@ def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
     if rc.output_times is not None:
         if len(rc.output_times) < 3:
             raise ConfigError(["output_times: curvature residuals need at least three snapshots"])
-        times = rc.output_times
+        times = _resolve_output_times(t0, rc.output_times[-1] - t0, dt, rc.output_times)
     else:
         times = [t0 + dt, t0 + 2.0 * dt, t0 + 3.0 * dt]
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = _manifest(
-        rc, {"dt": dt, "output_times": times, "seed": rc.seed, "lambdas": lambdas}
-    )
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    try:
-        traj = evolve(
-            state,
-            rc.params,
-            rc.kind,
-            times[-1] - t0,
-            dt,
-            output_times=times,
-            record_steps=False,
-        )
+
+    def body():
+        traj = evolve(state, rc.params, rc.kind, times[-1] - t0, dt, output_times=times)
         rows = []
         for lam in lambdas:
             for t, res in curvature_residual(traj, rc.params, lam):
                 rows.append((t, lam, res))
-    except (FlowBlowupError, StabilityError, SpectralError) as exc:
-        return _abort(manifest, out_dir, exc)
-    _write_csv(os.path.join(out_dir, "curvature.csv"), ("t", "lam", "residual"), rows)
-    manifest["status"] = "completed"
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return 0
+        _write_csv(os.path.join(out_dir, "curvature.csv"), ("t", "lam", "residual"), rows)
+
+    resolved = {"dt": dt, "output_times": times, "seed": rc.seed, "lambdas": lambdas}
+    return _run(rc, out_dir, resolved, body)
 
 
 def main(argv=None) -> int:

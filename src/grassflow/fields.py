@@ -1,4 +1,4 @@
-"""Periodic grid, matrix-valued fields, finite differences, quadrature."""
+"""Periodic grid, matrix-valued fields, finite differences, running integrals."""
 
 from __future__ import annotations
 
@@ -121,21 +121,6 @@ def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     if v.shape[0] > 1:
         out[1:] = np.cumsum(0.5 * h * (v[:-1] + v[1:]), axis=0)
     return out
-
-
-def derivative(f: MatrixField, order: int) -> MatrixField:
-    """Spatial derivative of the given order (1 through 4)."""
-    return MatrixField(f.grid, periodic_diff(f.values, order, f.grid.h))
-
-
-def quadrature(f: MatrixField) -> np.ndarray:
-    """Periodic quadrature h * sum over nodes; returns one matrix."""
-    return f.grid.h * np.sum(f.values, axis=0)
-
-
-def quadrature_values(values: np.ndarray, h: float):
-    """h * sum along axis 0 for raw arrays (matrix or scalar samples)."""
-    return h * np.sum(np.asarray(values), axis=0)
 
 
 def cumulative_integral(f: MatrixField) -> MatrixField:

@@ -11,8 +11,9 @@ re-projection onto the orbit.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,11 @@ from .orbit import OrbitState, orbit_retract, spectrum_deviation
 FOURTH_DERIV_GAIN = 80.0 / 3.0
 THIRD_DERIV_GAIN = 4.7
 
+# A segment whose length is within this fraction of a step of a whole number
+# of steps takes that whole number: the last step lands on the target rather
+# than leave a sliver step.  Output times may overshoot the run by as much.
+STEP_SLACK = 1e-9
+
 
 class FlowKind(str, enum.Enum):
     LEADING_ORDER = "leading_order"
@@ -38,9 +44,11 @@ class StabilityError(RuntimeError):
 
 
 class FlowBlowupError(RuntimeError):
-    """Evolution produced non-finite values; carries the last good state."""
+    """Evolution produced non-finite values; carries the last finite state
+    (an OrbitState, or a PotentialState for the potential equations) and
+    the index of the step that failed."""
 
-    def __init__(self, message: str, last_state: OrbitState, step_index: int):
+    def __init__(self, message: str, last_state, step_index: int):
         super().__init__(message)
         self.last_state = last_state
         self.step_index = step_index
@@ -108,20 +116,6 @@ def leading_order_generator(os: OrbitState, p: FlowParams) -> MatrixField:
     """Generator of the leading-order flow: -alpha phi_xx."""
     w = _generator_values(os.spec, os.phi.grid.h, os.phi.values, p, FlowKind.LEADING_ORDER)
     return MatrixField(os.phi.grid, w)
-
-
-def second_order_rhs(os: OrbitState) -> MatrixField:
-    """Direct right-hand side of the intermediate flow.  The cubic
-    correction carries a family sign so the field stays tangent to the
-    orbit for the split family as well."""
-    h = os.phi.grid.h
-    phi = os.phi.values
-    phix = periodic_diff(phi, 1, h)
-    sgn = 1.5 if os.spec.family.is_unitary else -1.5
-    corr = bracket(phix, bracket(phi, phix))
-    return MatrixField(
-        os.phi.grid, periodic_diff(phi, 3, h) + sgn * periodic_diff(corr, 1, h)
-    )
 
 
 def _dexpinv_apply(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -215,17 +209,59 @@ def step(
     return OrbitState(os.spec, MatrixField(os.phi.grid, phi1), os.time + dt, frame_field)
 
 
+def _output_times(t0: float, T: float, dt: float, output_times=None) -> list[float]:
+    """Output times of a run of duration T from t0 with step dt: by default
+    the two ends, else the given times, which must increase strictly and lie
+    within [t0, t0 + T] up to STEP_SLACK steps."""
+    if not (math.isfinite(T) and math.isfinite(dt) and T >= 0 and dt > 0):
+        raise ValueError("need finite T >= 0 and dt > 0")
+    if output_times is None:
+        return [t0, t0 + T] if T > 0 else [t0]
+    times = [float(t) for t in output_times]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("output times must be strictly increasing")
+    slack = STEP_SLACK * dt
+    if times and (times[0] < t0 - slack or times[-1] > t0 + T + slack):
+        raise ValueError("output times must lie within [start, start + T]")
+    return times
+
+
+def _march(state, t0: float, output_times, dt: float, advance, arrays):
+    """Carry state from time t0 onto each output time in turn, yielding
+    (target, state) on arrival.
+
+    A segment from t to target takes ceil((target - t) / dt - STEP_SLACK)
+    steps of advance(state, h), each of length dt except the last, which is
+    cut to target - t.  Raises FlowBlowupError, with the last finite state
+    and the index of the failing step, when any of arrays(new_state) is not
+    finite.
+    """
+    t, step_index = t0, 0
+    for target in output_times:
+        count = max(0, math.ceil((target - t) / dt - STEP_SLACK))
+        for i in range(count):
+            h = dt if i < count - 1 else target - t
+            new = advance(state, h)
+            step_index += 1
+            t += h
+            if not all(np.all(np.isfinite(a)) for a in arrays(new)):
+                raise FlowBlowupError(
+                    f"non-finite field after step {step_index} (t={t:.6g})", state, step_index
+                )
+            state = new
+        t = target
+        yield target, state
+
+
 @dataclass
 class Trajectory:
-    """Snapshots at the requested output times plus per-step energy data."""
+    """Snapshots at the requested output times with their diagnostics."""
 
     times: list[float]
     states: list[OrbitState]
     reports: list[EnergyReport]
     spectrum_deviations: list[float]
     membership_residuals: list[float]
-    step_times: list[float] = field(default_factory=list)
-    step_reports: list[EnergyReport] = field(default_factory=list)
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
@@ -240,62 +276,27 @@ def evolve(
     dt: float,
     output_times: list[float] | None = None,
     allow_unstable: bool = False,
-    record_steps: bool = True,
 ) -> Trajectory:
     """Run the flow for a duration T, landing exactly on the requested
     output times.  Raises FlowBlowupError (with the last finite state and
     the offending step index) if the field stops being finite."""
     kind = FlowKind(kind)
-    if T < 0 or dt <= 0:
-        raise ValueError("need T >= 0 and dt > 0")
-    h = os.phi.grid.h
-    _check_stability(p, h, kind, dt, allow_unstable)
-    t0 = os.time
-    if output_times is None:
-        output_times = [t0, t0 + T] if T > 0 else [t0]
-    output_times = [float(t) for t in output_times]
-    if any(b <= a for a, b in zip(output_times, output_times[1:])):
-        raise ValueError("output times must be strictly increasing")
-    lo, hi = t0 - 1e-9, t0 + T + 1e-9
-    if output_times and (output_times[0] < lo or output_times[-1] > hi):
-        raise ValueError("output times must lie within [start, start + T]")
+    times = _output_times(os.time, T, dt, output_times)
+    _check_stability(p, os.phi.grid.h, kind, dt, allow_unstable)
 
-    current = os
-    step_index = 0
-    times, states, reports, specdevs, mems = [], [], [], [], []
-    step_times: list[float] = []
-    step_reports: list[EnergyReport] = []
-    if record_steps:
-        step_times.append(current.time)
-        step_reports.append(energy_report(current, p))
+    def advance(state, h):
+        return step(state, p, kind, h, allow_unstable=True)
 
-    def snapshot(state):
-        times.append(state.time)
-        states.append(state)
-        reports.append(energy_report(state, p))
-        specdevs.append(spectrum_deviation(state))
-        mems.append(membership_residual(state.spec, state.phi.values))
-
-    for target in output_times:
-        while target - current.time > 1e-9 * max(1.0, abs(target)):
-            remaining = target - current.time
-            dt_step = dt if remaining > dt * (1.0 + 1e-9) else remaining
-            new = step(current, p, kind, dt_step, allow_unstable=True)
-            step_index += 1
-            if not np.all(np.isfinite(new.phi.values)):
-                raise FlowBlowupError(
-                    f"non-finite field after step {step_index} (t={new.time:.6g})",
-                    current,
-                    step_index,
-                )
-            current = new
-            if record_steps:
-                step_times.append(current.time)
-                step_reports.append(energy_report(current, p))
-        # land exactly on the requested time stamp
-        current = OrbitState(current.spec, current.phi, target, current.frame)
-        snapshot(current)
-    return Trajectory(times, states, reports, specdevs, mems, step_times, step_reports)
+    arrivals = _march(os, os.time, times, dt, advance, lambda state: (state.phi.values,))
+    # each snapshot is stamped with its exact output time
+    states = [OrbitState(s.spec, s.phi, target, s.frame) for target, s in arrivals]
+    return Trajectory(
+        times,
+        states,
+        [energy_report(state, p) for state in states],
+        [spectrum_deviation(state) for state in states],
+        [membership_residual(state.spec, state.phi.values) for state in states],
+    )
 
 
 def sym_pohlmeyer_curve(os: OrbitState) -> MatrixField:

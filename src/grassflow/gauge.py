@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Family, bracket, decompose, frobenius
 from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
+from .flows import _march, _output_times
 from .functionals import FlowParams
 from .orbit import FramedState, OrbitState
 
@@ -232,6 +233,17 @@ def _collected_block(q, r, h, alpha, beta, cnl):
     return out
 
 
+def _potential_values(spec: AlgebraSpec, h: float, q, r, p: FlowParams):
+    cnl = 2.0 * (8.0 * p.gamma + p.beta)
+    if spec.family is Family.PARA_REAL:
+        return (
+            -_collected_block(q, r, h, p.alpha, p.beta, cnl),
+            _collected_block(r, q, h, p.alpha, p.beta, cnl),
+        )
+    dq = 1j * _collected_block(q, r, h, p.alpha, p.beta, cnl)
+    return dq, slaved_r(spec, dq)
+
+
 def potential_rhs(ps: PotentialState, p: FlowParams) -> PotentialState:
     """Time derivative of a potential state under the third-level flow,
     returned in the same container (q and r hold dq/dt and dr/dt).
@@ -240,16 +252,8 @@ def potential_rhs(ps: PotentialState, p: FlowParams) -> PotentialState:
     so solutions match the orbit-side flow up to the usual block-diagonal
     gauge freedom.
     """
-    spec = ps.spec
-    h = ps.grid.h
-    cnl = 2.0 * (8.0 * p.gamma + p.beta)
-    if spec.family is Family.PARA_REAL:
-        dq = -_collected_block(ps.q, ps.r, h, p.alpha, p.beta, cnl)
-        dr = _collected_block(ps.r, ps.q, h, p.alpha, p.beta, cnl)
-    else:
-        dq = 1j * _collected_block(ps.q, ps.r, h, p.alpha, p.beta, cnl)
-        dr = slaved_r(spec, dq)
-    return PotentialState(spec, ps.grid, dq, dr, ps.time)
+    dq, dr = _potential_values(ps.spec, ps.grid.h, ps.q, ps.r, p)
+    return PotentialState(ps.spec, ps.grid, dq, dr, ps.time)
 
 
 @dataclass
@@ -266,50 +270,29 @@ def evolve_potential(
     output_times: list[float] | None = None,
 ) -> PotentialTrajectory:
     """Integrate the potential equations with a classical one-step method,
-    landing exactly on the requested output times."""
-    if T < 0 or dt <= 0:
-        raise ValueError("need T >= 0 and dt > 0")
+    landing exactly on the requested output times.  Raises FlowBlowupError
+    (with the last finite state and the offending step index) if q or r
+    stops being finite."""
     spec = ps.spec
     h = ps.grid.h
-    t0 = ps.time
-    if output_times is None:
-        output_times = [t0, t0 + T] if T > 0 else [t0]
-    output_times = [float(t) for t in output_times]
-    if any(b <= a for a, b in zip(output_times, output_times[1:])):
-        raise ValueError("output times must be strictly increasing")
-
-    split = spec.family is Family.PARA_REAL
-    cnl = 2.0 * (8.0 * p.gamma + p.beta)
+    times = _output_times(ps.time, T, dt, output_times)
 
     def rhs(q, r):
-        if split:
-            return (
-                -_collected_block(q, r, h, p.alpha, p.beta, cnl),
-                _collected_block(r, q, h, p.alpha, p.beta, cnl),
-            )
-        dq = 1j * _collected_block(q, r, h, p.alpha, p.beta, cnl)
-        return dq, slaved_r(spec, dq)
+        return _potential_values(spec, h, q, r, p)
 
-    q, r = np.array(ps.q), np.array(ps.r)
-    t = t0
-    times, states = [], []
-    step_index = 0
-    for target in output_times:
-        while target - t > 1e-9 * max(1.0, abs(target)):
-            remaining = target - t
-            dt_step = dt if remaining > dt * (1.0 + 1e-9) else remaining
-            k1q, k1r = rhs(q, r)
-            k2q, k2r = rhs(q + 0.5 * dt_step * k1q, r + 0.5 * dt_step * k1r)
-            k3q, k3r = rhs(q + 0.5 * dt_step * k2q, r + 0.5 * dt_step * k2r)
-            k4q, k4r = rhs(q + dt_step * k3q, r + dt_step * k3r)
-            q = q + (dt_step / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            r = r + (dt_step / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-            t += dt_step
-            step_index += 1
-            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(r))):
-                raise RuntimeError(f"potential evolution lost finiteness at step {step_index}")
-        times.append(target)
-        states.append(PotentialState(spec, ps.grid, q, r, target))
+    def advance(state, dt_step):
+        q, r = state.q, state.r
+        k1q, k1r = rhs(q, r)
+        k2q, k2r = rhs(q + 0.5 * dt_step * k1q, r + 0.5 * dt_step * k1r)
+        k3q, k3r = rhs(q + 0.5 * dt_step * k2q, r + 0.5 * dt_step * k2r)
+        k4q, k4r = rhs(q + dt_step * k3q, r + dt_step * k3r)
+        q = q + (dt_step / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        r = r + (dt_step / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        return PotentialState(spec, state.grid, q, r, state.time + dt_step)
+
+    arrivals = _march(ps, ps.time, times, dt, advance, lambda state: (state.q, state.r))
+    # each snapshot is stamped with its exact output time
+    states = [PotentialState(spec, s.grid, s.q, s.r, target) for target, s in arrivals]
     return PotentialTrajectory(times, states)
 
 

@@ -120,6 +120,33 @@ def _midpoints(values: np.ndarray) -> np.ndarray:
     ) / 16.0
 
 
+def _rk4_path(rhs, a: np.ndarray, start: np.ndarray, h: float, cells) -> np.ndarray:
+    """March m' = rhs(a(x), m) across the given cells of the periodic grid
+    by the classic fourth-order one-step method.  Cell j runs from node j
+    to node j + 1 (wrapping); a at its half node comes from cubic
+    interpolation.  Returns start followed by the value after each cell."""
+    npts = a.shape[0]
+    amid = _midpoints(a)
+    out = np.empty((len(cells) + 1,) + start.shape, dtype=np.complex128)
+    out[0] = start
+    for i, j in enumerate(cells):
+        m = out[i]
+        k1 = rhs(a[j], m)
+        k2 = rhs(amid[j], m + 0.5 * h * k1)
+        k3 = rhs(amid[j], m + 0.5 * h * k2)
+        k4 = rhs(a[(j + 1) % npts], m + h * k3)
+        out[i + 1] = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def _frame_rhs(spec: AlgebraSpec):
+    """Right-hand side of the frame equation: E_x = P E (complex families)
+    or E_x = E P (split family)."""
+    if spec.family.is_unitary:
+        return lambda p, e: p @ e
+    return lambda p, e: e @ p
+
+
 def frame_from_potential(
     spec: AlgebraSpec,
     potential: MatrixField,
@@ -132,25 +159,15 @@ def frame_from_potential(
     half nodes comes from cubic interpolation.  The starting frame defaults
     to the identity.
     """
-    pv = potential.values
-    n = spec.n
-    h = potential.grid.h
     npts = potential.grid.num_points
-    e = np.empty((npts, n, n), dtype=np.complex128)
-    e[0] = np.eye(n) if e0 is None else np.asarray(e0, dtype=np.complex128)
-    pmid = _midpoints(pv)
-    left = spec.family.is_unitary
-
-    def apply(p, m):
-        return p @ m if left else m @ p
-
-    for j in range(npts - 1):
-        ej = e[j]
-        k1 = apply(pv[j], ej)
-        k2 = apply(pmid[j], ej + 0.5 * h * k1)
-        k3 = apply(pmid[j], ej + 0.5 * h * k2)
-        k4 = apply(pv[j + 1], ej + h * k3)
-        e[j + 1] = ej + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    start = np.eye(spec.n) if e0 is None else e0
+    e = _rk4_path(
+        _frame_rhs(spec),
+        potential.values,
+        np.asarray(start, dtype=np.complex128),
+        potential.grid.h,
+        range(npts - 1),
+    )
     return FramedState(spec, MatrixField(potential.grid, e), potential, time)
 
 
@@ -158,21 +175,11 @@ def frame_closure_defect(spec: AlgebraSpec, fs: FramedState) -> float:
     """Norm of the mismatch between the frame continued one full period
     and its starting value.  Nonzero closure means the potential carries
     holonomy and the frame samples do not represent a periodic field."""
-    pv = fs.potential.values
-    h = fs.potential.grid.h
-    left = spec.family.is_unitary
-
-    def apply(p, m):
-        return p @ m if left else m @ p
-
     # one more cell from the last node back to x = L
-    pmid = _midpoints(pv)[-1]
-    ej = fs.frame.values[-1]
-    k1 = apply(pv[-1], ej)
-    k2 = apply(pmid, ej + 0.5 * h * k1)
-    k3 = apply(pmid, ej + 0.5 * h * k2)
-    k4 = apply(pv[0], ej + h * k3)
-    e_end = ej + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    last = fs.potential.grid.num_points - 1
+    e_end = _rk4_path(
+        _frame_rhs(spec), fs.potential.values, fs.frame.values[-1], fs.potential.grid.h, [last]
+    )[-1]
     return frobenius(e_end - fs.frame.values[0])
 
 
@@ -193,20 +200,11 @@ def gauge_fix_frame(spec: AlgebraSpec, raw_frame: MatrixField, time: float = 0.0
     left = spec.family.is_unitary
     conn = de @ einv if left else einv @ de
     k_part, m_part = decompose(spec, conn)
-    kmid = _midpoints(k_part)
-    d = np.empty_like(ev)
-    d[0] = np.eye(spec.n)
 
     def rhs(kv, m):
         return -(m @ kv) if left else -(kv @ m)
 
-    for j in range(npts - 1):
-        dj = d[j]
-        k1 = rhs(k_part[j], dj)
-        k2 = rhs(kmid[j], dj + 0.5 * h * k1)
-        k3 = rhs(kmid[j], dj + 0.5 * h * k2)
-        k4 = rhs(k_part[j + 1], dj + h * k3)
-        d[j + 1] = dj + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    d = _rk4_path(rhs, k_part, np.eye(spec.n, dtype=np.complex128), h, range(npts - 1))
     dinv = np.linalg.inv(d)
     if left:
         new_e = d @ ev

@@ -149,7 +149,7 @@ def measure_conservation(
     dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
 
     def run(dt_run):
-        traj = evolve(os, p, FlowKind.THIRD_ORDER, T, dt_run, record_steps=False)
+        traj = evolve(os, p, FlowKind.THIRD_ORDER, T, dt_run)
         h0 = traj.reports[0].H
         drift = abs(traj.reports[-1].H - h0) / max(1.0, abs(h0))
         return drift, max(traj.spectrum_deviations)
@@ -166,7 +166,7 @@ def measure_conservation(
     if generic_check:
         spec = AlgebraSpec(Family.COMPACT_UNITARY, 2, 1)
         os_g = random_orbit_state(spec, grid, seed, 2, 0.2)
-        traj = evolve(os_g, p, FlowKind.THIRD_ORDER, min(T, 0.05), dt, record_steps=False)
+        traj = evolve(os_g, p, FlowKind.THIRD_ORDER, min(T, 0.05), dt)
         h0 = traj.reports[0].H
         drift_g = abs(traj.reports[-1].H - h0) / max(1.0, abs(h0))
         checks.append(_check("conservation_generic_drift", drift_g, drift_tol))
@@ -248,7 +248,7 @@ def _gauge_gap(spec, points, length, T, p, seed, window):
     ps0 = random_smooth_potential(spec, grid, seed=seed, modes=3, amplitude=0.3)
     dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
     os0 = state_from_potential(ps0)
-    traj = evolve(os0, p, FlowKind.THIRD_ORDER, T, dt, output_times=[T], record_steps=False)
+    traj = evolve(os0, p, FlowKind.THIRD_ORDER, T, dt, output_times=[T])
     final = traj.states[-1]
     fixed = gauge_fix_frame(spec, final.frame, time=final.time)
     matrix_q = np.abs(gauge_transform(fixed).q[:, 0, 0])
@@ -288,7 +288,7 @@ def _curvature_at(points, length, p, lam, seed, corrupted=False):
     os = random_orbit_state(spec, grid, seed, 2, 0.25)
     dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
     times = [dt, 2.0 * dt, 3.0 * dt]
-    traj = evolve(os, p, FlowKind.THIRD_ORDER, 3.0 * dt, dt, output_times=times, record_steps=False)
+    traj = evolve(os, p, FlowKind.THIRD_ORDER, 3.0 * dt, dt, output_times=times)
     if corrupted:
         mid = traj.states[1]
         frozen = Trajectory(
@@ -369,7 +369,7 @@ def _curve_residual_at(points, length, p, seed, window):
     os = random_orbit_state(spec, grid, seed, 2, 0.2)
     dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
     times = [dt, 2.0 * dt, 3.0 * dt]
-    traj = evolve(os, p, FlowKind.THIRD_ORDER, 3.0 * dt, dt, output_times=times, record_steps=False)
+    traj = evolve(os, p, FlowKind.THIRD_ORDER, 3.0 * dt, dt, output_times=times)
     before = sym_pohlmeyer_curve(traj.states[0]).values
     after = sym_pohlmeyer_curve(traj.states[2]).values
     rate = (after - before) / (2.0 * dt)

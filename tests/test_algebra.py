@@ -12,7 +12,6 @@ from grassflow.algebra import (
     exp_map,
     frobenius,
     inner,
-    inner_imag_defect,
     membership_residual,
     sigma3,
     signature_matrix,
@@ -67,7 +66,6 @@ def test_inner_is_real_on_algebra_pairs(u2):
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a = 0.5 * (m - m.conj().T)
     b = bracket(sigma3(u2), a)
-    assert inner_imag_defect(a, b) < 1e-15
     assert trace_product(a, b).imag == pytest.approx(0.0, abs=1e-14)
 
 

@@ -70,6 +70,14 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "missing field 'algebra.family'" in err
 
 
+def test_auto_dt_without_stability_bound_exits_two(tmp_path, capsys):
+    # with alpha = beta = 0 the cubic term alone has no explicit step bound
+    cfg = _write_config(tmp_path / "c.json", flow="third_order",
+                        params={"alpha": 0.0, "beta": 0.0, "gamma": 0.1})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "no stability bound" in capsys.readouterr().err
+
+
 def test_override_reaches_manifest_and_run(tmp_path):
     cfg = _write_config(tmp_path / "c.json")
     out = tmp_path / "out"
@@ -248,6 +256,14 @@ def test_curvature_residual_table(tmp_path):
     assert len(lines) == 3
     lams = {float(line.split(",")[1]) for line in lines[1:]}
     assert lams == {0.5, 1.0}
+
+
+def test_curvature_residual_output_times_before_start_exit_two(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json", output_times=[-0.001, 0.0, 0.001])
+    out = tmp_path / "out"
+    assert main(["curvature-residual", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "output_times" in capsys.readouterr().err
+    assert not os.path.exists(out / "manifest.json")
 
 
 def test_curvature_residual_needs_three_output_times(tmp_path, capsys):

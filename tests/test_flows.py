@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+
+import grassflow.flows as flows
 
 from grassflow.algebra import AlgebraSpec, Family, bracket
 from grassflow.fields import Grid, MatrixField, periodic_diff
@@ -15,7 +19,6 @@ from grassflow.flows import (
     curve_flow_rhs,
     evolve,
     leading_order_generator,
-    second_order_rhs,
     stability_bound,
     step,
     sym_pohlmeyer_curve,
@@ -124,7 +127,7 @@ def test_time_accuracy_is_fourth_order(u2):
     for divide in (1, 2, 4):
         dt = 0.004 / divide
         traj = evolve(os, p, FlowKind.LEADING_ORDER, T, dt,
-                      output_times=[T], record_steps=False)
+                      output_times=[T])
         sols.append(traj.states[-1].phi.values)
     err_coarse = np.max(np.abs(sols[0] - sols[2]))
     err_fine = np.max(np.abs(sols[1] - sols[2]))
@@ -141,6 +144,8 @@ def test_evolve_validates_arguments(u2):
     with pytest.raises(ValueError):
         evolve(os, p, FlowKind.LEADING_ORDER, 1e-3, 0.0)
     with pytest.raises(ValueError):
+        evolve(os, p, FlowKind.LEADING_ORDER, 1e-3, np.inf)
+    with pytest.raises(ValueError):
         evolve(os, p, FlowKind.LEADING_ORDER, 1e-3, 1e-4, output_times=[0.0, 0.0])
     with pytest.raises(ValueError):
         evolve(os, p, FlowKind.LEADING_ORDER, 1e-3, 1e-4, output_times=[0.0, 2e-3])
@@ -155,7 +160,21 @@ def test_evolve_zero_duration_gives_single_snapshot(u2):
     np.testing.assert_array_equal(traj.states[0].phi.values, os.phi.values)
 
 
-def test_evolve_lands_exactly_on_output_times(u2):
+def _count_steps(monkeypatch):
+    """Patch flows.step to count its calls; returns the one-item counter."""
+    calls = [0]
+    real_step = flows.step
+
+    def counting_step(*args, **kwargs):
+        calls[0] += 1
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "step", counting_step)
+    return calls
+
+
+def test_evolve_lands_exactly_on_output_times(u2, monkeypatch):
+    calls = _count_steps(monkeypatch)
     grid = Grid(32, TWO_PI)
     os = _state(u2, grid)
     wanted = [0.0, 3.3e-4, 1e-3]
@@ -163,7 +182,28 @@ def test_evolve_lands_exactly_on_output_times(u2):
                   output_times=wanted)
     assert traj.times == wanted
     assert [s.time for s in traj.states] == wanted
-    assert len(traj.step_times) > len(wanted)
+    # ceil(3.3) + ceil(6.7) steps, the last of each segment shortened
+    assert calls == [11]
+
+
+@pytest.mark.parametrize("dt", [1e-6, 1e-10, 1e-12])
+def test_evolve_takes_every_step_at_any_dt(u2, dt, monkeypatch):
+    # the stopping rule is relative to dt, so tiny steps are not dropped
+    # and the state is not stamped with a time it never reached
+    calls = _count_steps(monkeypatch)
+    os = _state(u2, Grid(16, TWO_PI))
+    T = 40 * dt
+    traj = evolve(os, PARAMS, FlowKind.THIRD_ORDER, T, dt, allow_unstable=True)
+    assert calls == [math.ceil(T / dt)] == [40]
+    assert traj.times[-1] == T
+    assert np.any(traj.states[-1].phi.values != os.phi.values)
+
+
+def test_evolve_rejects_output_times_past_the_run_by_many_steps(u2):
+    os = _state(u2, Grid(16, TWO_PI))
+    T, dt = 1e-10, 1e-12
+    with pytest.raises(ValueError):
+        evolve(os, PARAMS, FlowKind.THIRD_ORDER, T, dt, output_times=[0.0, T + 5e-10])
 
 
 def test_trajectory_requires_increasing_times():
@@ -178,7 +218,7 @@ def test_blowup_carries_last_state_and_step_index(u2):
     with pytest.warns(UserWarning), np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FlowBlowupError) as err:
             evolve(os, p, FlowKind.LEADING_ORDER, 10.0, 0.5,
-                   allow_unstable=True, record_steps=False)
+                   allow_unstable=True)
     assert err.value.step_index >= 1
     assert np.all(np.isfinite(err.value.last_state.phi.values))
 
@@ -203,7 +243,7 @@ def test_reprojected_flow_matches_matrix_mkdv_reduction(para2):
     T = 2e-3
     dt = 0.4 * stability_bound(FlowParams(0, 0, 0), grid.h, FlowKind.SECOND_ORDER)
     traj = evolve(os0, FlowParams(0, 0, 0), FlowKind.SECOND_ORDER, T, dt,
-                  output_times=[T], record_steps=False)
+                  output_times=[T])
     got = density(traj.states[-1])
 
     steps = int(round(T / dt))

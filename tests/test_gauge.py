@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+
+import grassflow.gauge as gauge
 
 from grassflow.algebra import AlgebraSpec, Family
 from grassflow.fields import Grid, MatrixField
@@ -19,7 +23,7 @@ from grassflow.gauge import (
     potential_rhs,
     slaved_r,
 )
-from grassflow.flows import FlowKind, evolve, stability_bound
+from grassflow.flows import FlowBlowupError, FlowKind, evolve, stability_bound
 from grassflow.initial_data import random_orbit_state, random_smooth_potential
 from grassflow.orbit import FramedState
 from grassflow.reductions import scalar_rhs
@@ -173,6 +177,42 @@ def test_evolve_potential_validates_arguments(u2):
         evolve_potential(ps, p, 1.0, -1e-3)
     with pytest.raises(ValueError):
         evolve_potential(ps, p, 1.0, 1e-3, output_times=[0.5, 0.5])
+    with pytest.raises(ValueError):
+        evolve_potential(ps, p, 1.0, 1e-3, output_times=[-1.0, 0.5])
+    with pytest.raises(ValueError):
+        evolve_potential(ps, p, 1e-10, 1e-12, output_times=[0.0, 1e-10 + 5e-10])
+
+
+@pytest.mark.parametrize("dt", [1e-6, 1e-10, 1e-12])
+def test_evolve_potential_takes_every_step_at_any_dt(u2, dt, monkeypatch):
+    # one block evaluation per stage for a complex family, four per step
+    calls = [0]
+    real_block = gauge._collected_block
+
+    def counting_block(*args, **kwargs):
+        calls[0] += 1
+        return real_block(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "_collected_block", counting_block)
+    grid = Grid(16, TWO_PI)
+    ps = PotentialState.from_q(u2, grid, _smooth_q(grid, (1, 1)))
+    T = 40 * dt
+    traj = evolve_potential(ps, FlowParams(1.0, 0.1, -0.0125), T, dt)
+    assert calls == [4 * math.ceil(T / dt)] == [160]
+    assert traj.times[-1] == T
+    assert np.any(traj.states[-1].q != ps.q)
+
+
+def test_potential_blowup_carries_last_state_and_step_index(u2):
+    grid = Grid(16, TWO_PI)
+    ps = PotentialState.from_q(u2, grid, _smooth_q(grid, (1, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FlowBlowupError) as err:
+            evolve_potential(ps, FlowParams(50.0, 0.0, 0.0), 10.0, 0.5)
+    assert err.value.step_index >= 1
+    last = err.value.last_state
+    assert isinstance(last, PotentialState)
+    assert np.all(np.isfinite(last.q)) and np.all(np.isfinite(last.r))
 
 
 def test_scalar_rhs_matches_block_equation(u2, u31, para2):
@@ -296,7 +336,7 @@ def test_curvature_residual_small_on_flow_and_large_off_flow(u2):
     dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
     delta = 2e-4
     traj = evolve(os, p, FlowKind.THIRD_ORDER, 2 * delta, dt,
-                  output_times=[0.0, delta, 2 * delta], record_steps=False)
+                  output_times=[0.0, delta, 2 * delta])
     residual = curvature_residual(traj, p, 1.0)
     assert len(residual) == 1
     t, value = residual[0]

@@ -71,6 +71,10 @@ def test_spin_field_validation(grid64):
         SpinField(Geometry.HYPERBOLIC, grid64, -flat)
     with pytest.raises(ValueError):
         SpinField(Geometry.SPHERE, grid64, np.zeros((64, 2)))
+    for g in Geometry:
+        # NaN compares false against every quadric and sheet test
+        with pytest.raises(ValueError):
+            SpinField(g, grid64, np.full((64, 3), np.nan))
     sf = SpinField(Geometry.SPHERE, grid64, flat)
     with pytest.raises(ValueError):
         sf.s[0, 0] = 1.0
