@@ -5,11 +5,19 @@ and n - k: skew-Hermitian matrices (compact), J-skew-Hermitian matrices
 with J = diag(I_k, -I_{n-k}) (noncompact), and real matrices (split).  All
 data is carried as complex128 arrays batched over leading axes; the split
 family keeps exactly-zero imaginary parts through every operation here.
+
+The exponential is a truncated Taylor series whose degree is chosen from the
+argument's 1-norm so that the truncation error stays below 2**-53, with
+scaling and squaring for norms above 1.143; exp(a) and exp(-a) come from one
+set of shared powers.  Products of 2x2 matrices, the common case, are summed
+from broadcast outer products rather than dispatched to matmul.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,7 +94,7 @@ def signature_matrix(spec: AlgebraSpec) -> np.ndarray:
 
 def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Commutator ab - ba, batched over leading axes."""
-    return a @ b - b @ a
+    return _matmul(a, b) - _matmul(b, a)
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,32 +158,82 @@ def decompose(spec: AlgebraSpec, a: np.ndarray) -> LieDecomposition:
     return LieDecomposition(k_part, a - k_part)
 
 
-# Diagonal Pade coefficients for the degree-6 exponential kernel.
-_PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
+# Largest 1-norm at which the degree-m Taylor polynomial (m = 1..18) has
+# remainder bound ||a||^(m+1)/(m+1)! / (1 - ||a||/(m+2)) <= 2**-53, rounded down.
+_TAYLOR_THETA = (
+    1.490e-08, 8.733e-06, 2.271e-04, 1.678e-03, 6.562e-03, 1.776e-02,
+    3.811e-02, 6.993e-02, 1.148e-01, 1.737e-01, 2.472e-01, 3.352e-01,
+    4.374e-01, 5.534e-01, 6.827e-01, 8.245e-01, 9.783e-01, 1.143e+00,
+)
+_TAYLOR_COEFFS = tuple(1.0 / math.factorial(k) for k in range(len(_TAYLOR_THETA) + 1))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched a @ b.  2x2 products are summed from two broadcast outer
+    products (column k of a times row k of b), which avoids matmul's
+    per-matrix overhead on large batches; other sizes use matmul."""
+    if a.shape[-2:] == b.shape[-2:] == (2, 2):
+        return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    return a @ b
+
+
+def _exp_pair(a: np.ndarray, pair: bool = True) -> tuple:
+    """exp(a), and exp(-a) when pair, from one set of shared powers of a.
+
+    The Taylor degree is the smallest m with ||a||_1 <= _TAYLOR_THETA[m - 1];
+    above the last threshold a is scaled by 2**-s and the results squared s
+    times.  Each polynomial is evaluated by Paterson-Stockmeyer over the
+    powers a, ..., a^q, q = ceil(sqrt(m)); the powers of -a are the same
+    arrays up to sign.  No input check: non-finite input comes out
+    non-finite, for the caller to detect.
+    """
+    top = float(np.max(np.sum(np.abs(a), axis=-2))) if a.size else 0.0
+    if not math.isfinite(top):
+        top = 0.0  # degree 1, which carries the non-finite entries through
+    squarings = 0
+    if top > _TAYLOR_THETA[-1]:
+        squarings = math.ceil(math.log2(top / _TAYLOR_THETA[-1]))
+        a = a * 2.0 ** -squarings
+        top *= 2.0 ** -squarings
+    m = min(bisect.bisect_left(_TAYLOR_THETA, top), len(_TAYLOR_THETA) - 1) + 1
+    q = math.isqrt(m - 1) + 1
+    powers = [np.eye(a.shape[-1], dtype=np.complex128), a]
+    for _ in range(q - 1):
+        powers.append(_matmul(powers[-1], a))
+
+    def chunk(p, j, last):
+        # sum over i = 0 .. last of p[i] / (jq + i)!, p[i] being the i-th power
+        total = _TAYLOR_COEFFS[j * q] * p[0]
+        for i in range(1, last + 1):
+            coeff = _TAYLOR_COEFFS[j * q + i]
+            total = total + (p[i] if coeff == 1.0 else coeff * p[i])
+        return total
+
+    # chunk j covers degrees jq .. jq + q - 1; the last one, r, runs on to m
+    r = (m - 1) // q
+    out = []
+    for sign in (1.0, -1.0) if pair else (1.0,):
+        p = [x if sign > 0 or i % 2 == 0 else -x for i, x in enumerate(powers)]
+        acc = chunk(p, r, m - r * q)
+        for j in range(r - 1, -1, -1):
+            acc = _matmul(acc, p[q]) + chunk(p, j, q - 1)
+        for _ in range(squarings):
+            acc = _matmul(acc, acc)
+        out.append(acc)
+    return tuple(out)
 
 
 def exp_map(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring over the Pade kernel.
+    """Matrix exponential by a truncated Taylor series of norm-selected
+    degree, with scaling and squaring above norm 1.143.
 
-    Batched over leading axes.  Accuracy is near machine precision for
-    norms up to about ten; non-finite input raises.
+    Batched over leading axes.  The truncation error is below 2**-53 in
+    the 1-norm of the scaled argument, so the result is accurate to
+    roundoff; non-finite input raises.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.shape[-1] != a.shape[-2]:
         raise ValueError("exp_map needs square matrices")
     if not np.all(np.isfinite(a)):
         raise ValueError("exp_map: non-finite input")
-    top = float(np.max(np.sum(np.abs(a), axis=-2))) if a.size else 0.0
-    squarings = int(np.ceil(np.log2(top / 0.5))) if top > 0.5 else 0
-    x = a / (2.0 ** squarings)
-    b = _PADE6
-    eye = np.eye(a.shape[-1], dtype=np.complex128)
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x2 @ x4
-    odd = x @ (b[1] * eye + b[3] * x2 + b[5] * x4)
-    even = b[0] * eye + b[2] * x2 + b[4] * x4 + b[6] * x6
-    r = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        r = r @ r
-    return r
+    return _exp_pair(a, pair=False)[0]

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import __version__
 from .algebra import AlgebraSpec, Family
-from .fields import Grid
+from .fields import MIN_POINTS, Grid
 from .flows import (
+    DERIVATIVE_ORDER,
     FlowBlowupError,
     FlowKind,
     StabilityError,
@@ -166,6 +167,11 @@ def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
             kind = FlowKind(flow)
         except ValueError:
             errors.append(f"flow: {flow!r} is not one of {[m.value for m in FlowKind]}")
+
+    if grid is not None and kind is not None:
+        need = MIN_POINTS[DERIVATIVE_ORDER[kind]]
+        if grid.num_points < need:
+            errors.append(f"grid.N: the {kind.value} flow needs at least {need} points")
 
     initial = get("initial_data")
     if initial is not None and not isinstance(initial, dict):
@@ -383,9 +389,18 @@ def cmd_verify(cfg: dict | None, out_dir: str | None, suite: str) -> int:
     return 0 if report["pass"] else 1
 
 
-def cmd_gauge_compare(rc: RunConfig, out_dir: str, window=(0.1, 0.9)) -> int:
+def _check_commutator_command(rc: RunConfig, command: str) -> None:
+    """gauge-compare, reduce and curvature-residual cover the commutator
+    flows, and their potential and connection sides take derivatives up to
+    the fourth whatever the flow."""
     if rc.kind is FlowKind.SECOND_ORDER:
-        raise ConfigError(["flow: gauge-compare covers the commutator flows"])
+        raise ConfigError([f"flow: {command} covers the commutator flows"])
+    if rc.grid.num_points < MIN_POINTS[4]:
+        raise ConfigError([f"grid.N: {command} needs at least {MIN_POINTS[4]} points"])
+
+
+def cmd_gauge_compare(rc: RunConfig, out_dir: str, window=(0.1, 0.9)) -> int:
+    _check_commutator_command(rc, "gauge-compare")
     from .initial_data import state_from_potential
 
     try:
@@ -423,8 +438,7 @@ def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
         geometry = spec_geometry(rc.spec)
     except ValueError as exc:
         raise ConfigError([f"algebra: {exc}"]) from None
-    if rc.kind is FlowKind.SECOND_ORDER:
-        raise ConfigError(["flow: reduce covers the commutator flows"])
+    _check_commutator_command(rc, "reduce")
     state = build_state(rc)
     dt = resolve_dt(rc)
     times = _resolve_output_times(state.time, rc.T, dt, rc.output_times)
@@ -468,8 +482,7 @@ def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
 def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
     from .gauge import curvature_residual
 
-    if rc.kind is FlowKind.SECOND_ORDER:
-        raise ConfigError(["flow: curvature-residual covers the commutator flows"])
+    _check_commutator_command(rc, "curvature-residual")
     lambdas = rc.raw.get("lambdas", [0.5, 1.0, 2.0])
     try:
         lambdas = [float(v) for v in lambdas]

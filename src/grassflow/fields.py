@@ -92,24 +92,28 @@ _STENCILS = {
     4: ((-3, -2, -1, 0, 1, 2, 3), (-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0), 6.0, 4),
 }
 
+# order -> fewest grid points periodic_diff accepts
+MIN_POINTS = {1: 5, 2: 5, 3: 16, 4: 16}
+
 
 def periodic_diff(values: np.ndarray, order: int, h: float) -> np.ndarray:
     """Central fourth-order-accurate difference along axis 0 with wraparound.
 
-    Works on any array whose leading axis is the grid axis.
+    Works on any array whose leading axis is the grid axis.  The array is
+    wrap-padded once and the stencil summed over shifted slices of it.
     """
     if order not in _STENCILS:
         raise ValueError("derivative order must be 1, 2, 3 or 4")
     v = np.asarray(values)
     npts = v.shape[0]
-    if order >= 3 and npts < 16:
-        raise ValueError(f"need at least 16 points for an order-{order} derivative")
-    if npts < 5:
-        raise ValueError("need at least 5 points for differencing")
+    if npts < MIN_POINTS[order]:
+        raise ValueError(f"need at least {MIN_POINTS[order]} points for an order-{order} derivative")
     offsets, weights, denom, power = _STENCILS[order]
+    pad = max(offsets)  # the stencils are symmetric
+    padded = np.concatenate((v[npts - pad:], v, v[:pad]))
     acc = np.zeros(v.shape, dtype=np.result_type(v.dtype, np.float64))
     for off, w in zip(offsets, weights):
-        acc += w * np.roll(v, -off, axis=0)
+        acc += w * padded[pad + off : pad + off + npts]
     return acc / (denom * h ** power)
 
 

@@ -1,9 +1,11 @@
 """Time evolution of orbit fields for the three levels of the hierarchy.
 
 The first- and third-level flows are commutator flows phi_t = [phi, W] and
-are integrated by a fourth-order Lie-group method: the update is a
-conjugation by a group exponential, so the spectrum (and hence the orbit)
-is preserved to roundoff.  The intermediate flow is a direct equation for
+are integrated by a fourth-order Lie-group method (Runge-Kutta-Munthe-Kaas):
+the update is the conjugation exp(-sigma) phi exp(sigma), with both
+exponentials taken from one truncated Taylor evaluation whose error is below
+roundoff, so the spectrum (and hence the orbit) is kept to roundoff without a
+linear solve.  The intermediate flow is a direct equation for
 phi and is integrated by a classical one-step method followed by a spectral
 re-projection onto the orbit.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Family, bracket, exp_map, membership_residual
+from .algebra import AlgebraSpec, Family, _exp_pair, _matmul, bracket, membership_residual
 from .fields import MatrixField, cumulative_integral, periodic_diff
 from .functionals import EnergyReport, FlowParams, energy_report
 from .orbit import OrbitState, orbit_retract, spectrum_deviation
@@ -37,6 +39,14 @@ class FlowKind(str, enum.Enum):
     LEADING_ORDER = "leading_order"
     SECOND_ORDER = "second_order"
     THIRD_ORDER = "third_order"
+
+
+# Highest derivative order that a step of each flow takes.
+DERIVATIVE_ORDER = {
+    FlowKind.LEADING_ORDER: 2,
+    FlowKind.SECOND_ORDER: 3,
+    FlowKind.THIRD_ORDER: 4,
+}
 
 
 class StabilityError(RuntimeError):
@@ -81,7 +91,7 @@ def _generator_values(
     if coeff != 0.0:
         sgn = 1.0 if spec.family.is_unitary else -1.0
         phix = periodic_diff(phi, 1, h)
-        cube = phix @ phix @ phix
+        cube = _matmul(_matmul(phix, phix), phix)
         w += (sgn * coeff) * periodic_diff(cube, 1, h)
     return w
 
@@ -122,9 +132,9 @@ def _dexpinv_apply(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w + 0.5 * bracket(sigma, w) + (1.0 / 12.0) * bracket(sigma, bracket(sigma, w))
 
 
-def _conjugate(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    # exp(-sigma) phi exp(sigma) with g = exp(sigma)
-    return np.linalg.solve(g, phi @ g)
+def _conjugate(g: np.ndarray, ginv: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    # exp(-sigma) phi exp(sigma) with g, ginv = exp(sigma), exp(-sigma)
+    return _matmul(_matmul(ginv, phi), g)
 
 
 def _rkmk_step(
@@ -139,22 +149,22 @@ def _rkmk_step(
     def gen(phi):
         return _generator_values(spec, h, phi, p, kind)
 
+    def stage(sigma):
+        return _dexpinv_apply(sigma, gen(_conjugate(*_exp_pair(sigma), phi0)))
+
     k1 = gen(phi0)
-    s2 = (0.5 * dt) * k1
-    k2 = _dexpinv_apply(s2, gen(_conjugate(exp_map(s2), phi0)))
-    s3 = (0.5 * dt) * k2
-    k3 = _dexpinv_apply(s3, gen(_conjugate(exp_map(s3), phi0)))
-    s4 = dt * k3
-    k4 = _dexpinv_apply(s4, gen(_conjugate(exp_map(s4), phi0)))
+    k2 = stage((0.5 * dt) * k1)
+    k3 = stage((0.5 * dt) * k2)
+    k4 = stage(dt * k3)
     sigma = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    g = exp_map(sigma)
-    phi1 = _conjugate(g, phi0)
+    g, ginv = _exp_pair(sigma)
+    phi1 = _conjugate(g, ginv, phi0)
     frame1 = None
     if frame0 is not None:
         if spec.family.is_unitary:
-            frame1 = frame0 @ g
+            frame1 = _matmul(frame0, g)
         else:
-            frame1 = np.linalg.solve(g, frame0)
+            frame1 = _matmul(ginv, frame0)
     return phi1, frame1
 
 

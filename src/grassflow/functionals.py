@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Family, bracket, exp_map, inner, trace_product
+from .algebra import AlgebraSpec, Family, _exp_pair, bracket, inner, trace_product
 from .fields import MatrixField, periodic_diff
 from .orbit import OrbitState
 
@@ -160,8 +160,7 @@ def fd_gradient_check(
     grad = functional_gradient(os, name).values
     delta = bracket(phi, xiv)
     analytic = float(h * np.sum(inner(spec, grad, delta)))
-    g = exp_map(eps * xiv)
-    ginv = exp_map(-eps * xiv)
+    g, ginv = _exp_pair(eps * xiv)
     phi_plus = ginv @ phi @ g
     phi_minus = g @ phi @ ginv
     f_plus = functional_value(OrbitState(spec, MatrixField(grid, phi_plus)), name)

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from grassflow.algebra import (
+    _TAYLOR_THETA,
+    _exp_pair,
+    _matmul,
     AlgebraSpec,
     Family,
     anticommutator,
@@ -128,15 +134,45 @@ def test_exp_of_nilpotent_is_affine():
 def _eig_exp(a: np.ndarray) -> np.ndarray:
     # reference for normal matrices only
     vals, vecs = np.linalg.eigh(1j * a)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+
+
+# 1-norms just below and just above every Taylor degree threshold, plus a
+# sweep from far below the first to well into scaling and squaring
+_EXP_NORMS = sorted(
+    [f * t for t in _TAYLOR_THETA for f in (0.999, 1.001)]
+    + [1e-8, 1e-6, 1e-4, 1e-2, 0.3, 2.0, 9.0]
+)
+
+
+def _skew_hermitian(rng, n: int, norm: float, batch: int = 3) -> np.ndarray:
+    """Random skew-Hermitian batch whose largest 1-norm is exactly norm."""
+    m = rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
+    a = 0.5 * (m - np.conj(np.swapaxes(m, -1, -2)))
+    return a * (norm / np.max(np.sum(np.abs(a), axis=-2)))
 
 
 def test_exp_matches_spectral_reference_on_skew_hermitian():
     rng = np.random.default_rng(4)
-    for scale in (0.3, 2.0, 9.0):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = scale * 0.5 * (m - m.conj().T)
-        assert frobenius(exp_map(a) - _eig_exp(a)) < 1e-12 * max(1.0, scale)
+    for n in (2, 3, 4):
+        for norm in _EXP_NORMS:
+            a = _skew_hermitian(rng, n, norm)
+            gap = frobenius(exp_map(a) - _eig_exp(a))
+            assert gap < 1e-13 * max(1.0, norm), f"n={n}, norm={norm:.4e}: {gap:.2e}"
+
+
+def test_taylor_thresholds_meet_the_remainder_bound():
+    # the literal table is the largest norm (to four digits, rounded down)
+    # whose degree-m remainder bound stays within 2**-53
+    unit = Fraction(1, 2 ** 53)
+
+    def bound(x, m):
+        x = Fraction(x)
+        return x ** (m + 1) / math.factorial(m + 1) / (1 - x / (m + 2))
+
+    for m, theta in enumerate(_TAYLOR_THETA, start=1):
+        assert bound(theta, m) <= unit, m
+        assert bound(theta * 1.001, m) > unit, m
 
 
 def test_exp_handles_batches():
@@ -159,3 +195,31 @@ def test_exp_inverse_of_negative_argument():
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     a = 0.5 * (m - m.conj().T)
     assert np.allclose(exp_map(a) @ exp_map(-a), np.eye(3), atol=1e-13)
+    # the pair from shared powers is the same two exponentials
+    for n in (2, 3, 4):
+        for norm in _EXP_NORMS:
+            a = _skew_hermitian(rng, n, norm)
+            g, ginv = _exp_pair(a)
+            np.testing.assert_allclose(g, exp_map(a), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(ginv, exp_map(-a), rtol=0, atol=1e-15)
+            assert np.max(np.abs(g @ ginv - np.eye(n))) < 1e-13, (n, norm)
+
+
+def test_two_by_two_product_matches_matmul():
+    rng = np.random.default_rng(7)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    cases = [
+        (draw(128, 2, 2), draw(128, 2, 2)),
+        (draw(2, 2), draw(2, 2)),
+        (draw(64, 2, 2), draw(2, 2)),
+        (draw(2, 2), draw(64, 2, 2)),
+        (draw(5, 3, 3), draw(5, 3, 3)),
+        (draw(4, 4), draw(7, 4, 4)),
+    ]
+    for a, b in cases:
+        got = _matmul(a, b)
+        assert got.shape == (a @ b).shape
+        np.testing.assert_allclose(got, a @ b, rtol=0, atol=1e-14)

@@ -150,6 +150,47 @@ def test_unstable_requested_step_aborts_with_manifest(tmp_path):
     assert manifest["abort"]["error"] == "StabilityError"
 
 
+def test_blowup_aborts_with_step_index(tmp_path):
+    # no stability bound without alpha and beta, so the step is taken and
+    # the quartic term blows up within a few steps
+    cfg = _write_config(tmp_path / "c.json", flow="third_order",
+                        params={"alpha": 0.0, "beta": 0.0, "gamma": 1.0},
+                        initial_data={"generator": "random_smooth", "modes": 2},
+                        T=2.5, dt=0.05)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    manifest = json.loads(_read(out / "manifest.json"))
+    assert manifest["status"] == "aborted"
+    assert manifest["abort"]["error"] == "FlowBlowupError"
+    assert manifest["abort"]["step_index"] >= 1
+    assert manifest["abort"]["last_time"] == pytest.approx(
+        0.05 * (manifest["abort"]["step_index"] - 1))
+
+
+@pytest.mark.parametrize("flow, points", [("third_order", 8), ("leading_order", 4)])
+def test_grid_too_small_for_the_stencils_exits_two(tmp_path, capsys, flow, points):
+    cfg = _write_config(tmp_path / "c.json", flow=flow, grid={"N": points, "L": 2 * np.pi},
+                        dt=1e-6)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "grid.N" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_potential_side_commands_need_full_stencils(tmp_path, capsys):
+    # the leading-order flow runs on 8 points, but the potential and
+    # connection sides of these commands take fourth derivatives
+    cfg = _write_config(tmp_path / "c.json", grid={"N": 8, "L": 2 * np.pi}, dt=1e-6,
+                        output_times=[0.0, 1e-6, 2e-6])
+    for command in ("gauge-compare", "reduce", "curvature-residual"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "grid.N" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def test_verify_runs_and_writes_report(tmp_path, capsys):
     cfg = tmp_path / "v.json"
     cfg.write_text(json.dumps({"suite_options": {"fields_per_size": 2, "points": 64}}))

@@ -85,6 +85,39 @@ def test_derivative_of_constant_is_zero():
 def test_unknown_derivative_order_rejected():
     with pytest.raises(ValueError):
         periodic_diff(np.ones((16, 1, 1)), 5, 0.1)
+    # too few points for the stencil's reach
+    for order, fewest in ((1, 5), (2, 5), (3, 16), (4, 16)):
+        periodic_diff(np.ones((fewest, 2, 2)), order, 0.1)
+        with pytest.raises(ValueError):
+            periodic_diff(np.ones((fewest - 1, 2, 2)), order, 0.1)
+
+
+def _rolled_diff(values, order, h):
+    """The stencil summed over np.roll shifts, in the library's offset order."""
+    offsets, weights, denom, power = {
+        1: ((-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0), 12.0, 1),
+        2: ((-2, -1, 0, 1, 2), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0, 2),
+        3: ((-3, -2, -1, 1, 2, 3), (1.0, -8.0, 13.0, -13.0, 8.0, -1.0), 8.0, 3),
+        4: ((-3, -2, -1, 0, 1, 2, 3), (-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0), 6.0, 4),
+    }[order]
+    acc = np.zeros(values.shape, dtype=np.result_type(values.dtype, np.float64))
+    for off, w in zip(offsets, weights):
+        acc += w * np.roll(values, -off, axis=0)
+    return acc / (denom * h ** power)
+
+
+def test_padded_stencil_is_bit_equal_to_rolled_stencil():
+    rng = np.random.default_rng(8)
+    for npts in (16, 128):
+        h = TWO_PI / npts
+        cplx = rng.standard_normal((npts, 2, 2)) + 1j * rng.standard_normal((npts, 2, 2))
+        real = rng.standard_normal((npts, 3))
+        for values in (cplx, real):
+            for order in (1, 2, 3, 4):
+                got = periodic_diff(values, order, h)
+                want = _rolled_diff(values, order, h)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (npts, order)
 
 
 def test_cumulative_trapezoid_starts_at_zero_and_accumulates():

@@ -7,7 +7,7 @@ import pytest
 
 import grassflow.flows as flows
 
-from grassflow.algebra import AlgebraSpec, Family, bracket
+from grassflow.algebra import AlgebraSpec, Family, bracket, exp_map
 from grassflow.fields import Grid, MatrixField, periodic_diff
 from grassflow.flows import (
     FOURTH_DERIV_GAIN,
@@ -27,7 +27,7 @@ from grassflow.flows import (
 )
 from grassflow.functionals import FlowParams
 from grassflow.gauge import PotentialState, matrix_kdv_rhs
-from grassflow.initial_data import random_orbit_state, state_from_potential
+from grassflow.initial_data import make_initial_state, random_orbit_state, state_from_potential
 from grassflow.orbit import spectrum_deviation
 from conftest import TWO_PI, all_specs
 
@@ -221,6 +221,77 @@ def test_blowup_carries_last_state_and_step_index(u2):
                    allow_unstable=True)
     assert err.value.step_index >= 1
     assert np.all(np.isfinite(err.value.last_state.phi.values))
+
+
+@pytest.mark.parametrize("multiple", [1e3, 1e6])
+def test_blowup_on_example_state_is_typed_at_any_stage(multiple):
+    # far past the bound a stage of the first steps goes non-finite; the
+    # march reports it as a blow-up, not as an error from inside the step
+    spec = AlgebraSpec(Family.COMPACT_UNITARY, 2, 1)
+    grid = Grid(128, TWO_PI)
+    os = make_initial_state(
+        spec, grid, {"generator": "random_smooth", "seed": 3, "modes": 2, "amplitude": 0.3}
+    )
+    dt = multiple * stability_bound(PARAMS, grid.h, FlowKind.THIRD_ORDER)
+    with pytest.warns(UserWarning), np.errstate(all="ignore"):
+        with pytest.raises(FlowBlowupError) as err:
+            evolve(os, PARAMS, FlowKind.THIRD_ORDER, 50 * dt, dt, allow_unstable=True)
+    index = err.value.step_index
+    last = err.value.last_state
+    assert 1 <= index < 50
+    assert last.time == pytest.approx((index - 1) * dt, rel=1e-12, abs=0.0)
+    assert np.all(np.isfinite(last.phi.values))
+    assert np.all(np.isfinite(last.frame.values))
+
+
+def test_commutator_step_takes_no_linear_solve(monkeypatch):
+    grid = Grid(32, TWO_PI)
+    states = [_state(spec, grid) for spec in all_specs()]
+    calls = []
+    for name in ("solve", "inv"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for os in states:
+        for kind in (FlowKind.LEADING_ORDER, FlowKind.THIRD_ORDER):
+            dt = 0.5 * stability_bound(PARAMS, grid.h, kind)
+            new = step(os, PARAMS, kind, dt)
+            assert new.frame is not None
+    assert calls == []
+
+
+def _solve_based_step(os, p, kind, dt):
+    """One RKMK step that conjugates and moves the frame by linear solves
+    against exp(sigma) rather than by exp(-sigma)."""
+    spec, h, phi0 = os.spec, os.phi.grid.h, os.phi.values
+
+    def gen(phi):
+        return flows._generator_values(spec, h, phi, p, kind)
+
+    def conj(sigma):
+        g = exp_map(sigma)
+        return np.linalg.solve(g, phi0 @ g)
+
+    k1 = gen(phi0)
+    k2 = flows._dexpinv_apply(0.5 * dt * k1, gen(conj(0.5 * dt * k1)))
+    k3 = flows._dexpinv_apply(0.5 * dt * k2, gen(conj(0.5 * dt * k2)))
+    k4 = flows._dexpinv_apply(dt * k3, gen(conj(dt * k3)))
+    sigma = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return conj(sigma), np.linalg.solve(exp_map(sigma), os.frame.values)
+
+
+def test_split_family_frame_step_matches_solve_reference(para2):
+    grid = Grid(64, TWO_PI)
+    os = _state(para2, grid)
+    dt = 0.5 * stability_bound(PARAMS, grid.h, FlowKind.THIRD_ORDER)
+    new = step(os, PARAMS, FlowKind.THIRD_ORDER, dt)
+    phi_ref, frame_ref = _solve_based_step(os, PARAMS, FlowKind.THIRD_ORDER, dt)
+    assert np.max(np.abs(new.frame.values - frame_ref)) < 1e-13
+    assert np.max(np.abs(new.phi.values - phi_ref)) < 1e-13
 
 
 def test_reprojected_flow_matches_matrix_mkdv_reduction(para2):
