@@ -13,7 +13,6 @@ from .algebra import (
     AlgebraSpec,
     Family,
     LieDecomposition,
-    anticommutator,
     bracket,
     decompose,
     exp_map,
@@ -38,7 +37,6 @@ from .flows import (
     Trajectory,
     curve_flow_rhs,
     evolve,
-    leading_order_generator,
     stability_bound,
     step,
     sym_pohlmeyer_curve,
@@ -93,7 +91,6 @@ from .orbit import (
     frame_from_potential,
     gauge_fix_frame,
     orbit_from_frame,
-    orbit_membership_report,
     orbit_retract,
     reference_spectrum,
     spectrum_deviation,

@@ -85,6 +85,12 @@ def sigma3(spec: AlgebraSpec) -> np.ndarray:
     return np.diag(d)
 
 
+def _orbit_square(spec: AlgebraSpec) -> float:
+    """c^2 in phi^2 = c^2 I on the orbit: -1/4 for the complex families,
+    +1/4 for the split family."""
+    return (spec.block_scale ** 2).real
+
+
 def signature_matrix(spec: AlgebraSpec) -> np.ndarray:
     """diag(I_k, -I_{n-k}), the signature of the block split."""
     d = np.full(spec.n, -1.0, dtype=np.complex128)
@@ -95,11 +101,6 @@ def signature_matrix(spec: AlgebraSpec) -> np.ndarray:
 def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Commutator ab - ba, batched over leading axes."""
     return _matmul(a, b) - _matmul(b, a)
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ab + ba, batched over leading axes."""
-    return a @ b + b @ a
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .flows import (
     FlowKind,
     StabilityError,
     Trajectory,
+    _flow_params,
     _march,
     _output_times,
     evolve,
@@ -399,7 +400,12 @@ def _check_commutator_command(rc: RunConfig, command: str) -> None:
         raise ConfigError([f"grid.N: {command} needs at least {MIN_POINTS[4]} points"])
 
 
-def cmd_gauge_compare(rc: RunConfig, out_dir: str, window=(0.1, 0.9)) -> int:
+# Interior of the period, as fractions of its length, where gauge-compare
+# takes its interior_linf column.
+_GAUGE_WINDOW = (0.1, 0.9)
+
+
+def cmd_gauge_compare(rc: RunConfig, out_dir: str) -> int:
     _check_commutator_command(rc, "gauge-compare")
     from .initial_data import state_from_potential
 
@@ -409,7 +415,8 @@ def cmd_gauge_compare(rc: RunConfig, out_dir: str, window=(0.1, 0.9)) -> int:
         raise ConfigError([f"initial_data: {exc}"]) from None
     dt = resolve_dt(rc)
     times = _resolve_output_times(ps0.time, rc.T, dt, rc.output_times)
-    lo, hi = window
+    physics = _flow_params(rc.params, rc.kind)
+    lo, hi = _GAUGE_WINDOW
     mask = (rc.grid.x >= lo * rc.grid.length) & (rc.grid.x <= hi * rc.grid.length)
 
     def body():
@@ -420,7 +427,7 @@ def cmd_gauge_compare(rc: RunConfig, out_dir: str, window=(0.1, 0.9)) -> int:
             state = _segment(state, rc, target, dt).states[0]
             fixed = gauge_fix_frame(rc.spec, state.frame, time=state.time)
             matrix_q = gauge_transform(fixed).q
-            pseg = evolve_potential(ps, rc.params, target - ps.time, dt, output_times=[target])
+            pseg = evolve_potential(ps, physics, target - ps.time, dt, output_times=[target])
             ps = pseg.states[0]
             nm = np.linalg.norm(matrix_q, axis=(1, 2))
             ng = np.linalg.norm(ps.q, axis=(1, 2))
@@ -452,6 +459,8 @@ def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
         "s3_vector",
     )
 
+    physics = _flow_params(rc.params, rc.kind)
+
     def body():
         summary = []
         current = state
@@ -460,7 +469,7 @@ def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
             state.time,
             times,
             dt,
-            lambda sf, h: spin_step(sf, rc.params, h),
+            lambda sf, h: spin_step(sf, physics, h),
             lambda sf: (sf.s,),
         )
         for index, target in enumerate(times):
@@ -498,11 +507,13 @@ def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
     else:
         times = [t0 + dt, t0 + 2.0 * dt, t0 + 3.0 * dt]
 
+    physics = _flow_params(rc.params, rc.kind)
+
     def body():
         traj = evolve(state, rc.params, rc.kind, times[-1] - t0, dt, output_times=times)
         rows = []
         for lam in lambdas:
-            for t, res in curvature_residual(traj, rc.params, lam):
+            for t, res in curvature_residual(traj, physics, lam):
                 rows.append((t, lam, res))
         _write_csv(os.path.join(out_dir, "curvature.csv"), ("t", "lam", "residual"), rows)
 

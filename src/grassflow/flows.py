@@ -5,9 +5,11 @@ are integrated by a fourth-order Lie-group method (Runge-Kutta-Munthe-Kaas):
 the update is the conjugation exp(-sigma) phi exp(sigma), with both
 exponentials taken from one truncated Taylor evaluation whose error is below
 roundoff, so the spectrum (and hence the orbit) is kept to roundoff without a
-linear solve.  The intermediate flow is a direct equation for
-phi and is integrated by a classical one-step method followed by a spectral
-re-projection onto the orbit.
+linear solve.  A frame F with phi = F^-1 s F rides along as F exp(sigma).
+The leading-order flow is the third-order flow with beta = gamma = 0.  The
+intermediate flow is a direct equation for phi and is integrated by a
+classical one-step method followed by a spectral re-projection onto the
+orbit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Family, _exp_pair, _matmul, bracket, membership_residual
+from .algebra import AlgebraSpec, _exp_pair, _matmul, _orbit_square, bracket, membership_residual
 from .fields import MatrixField, cumulative_integral, periodic_diff
 from .functionals import EnergyReport, FlowParams, energy_report
 from .orbit import OrbitState, orbit_retract, spectrum_deviation
@@ -69,27 +71,34 @@ def stability_bound(p: FlowParams, h: float, kind: FlowKind = FlowKind.THIRD_ORD
     kind = FlowKind(kind)
     if kind is FlowKind.SECOND_ORDER:
         return 0.2 * h ** 3 / THIRD_DERIV_GAIN
+    p = _flow_params(p, kind)
     bound = np.inf
-    if kind is FlowKind.THIRD_ORDER and p.beta != 0.0:
+    if p.beta != 0.0:
         bound = min(bound, 0.2 * h ** 4 / (abs(p.beta) * FOURTH_DERIV_GAIN))
     if p.alpha != 0.0:
         bound = min(bound, 0.2 * h ** 2 / abs(p.alpha))
     return float(bound)
 
 
-def _generator_values(
-    spec: AlgebraSpec, h: float, phi: np.ndarray, p: FlowParams, kind: FlowKind
-) -> np.ndarray:
+def _flow_params(p: FlowParams, kind: FlowKind) -> FlowParams:
+    """The coefficients a commutator flow of this kind integrates: the
+    leading-order flow is the third-order flow with beta = gamma = 0."""
+    if kind is FlowKind.LEADING_ORDER:
+        return FlowParams(p.alpha, 0.0, 0.0)
+    return p
+
+
+def _generator_values(spec: AlgebraSpec, h: float, phi: np.ndarray, p: FlowParams) -> np.ndarray:
     w = np.zeros_like(phi)
     if p.alpha != 0.0:
         w -= p.alpha * periodic_diff(phi, 2, h)
-    if kind is FlowKind.LEADING_ORDER:
-        return w
     if p.beta != 0.0:
         w += p.beta * periodic_diff(phi, 4, h)
     coeff = 4.0 * (4.0 * p.gamma - 2.0 * p.beta)
     if coeff != 0.0:
-        sgn = 1.0 if spec.family.is_unitary else -1.0
+        # on the orbit phi^-1 = phi / c^2 and phi phi_x = -phi_x phi, so the
+        # chain phi_x phi^-1 phi_x phi^-1 phi_x is -phi_x^3 / c^2 = 4 sgn phi_x^3
+        sgn = -4.0 * _orbit_square(spec)
         phix = periodic_diff(phi, 1, h)
         cube = _matmul(_matmul(phix, phix), phix)
         w += (sgn * coeff) * periodic_diff(cube, 1, h)
@@ -99,7 +108,7 @@ def _generator_values(
 def third_order_generator(os: OrbitState, p: FlowParams) -> MatrixField:
     """Flow generator W of the third-level commutator flow phi_t = [phi, W],
     with the cubic term reduced to a polynomial in phi_x."""
-    w = _generator_values(os.spec, os.phi.grid.h, os.phi.values, p, FlowKind.THIRD_ORDER)
+    w = _generator_values(os.spec, os.phi.grid.h, os.phi.values, p)
     return MatrixField(os.phi.grid, w)
 
 
@@ -122,12 +131,6 @@ def third_order_generator_via_inverse(os: OrbitState, p: FlowParams) -> MatrixFi
     return MatrixField(os.phi.grid, w)
 
 
-def leading_order_generator(os: OrbitState, p: FlowParams) -> MatrixField:
-    """Generator of the leading-order flow: -alpha phi_xx."""
-    w = _generator_values(os.spec, os.phi.grid.h, os.phi.values, p, FlowKind.LEADING_ORDER)
-    return MatrixField(os.phi.grid, w)
-
-
 def _dexpinv_apply(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w + 0.5 * bracket(sigma, w) + (1.0 / 12.0) * bracket(sigma, bracket(sigma, w))
 
@@ -143,11 +146,10 @@ def _rkmk_step(
     phi0: np.ndarray,
     frame0: np.ndarray | None,
     p: FlowParams,
-    kind: FlowKind,
     dt: float,
 ):
     def gen(phi):
-        return _generator_values(spec, h, phi, p, kind)
+        return _generator_values(spec, h, phi, p)
 
     def stage(sigma):
         return _dexpinv_apply(sigma, gen(_conjugate(*_exp_pair(sigma), phi0)))
@@ -159,12 +161,8 @@ def _rkmk_step(
     sigma = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     g, ginv = _exp_pair(sigma)
     phi1 = _conjugate(g, ginv, phi0)
-    frame1 = None
-    if frame0 is not None:
-        if spec.family.is_unitary:
-            frame1 = _matmul(frame0, g)
-        else:
-            frame1 = _matmul(ginv, frame0)
+    # phi = F^-1 s F, so the frame moves on the right: F exp(sigma)
+    frame1 = None if frame0 is None else _matmul(frame0, g)
     return phi1, frame1
 
 
@@ -179,7 +177,7 @@ def _second_order_step(spec: AlgebraSpec, h: float, phi0: np.ndarray, dt: float)
 
 def _second_order_values(spec: AlgebraSpec, h: float, phi: np.ndarray) -> np.ndarray:
     phix = periodic_diff(phi, 1, h)
-    sgn = 1.5 if spec.family.is_unitary else -1.5
+    sgn = -6.0 * _orbit_square(spec)
     corr = bracket(phix, bracket(phi, phix))
     return periodic_diff(phi, 3, h) + sgn * periodic_diff(corr, 1, h)
 
@@ -214,7 +212,7 @@ def step(
         frame1 = None
     else:
         frame0 = None if os.frame is None else os.frame.values
-        phi1, frame1 = _rkmk_step(os.spec, h, os.phi.values, frame0, p, kind, dt)
+        phi1, frame1 = _rkmk_step(os.spec, h, os.phi.values, frame0, _flow_params(p, kind), dt)
     frame_field = None if frame1 is None else MatrixField(os.phi.grid, frame1)
     return OrbitState(os.spec, MatrixField(os.phi.grid, phi1), os.time + dt, frame_field)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Family, _exp_pair, bracket, inner, trace_product
+from .algebra import AlgebraSpec, Family, _exp_pair, _orbit_square, bracket, inner, trace_product
 from .fields import MatrixField, periodic_diff
 from .orbit import OrbitState
 
@@ -118,7 +118,7 @@ def functional_gradient(os: OrbitState, name: str) -> MatrixField:
         return MatrixField(os.phi.grid, periodic_diff(phi, 4, h))
     phix = periodic_diff(phi, 1, h)
     phiinv = np.linalg.inv(phi)
-    s22 = 1.0 if spec.family.is_unitary else -1.0
+    s22 = -4.0 * _orbit_square(spec)
     chain = phiinv @ phix @ phiinv @ phix @ phiinv @ phix @ phiinv
     if name == "E22":
         return MatrixField(os.phi.grid, s22 * periodic_diff(chain, 1, h))

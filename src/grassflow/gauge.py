@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Family, bracket, decompose, frobenius
+from .algebra import AlgebraSpec, Family, _orbit_square, bracket, decompose, frobenius
 from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
 from .flows import _march, _output_times
 from .functionals import FlowParams
@@ -113,24 +113,31 @@ def slaved_r(spec: AlgebraSpec, q: np.ndarray) -> np.ndarray:
     raise ValueError("the split family has no slaved block")
 
 
-def gauge_transform(fs: FramedState, tol: float = 1e-8) -> PotentialState:
+# Largest block-diagonal potential part that gauge_transform accepts.
+_GAUGE_TOL = 1e-8
+
+
+def gauge_transform(fs: FramedState) -> PotentialState:
     """Extract the block pair from a gauge-fixed framed state.  Raises if
-    the stored potential has a block-diagonal part above tol."""
+    the stored potential has a block-diagonal part above _GAUGE_TOL."""
     spec = fs.spec
     pv = fs.potential.values
     k_part, m_part = decompose(spec, pv)
     defect = frobenius(k_part)
-    if defect > tol:
+    if defect > _GAUGE_TOL:
         raise GaugeError(
-            f"frame is not gauge fixed: block-diagonal residual {defect:.3e} > {tol:.1e}"
+            f"frame is not gauge fixed: block-diagonal residual {defect:.3e} > {_GAUGE_TOL:.1e}"
         )
     k = spec.k
     return PotentialState(spec, fs.potential.grid, m_part[:, :k, k:], m_part[:, k:, :k], fs.time)
 
 
 def connection(os: OrbitState, p: FlowParams, lam: float) -> ConnectionSample:
-    """Connection pair at one spectral value along the third-level flow."""
-    spec = os.spec
+    """Connection pair at one spectral value along the third-level flow.
+
+    One formula serves every family; the sign sgn = -4 c^2 (+1 for the
+    complex families, -1 for the split family) carries the orbit square
+    phi^2 = c^2 I."""
     grid = os.phi.grid
     h = grid.h
     phi = os.phi.values
@@ -140,23 +147,15 @@ def connection(os: OrbitState, p: FlowParams, lam: float) -> ConnectionSample:
     phix2 = phix @ phix
     cube = phix2 @ phix
     lam = float(lam)
+    sgn = -4.0 * _orbit_square(os.spec)
     a_x = lam * phi
-    if spec.family.is_unitary:
-        inner_w = -p.alpha * phix + p.beta * phixxx + 4.0 * (4.0 * p.gamma - 2.0 * p.beta) * cube
-        a_t = (
-            -(lam ** 4) * p.beta * phi
-            - (lam ** 3) * p.beta * bracket(phi, phix)
-            + (lam ** 2) * (-p.alpha * phi + p.beta * (phixx - 6.0 * phix2 @ phi))
-            + lam * (bracket(phi, inner_w) - p.beta * bracket(phix, phixx))
-        )
-    else:
-        inner_w = -p.alpha * phix + p.beta * phixxx - 4.0 * (4.0 * p.gamma - 2.0 * p.beta) * cube
-        a_t = (
-            -(lam ** 4) * p.beta * phi
-            + (lam ** 3) * p.beta * bracket(phi, phix)
-            + (lam ** 2) * (p.alpha * phi - p.beta * (phixx + 6.0 * phix2 @ phi))
-            + lam * (bracket(phi, inner_w) - p.beta * bracket(phix, phixx))
-        )
+    inner_w = -p.alpha * phix + p.beta * phixxx + 4.0 * sgn * (4.0 * p.gamma - 2.0 * p.beta) * cube
+    a_t = (
+        -(lam ** 4) * p.beta * phi
+        - (sgn * lam ** 3) * p.beta * bracket(phi, phix)
+        + (lam ** 2) * (-sgn * p.alpha * phi + p.beta * (sgn * phixx - 6.0 * phix2 @ phi))
+        + lam * (bracket(phi, inner_w) - p.beta * bracket(phix, phixx))
+    )
     return ConnectionSample(lam, MatrixField(grid, a_x), MatrixField(grid, a_t))
 
 

@@ -220,7 +220,10 @@ def random_frame_state(
     gauge whose connection has no block-diagonal part.
     """
     xi = random_tangent_field(spec, grid, seed=seed, modes=modes, amplitude=amplitude)
-    return gauge_fix_frame(spec, MatrixField(grid, exp_map(xi)))
+    # the split family draws exp(-xi): its orbit field is then exp(xi) s exp(-xi),
+    # the field that earlier versions drew, so seeded split-family data is kept
+    raw = exp_map(xi if spec.family.is_unitary else -xi)
+    return gauge_fix_frame(spec, MatrixField(grid, raw))
 
 
 def random_orbit_state(
@@ -248,18 +251,14 @@ def latitude_circle_state(grid: Grid, mode: int = 8, height: float = 0.65) -> Or
     return s_to_phi(SpinField(Geometry.SPHERE, grid, s))
 
 
-def state_from_potential(
-    ps: PotentialState,
-    e0: np.ndarray | None = None,
-    closure_tol: float | None = 1e-2,
-) -> OrbitState:
+def state_from_potential(ps: PotentialState, closure_tol: float | None = 1e-2) -> OrbitState:
     """Integrate the frame across the grid and conjugate the base point.
 
     The resulting samples only represent a periodic field when the frame
     closes up over one period, so a closure defect above the tolerance is
     rejected.  Pass None to skip the guard.
     """
-    fs = frame_from_potential(ps.spec, ps.assemble(), e0=e0, time=ps.time)
+    fs = frame_from_potential(ps.spec, ps.assemble(), time=ps.time)
     if closure_tol is not None:
         defect = frame_closure_defect(ps.spec, fs)
         if defect > closure_tol:

@@ -1,10 +1,11 @@
 """Orbit states, moving frames, gauge fixing, and the structural identities.
 
 An orbit state is a field phi(x) lying on the conjugacy orbit of the base
-point.  The complex families conjugate the base point from the left inverse
-side (phi = E^-1 s E with frame equation E_x = P E); the split family uses
-the mirrored convention (phi = E s E^-1, E_x = E P).  Potentials P are
-block-off-diagonal.
+point s.  Every family uses one frame convention: phi = F^-1 s F with frame
+equation F_x = P F, and a flow moves the frame on the right.  Potentials P
+are block-off-diagonal.  The families differ only in the square of the
+base point, s^2 = c^2 I with c^2 = -1/4 for the complex families and +1/4
+for the split family.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import numpy as np
 from .algebra import (
     AlgebraSpec,
     Family,
+    _orbit_square,
     bracket,
     decompose,
     frobenius,
-    membership_residual,
     sigma3,
 )
 from .fields import Grid, MatrixField, periodic_diff
@@ -97,12 +98,8 @@ class FramedState:
 
 
 def conjugate_base(spec: AlgebraSpec, frame_values: np.ndarray) -> np.ndarray:
-    """Orbit field of a frame: E^-1 s E (complex) or E s E^-1 (split)."""
-    sig = sigma3(spec)
-    einv = np.linalg.inv(frame_values)
-    if spec.family.is_unitary:
-        return einv @ sig @ frame_values
-    return frame_values @ sig @ einv
+    """Orbit field of a frame, F^-1 s F, for every family."""
+    return np.linalg.inv(frame_values) @ sigma3(spec) @ frame_values
 
 
 def orbit_from_frame(fs: FramedState) -> OrbitState:
@@ -139,35 +136,17 @@ def _rk4_path(rhs, a: np.ndarray, start: np.ndarray, h: float, cells) -> np.ndar
     return out
 
 
-def _frame_rhs(spec: AlgebraSpec):
-    """Right-hand side of the frame equation: E_x = P E (complex families)
-    or E_x = E P (split family)."""
-    if spec.family.is_unitary:
-        return lambda p, e: p @ e
-    return lambda p, e: e @ p
-
-
 def frame_from_potential(
-    spec: AlgebraSpec,
-    potential: MatrixField,
-    e0: np.ndarray | None = None,
-    time: float = 0.0,
+    spec: AlgebraSpec, potential: MatrixField, time: float = 0.0
 ) -> FramedState:
-    """March the frame equation across the grid.
+    """March the frame equation F_x = P F across the grid from the identity.
 
     Classic fourth-order one-step integration per cell; the potential at
-    half nodes comes from cubic interpolation.  The starting frame defaults
-    to the identity.
+    half nodes comes from cubic interpolation.
     """
     npts = potential.grid.num_points
-    start = np.eye(spec.n) if e0 is None else e0
-    e = _rk4_path(
-        _frame_rhs(spec),
-        potential.values,
-        np.asarray(start, dtype=np.complex128),
-        potential.grid.h,
-        range(npts - 1),
-    )
+    start = np.eye(spec.n, dtype=np.complex128)
+    e = _rk4_path(np.matmul, potential.values, start, potential.grid.h, range(npts - 1))
     return FramedState(spec, MatrixField(potential.grid, e), potential, time)
 
 
@@ -178,7 +157,7 @@ def frame_closure_defect(spec: AlgebraSpec, fs: FramedState) -> float:
     # one more cell from the last node back to x = L
     last = fs.potential.grid.num_points - 1
     e_end = _rk4_path(
-        _frame_rhs(spec), fs.potential.values, fs.frame.values[-1], fs.potential.grid.h, [last]
+        np.matmul, fs.potential.values, fs.frame.values[-1], fs.potential.grid.h, [last]
     )[-1]
     return frobenius(e_end - fs.frame.values[0])
 
@@ -195,23 +174,14 @@ def gauge_fix_frame(spec: AlgebraSpec, raw_frame: MatrixField, time: float = 0.0
     ev = raw_frame.values
     h = raw_frame.grid.h
     npts = raw_frame.grid.num_points
-    einv = np.linalg.inv(ev)
-    de = periodic_diff(ev, 1, h)
-    left = spec.family.is_unitary
-    conn = de @ einv if left else einv @ de
+    conn = periodic_diff(ev, 1, h) @ np.linalg.inv(ev)
     k_part, m_part = decompose(spec, conn)
-
-    def rhs(kv, m):
-        return -(m @ kv) if left else -(kv @ m)
-
-    d = _rk4_path(rhs, k_part, np.eye(spec.n, dtype=np.complex128), h, range(npts - 1))
-    dinv = np.linalg.inv(d)
-    if left:
-        new_e = d @ ev
-        new_p = d @ m_part @ dinv
-    else:
-        new_e = ev @ d
-        new_p = dinv @ m_part @ d
+    # the rotation D solves D_x = -D K, so that (D F)_x = D M D^-1 (D F)
+    d = _rk4_path(
+        lambda kv, m: -(m @ kv), k_part, np.eye(spec.n, dtype=np.complex128), h, range(npts - 1)
+    )
+    new_e = d @ ev
+    new_p = d @ m_part @ np.linalg.inv(d)
     grid = raw_frame.grid
     return FramedState(spec, MatrixField(grid, new_e), MatrixField(grid, new_p), time)
 
@@ -223,34 +193,24 @@ def verify_identities(fs: FramedState) -> dict:
     relation.  Each entry is the largest Frobenius norm over the grid."""
     spec = fs.spec
     h = fs.frame.grid.h
+    c2 = _orbit_square(spec)
     sig = sigma3(spec)
     ev = fs.frame.values
     pv = fs.potential.values
     einv = np.linalg.inv(ev)
-    unit = spec.family.is_unitary
-    phi = einv @ sig @ ev if unit else ev @ sig @ einv
+    phi = einv @ sig @ ev
     phix = periodic_diff(phi, 1, h)
     phiinv = np.linalg.inv(phi)
-    out: dict[str, float] = {}
-    if unit:
-        out["involution"] = frobenius(phiinv + 4.0 * phi)
-        out["tangent"] = frobenius(phix - einv @ bracket(sig, pv) @ ev)
-        conj_p = einv @ pv @ ev
-        out["translate_left"] = frobenius(phix @ phiinv + 2.0 * conj_p)
-        out["translate_right"] = frobenius(phiinv @ phix - 2.0 * conj_p)
-        out["compatibility"] = frobenius(bracket(phi, phix) - 0.5 * phix @ phiinv)
-        r = phix @ phiinv
-        out["square"] = frobenius(phix @ phix - 0.25 * r @ r)
-    else:
-        out["involution"] = frobenius(phiinv - 4.0 * phi)
-        out["tangent"] = frobenius(phix - ev @ bracket(pv, sig) @ einv)
-        conj_p = ev @ pv @ einv
-        out["translate_left"] = frobenius(phix @ phiinv - 2.0 * conj_p)
-        out["translate_right"] = frobenius(phiinv @ phix + 2.0 * conj_p)
-        out["compatibility"] = frobenius(bracket(phi, phix) + 0.5 * phix @ phiinv)
-        r = phix @ phiinv
-        out["square"] = frobenius(phix @ phix + 0.25 * r @ r)
-    return out
+    conj_p = einv @ pv @ ev
+    r = phix @ phiinv
+    return {
+        "involution": frobenius(phiinv - phi / c2),
+        "tangent": frobenius(phix - einv @ bracket(sig, pv) @ ev),
+        "translate_left": frobenius(r + 2.0 * conj_p),
+        "translate_right": frobenius(phiinv @ phix - 2.0 * conj_p),
+        "compatibility": frobenius(bracket(phi, phix) + 2.0 * c2 * r),
+        "square": frobenius(phix @ phix + c2 * r @ r),
+    }
 
 
 def _sorted_eigenvalues(spec: AlgebraSpec, values: np.ndarray) -> np.ndarray:
@@ -278,7 +238,11 @@ def spectrum_deviation(os: OrbitState) -> float:
     return float(np.max(np.abs(w - reference_spectrum(os.spec))))
 
 
-def orbit_retract(spec: AlgebraSpec, values: np.ndarray, cond_limit: float = 1e8) -> np.ndarray:
+# Largest eigenvector condition number that orbit_retract accepts.
+_RETRACT_COND_LIMIT = 1e8
+
+
+def orbit_retract(spec: AlgebraSpec, values: np.ndarray) -> np.ndarray:
     """Spectral projection back to the orbit: snap eigenvalues to the
     base-point multiset while keeping the eigenspaces.
 
@@ -300,10 +264,10 @@ def orbit_retract(spec: AlgebraSpec, values: np.ndarray, cond_limit: float = 1e8
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigenvalue solve failed: {exc}") from exc
     cond = np.linalg.cond(v)
-    if not np.all(np.isfinite(cond)) or float(np.max(cond)) > cond_limit:
+    if not np.all(np.isfinite(cond)) or float(np.max(cond)) > _RETRACT_COND_LIMIT:
         raise SpectralError(
             "eigenvector conditioning exceeds the retraction limit "
-            f"({float(np.max(cond)):.3e} > {cond_limit:.1e})"
+            f"({float(np.max(cond)):.3e} > {_RETRACT_COND_LIMIT:.1e})"
         )
     key = -w.imag if spec.family.is_unitary else -w.real
     order = np.argsort(key, axis=-1, kind="stable")
@@ -319,20 +283,7 @@ def orbit_retract(spec: AlgebraSpec, values: np.ndarray, cond_limit: float = 1e8
 
 def tangency_defect(fs: FramedState, field_values: np.ndarray) -> float:
     """How far a field at phi is from the orbit's tangent distribution:
-    conjugate by the frame and measure the block-diagonal part."""
+    conjugate by the frame, F X F^-1, and measure the block-diagonal part."""
     ev = fs.frame.values
-    einv = np.linalg.inv(ev)
-    if fs.spec.family.is_unitary:
-        conj = ev @ field_values @ einv
-    else:
-        conj = einv @ field_values @ ev
-    k_part, _ = decompose(fs.spec, conj)
+    k_part, _ = decompose(fs.spec, ev @ field_values @ np.linalg.inv(ev))
     return frobenius(k_part)
-
-
-def orbit_membership_report(os: OrbitState) -> dict:
-    """Algebra membership and spectral deviation of an orbit field."""
-    return {
-        "membership": membership_residual(os.spec, os.phi.values),
-        "spectrum": spectrum_deviation(os),
-    }

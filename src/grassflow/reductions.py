@@ -220,15 +220,16 @@ def cross_check_matrix_vs_vector(
 ) -> float:
     """Evolve the same data through the matrix flow and through the vector
     flow, and return the largest componentwise gap at the sample times."""
-    from .flows import FlowKind, _march, evolve
+    from .flows import FlowKind, _flow_params, _march, evolve
 
     kind = FlowKind(kind)
     if kind is FlowKind.SECOND_ORDER:
         raise ValueError("cross-check covers the commutator flows")
     times = [i * T / (samples - 1) for i in range(samples)] if T > 0 else [0.0]
     traj = evolve(s_to_phi(initial), p, kind, T, dt, output_times=times)
+    physics = _flow_params(p, kind)
     vector_side = _march(
-        initial, 0.0, times, dt, lambda sf, h: spin_step(sf, p, h), lambda sf: (sf.s,)
+        initial, 0.0, times, dt, lambda sf, h: spin_step(sf, physics, h), lambda sf: (sf.s,)
     )
     gap = 0.0
     for state, (_, sf) in zip(traj.states, vector_side):

@@ -12,7 +12,6 @@ from grassflow.algebra import (
     _matmul,
     AlgebraSpec,
     Family,
-    anticommutator,
     bracket,
     decompose,
     exp_map,
@@ -80,13 +79,6 @@ def test_bracket_with_base_point_rotates_off_diagonal(u2):
     m = np.array([[0.0, q], [-np.conj(q), 0.0]])
     expected = np.array([[0.0, 1j * q], [1j * np.conj(q), 0.0]])
     assert np.allclose(bracket(sigma3(u2), m), expected, atol=1e-15)
-
-
-def test_bracket_and_anticommutator_split_a_product():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3))
-    assert np.allclose(bracket(a, b) + anticommutator(a, b), 2.0 * a @ b, atol=1e-12)
 
 
 def test_membership_residual_frozen_values(u2):

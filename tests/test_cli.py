@@ -271,6 +271,27 @@ def test_reduce_writes_summary_and_profiles(tmp_path):
     assert len(profile) == 33
 
 
+@pytest.mark.parametrize("command", ["reduce", "curvature-residual", "gauge-compare"])
+def test_leading_order_commands_ignore_beta_and_gamma(tmp_path, command):
+    # the leading-order flow is the third-order flow at beta = gamma = 0, so
+    # both sides of a comparison must integrate it whatever beta and gamma say
+    outputs = []
+    for name, params in (
+        ("dispersive", {"alpha": 1.0, "beta": 0.1, "gamma": -0.0125}),
+        ("plain", {"alpha": 1.0, "beta": 0.0, "gamma": 0.0}),
+    ):
+        cfg = _write_config(
+            tmp_path / f"{name}.json",
+            params=params,
+            initial_data={"generator": "random_smooth", "modes": 2, "amplitude": 0.3},
+            output_times=[0.0, 0.001, 0.002],
+        )
+        out = tmp_path / name
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append({table.name: _read(table) for table in out.glob("*.csv")})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_reduce_needs_vector_sized_algebra(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json", algebra={"family": "compact_u", "n": 3, "k": 1},
                         initial_data={"generator": "random_frame"})

@@ -18,7 +18,6 @@ from grassflow.flows import (
     Trajectory,
     curve_flow_rhs,
     evolve,
-    leading_order_generator,
     stability_bound,
     step,
     sym_pohlmeyer_curve,
@@ -28,7 +27,7 @@ from grassflow.flows import (
 from grassflow.functionals import FlowParams
 from grassflow.gauge import PotentialState, matrix_kdv_rhs
 from grassflow.initial_data import make_initial_state, random_orbit_state, state_from_potential
-from grassflow.orbit import spectrum_deviation
+from grassflow.orbit import conjugate_base, spectrum_deviation
 from conftest import TWO_PI, all_specs
 
 
@@ -40,13 +39,17 @@ def _state(spec: AlgebraSpec, grid: Grid, seed: int = 5):
 
 
 def test_dispersive_generator_reduces_to_leading_term():
+    # the leading-order flow is the third-order flow at beta = gamma = 0,
+    # whatever beta and gamma it is given
     grid = Grid(64, TWO_PI)
-    p = FlowParams(0.7, 0.0, 0.0)
+    lead_params = FlowParams(PARAMS.alpha, 0.0, 0.0)
+    dt = 0.5 * stability_bound(PARAMS, grid.h, FlowKind.LEADING_ORDER)
     for spec in all_specs():
         os = _state(spec, grid)
-        full = third_order_generator(os, p).values
-        lead = leading_order_generator(os, p).values
-        np.testing.assert_array_equal(full, lead)
+        lead = step(os, PARAMS, FlowKind.LEADING_ORDER, dt)
+        full = step(os, lead_params, FlowKind.THIRD_ORDER, dt)
+        np.testing.assert_array_equal(lead.phi.values, full.phi.values)
+        np.testing.assert_array_equal(lead.frame.values, full.frame.values)
 
 
 def test_generator_power_reduction_matches_inverse_route():
@@ -264,13 +267,13 @@ def test_commutator_step_takes_no_linear_solve(monkeypatch):
     assert calls == []
 
 
-def _solve_based_step(os, p, kind, dt):
-    """One RKMK step that conjugates and moves the frame by linear solves
-    against exp(sigma) rather than by exp(-sigma)."""
+def _solve_based_step(os, p, dt):
+    """One RKMK step that conjugates by linear solves against exp(sigma)
+    rather than by exp(-sigma), and moves the frame to frame exp(sigma)."""
     spec, h, phi0 = os.spec, os.phi.grid.h, os.phi.values
 
     def gen(phi):
-        return flows._generator_values(spec, h, phi, p, kind)
+        return flows._generator_values(spec, h, phi, p)
 
     def conj(sigma):
         g = exp_map(sigma)
@@ -281,17 +284,21 @@ def _solve_based_step(os, p, kind, dt):
     k3 = flows._dexpinv_apply(0.5 * dt * k2, gen(conj(0.5 * dt * k2)))
     k4 = flows._dexpinv_apply(dt * k3, gen(conj(dt * k3)))
     sigma = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return conj(sigma), np.linalg.solve(exp_map(sigma), os.frame.values)
+    return conj(sigma), os.frame.values @ exp_map(sigma)
 
 
-def test_split_family_frame_step_matches_solve_reference(para2):
+def test_frame_step_matches_solve_reference():
     grid = Grid(64, TWO_PI)
-    os = _state(para2, grid)
-    dt = 0.5 * stability_bound(PARAMS, grid.h, FlowKind.THIRD_ORDER)
-    new = step(os, PARAMS, FlowKind.THIRD_ORDER, dt)
-    phi_ref, frame_ref = _solve_based_step(os, PARAMS, FlowKind.THIRD_ORDER, dt)
-    assert np.max(np.abs(new.frame.values - frame_ref)) < 1e-13
-    assert np.max(np.abs(new.phi.values - phi_ref)) < 1e-13
+    for spec in all_specs():
+        os = _state(spec, grid)
+        dt = 0.5 * stability_bound(PARAMS, grid.h, FlowKind.THIRD_ORDER)
+        new = step(os, PARAMS, FlowKind.THIRD_ORDER, dt)
+        phi_ref, frame_ref = _solve_based_step(os, PARAMS, dt)
+        assert np.max(np.abs(new.frame.values - frame_ref)) < 1e-13, spec.family
+        assert np.max(np.abs(new.phi.values - phi_ref)) < 1e-13, spec.family
+        # the stepped frame still reconstructs the stepped field
+        rebuilt = conjugate_base(spec, new.frame.values)
+        assert np.max(np.abs(rebuilt - new.phi.values)) < 1e-12, spec.family
 
 
 def test_reprojected_flow_matches_matrix_mkdv_reduction(para2):

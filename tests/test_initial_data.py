@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from grassflow.algebra import AlgebraSpec, Family, membership_residual
+from grassflow.algebra import AlgebraSpec, Family, exp_map, membership_residual, sigma3
 from grassflow.fields import Grid
 from grassflow.gauge import PotentialState
 from grassflow.initial_data import (
@@ -179,6 +179,15 @@ def test_make_initial_potential_rejects_frame_generators(u2):
         make_initial_potential(u2, grid, {"generator": "random_frame"})
     with pytest.raises(ValueError, match="bad options"):
         make_initial_potential(u2, grid, {"generator": "plane_wave", "bogus": 2})
+
+
+def test_split_random_orbit_state_conjugates_by_the_drawn_exponential(para2, grid64):
+    # the split family draws its raw frame as exp(-xi), so with phi = F^-1 s F
+    # the field is exp(xi) s exp(-xi); gauge fixing does not move it
+    os = random_orbit_state(para2, grid64, seed=2)
+    xi = random_tangent_field(para2, grid64, seed=2)
+    want = exp_map(xi) @ sigma3(para2) @ exp_map(-xi)
+    np.testing.assert_allclose(os.phi.values, want, rtol=0, atol=1e-13)
 
 
 def test_random_orbit_state_all_families(grid64):

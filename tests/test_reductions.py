@@ -169,6 +169,14 @@ def test_cross_check_rejects_reprojected_flow(grid64):
         cross_check_matrix_vs_vector(sf, FlowParams(1, 0, 0), FlowKind.SECOND_ORDER, 1e-3, 1e-4)
 
 
+def test_cross_check_integrates_one_equation_on_both_sides(grid64):
+    # the leading-order flow ignores beta and gamma, and so must the vector side
+    p = FlowParams(1.0, 0.1, -0.0125)
+    sf = _quadric_field(Geometry.SPHERE, grid64, seed=2)
+    gap = cross_check_matrix_vs_vector(sf, p, FlowKind.LEADING_ORDER, 2e-3, 2e-6)
+    assert gap < 1e-10, f"{gap:.3e}"
+
+
 def test_cross_check_small_run(grid64):
     p = FlowParams(1.0, 0.0, 0.0)
     dt = 0.5 * stability_bound(p, grid64.h, FlowKind.LEADING_ORDER)
