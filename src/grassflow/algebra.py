@@ -8,9 +8,10 @@ family keeps exactly-zero imaginary parts through every operation here.
 
 The exponential is a truncated Taylor series whose degree is chosen from the
 argument's 1-norm so that the truncation error stays below 2**-53, with
-scaling and squaring for norms above 1.143; exp(a) and exp(-a) come from one
-set of shared powers.  Products of 2x2 matrices, the common case, are summed
-from broadcast outer products rather than dispatched to matmul.
+scaling and squaring for norms above 1.143; exp(a) and exp(-a) are E + O and
+E - O, from one split of the series into its even and odd parts.  Products
+of 2x2 matrices, the common case, are formed from gathers on the flat
+(..., 4) view rather than dispatched to matmul.
 """
 
 from __future__ import annotations
@@ -169,26 +170,65 @@ _TAYLOR_THETA = (
 _TAYLOR_COEFFS = tuple(1.0 / math.factorial(k) for k in range(len(_TAYLOR_THETA) + 1))
 
 
+# Positions, in the row-major (..., 4) view of a 2x2 matrix, of: the diagonal
+# entry of each column (b00, b11, b00, b11), the entries with the columns
+# swapped (a01, a00, a11, a10), and the off-diagonal entry of each column
+# (b10, b01, b10, b01).
+_DIAG = np.array([0, 3, 0, 3])
+_SWAP = np.array([1, 0, 3, 2])
+_ANTI = np.array([2, 1, 2, 1])
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched a @ b.  2x2 products are summed from two broadcast outer
-    products (column k of a times row k of b), which avoids matmul's
-    per-matrix overhead on large batches; other sizes use matmul."""
-    if a.shape[-2:] == b.shape[-2:] == (2, 2):
-        return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    """Batched a @ b.  Equal-shape batches of 2x2 matrices are formed on the
+    (..., 4) view as a * diag(b) + swapcols(a) * antidiag(b), three gathers
+    and two contiguous products, which avoids matmul's per-matrix overhead;
+    every other shape uses matmul."""
+    if a.shape == b.shape and a.shape[-2:] == (2, 2):
+        flat = a.shape[:-2] + (4,)
+        a4, b4 = a.reshape(flat), b.reshape(flat)
+        prod = a4 * b4.take(_DIAG, axis=-1) + a4.take(_SWAP, axis=-1) * b4.take(_ANTI, axis=-1)
+        return prod.reshape(a.shape)
     return a @ b
 
 
+def _polynomial(powers: list, coeffs) -> np.ndarray:
+    """sum_i coeffs[i] B^i by Paterson-Stockmeyer, powers being I, B, ...,
+    B^q: chunk j covers degrees jq .. jq + q - 1, the last one runs on to
+    the top degree, and the chunks are joined by Horner's rule in B^q."""
+
+    def chunk(lo, hi):
+        total = coeffs[lo] * powers[0]
+        for i in range(1, hi - lo + 1):
+            c = coeffs[lo + i]
+            total = total + (powers[i] if c == 1.0 else c * powers[i])
+        return total
+
+    top = len(coeffs) - 1
+    if top == 0:
+        return chunk(0, 0)
+    q = len(powers) - 1
+    r = (top - 1) // q
+    acc = chunk(r * q, top)
+    for j in range(r - 1, -1, -1):
+        acc = _matmul(acc, powers[q]) + chunk(j * q, j * q + q - 1)
+    return acc
+
+
 def _exp_pair(a: np.ndarray, pair: bool = True) -> tuple:
-    """exp(a), and exp(-a) when pair, from one set of shared powers of a.
+    """exp(a), and exp(-a) when pair, as E + O and E - O from one even/odd
+    split of the Taylor polynomial.
 
     The Taylor degree is the smallest m with ||a||_1 <= _TAYLOR_THETA[m - 1];
     above the last threshold a is scaled by 2**-s and the results squared s
-    times.  Each polynomial is evaluated by Paterson-Stockmeyer over the
-    powers a, ..., a^q, q = ceil(sqrt(m)); the powers of -a are the same
-    arrays up to sign.  No input check: non-finite input comes out
-    non-finite, for the caller to detect.
+    times.  The even part E = sum (a^2)^j / (2j)! and the odd part
+    O = a sum (a^2)^j / (2j + 1)! are polynomials in B = a^2, evaluated by
+    Paterson-Stockmeyer over the shared powers B, ..., B^q.  No input
+    check: non-finite input comes out non-finite, for the caller to detect.
     """
-    top = float(np.max(np.sum(np.abs(a), axis=-2))) if a.size else 0.0
+    # the 1-norm is the largest column sum; einsum sums the columns with far
+    # less overhead than sum(axis=-2) on small matrices
+    top = float(np.einsum("...ij->...j", np.abs(a)).max()) if a.size else 0.0
     if not math.isfinite(top):
         top = 0.0  # degree 1, which carries the non-finite entries through
     squarings = 0
@@ -197,27 +237,19 @@ def _exp_pair(a: np.ndarray, pair: bool = True) -> tuple:
         a = a * 2.0 ** -squarings
         top *= 2.0 ** -squarings
     m = min(bisect.bisect_left(_TAYLOR_THETA, top), len(_TAYLOR_THETA) - 1) + 1
-    q = math.isqrt(m - 1) + 1
-    powers = [np.eye(a.shape[-1], dtype=np.complex128), a]
-    for _ in range(q - 1):
-        powers.append(_matmul(powers[-1], a))
-
-    def chunk(p, j, last):
-        # sum over i = 0 .. last of p[i] / (jq + i)!, p[i] being the i-th power
-        total = _TAYLOR_COEFFS[j * q] * p[0]
-        for i in range(1, last + 1):
-            coeff = _TAYLOR_COEFFS[j * q + i]
-            total = total + (p[i] if coeff == 1.0 else coeff * p[i])
-        return total
-
-    # chunk j covers degrees jq .. jq + q - 1; the last one, r, runs on to m
-    r = (m - 1) // q
+    even = _TAYLOR_COEFFS[0 : m + 1 : 2]
+    odd = _TAYLOR_COEFFS[1 : m + 1 : 2]
+    # powers B .. B^q with q = ceil(sqrt(degree of E in B))
+    q = math.isqrt(max(len(even) - 2, 0)) + 1
+    powers = [np.eye(a.shape[-1], dtype=np.complex128)]
+    if m > 1:
+        powers.append(_matmul(a, a))
+        for _ in range(q - 1):
+            powers.append(_matmul(powers[-1], powers[1]))
+    e = _polynomial(powers, even)
+    o = a if len(odd) == 1 else _matmul(a, _polynomial(powers, odd))
     out = []
-    for sign in (1.0, -1.0) if pair else (1.0,):
-        p = [x if sign > 0 or i % 2 == 0 else -x for i, x in enumerate(powers)]
-        acc = chunk(p, r, m - r * q)
-        for j in range(r - 1, -1, -1):
-            acc = _matmul(acc, p[q]) + chunk(p, j, q - 1)
+    for acc in (e + o, e - o) if pair else (e + o,):
         for _ in range(squarings):
             acc = _matmul(acc, acc)
         out.append(acc)

@@ -38,17 +38,7 @@ from .gauge import GaugeError, evolve_potential, gauge_transform
 from .initial_data import make_initial_potential, make_initial_state
 from .orbit import OrbitState, SpectralError, gauge_fix_frame
 from .reductions import phi_to_s, spec_geometry, spin_step
-from .suites import run_suite
-
-VERIFY_SUITES = (
-    "identities",
-    "gradients",
-    "conservation",
-    "gauge-compare",
-    "curvature",
-    "reductions",
-    "integrable-limit",
-)
+from .suites import SUITES, run_suite
 
 OBSERVABLE_COLUMNS = (
     "t",
@@ -276,9 +266,57 @@ def _fmt(value) -> str:
 
 
 def _write_json(path: str, obj) -> None:
+    """Write obj as JSON indented by two with sorted keys, and a newline.
+
+    A numpy array in obj is written as its tolist() would be.  Finite float
+    arrays (the fields of a snapshot) are filled into one %r template per
+    array rather than walked by the json encoder; the bytes are the same,
+    since json writes a float as its repr.
+    """
+    arrays = []
+
+    def skeleton(node):
+        if isinstance(node, dict):
+            return {key: skeleton(value) for key, value in node.items()}
+        if isinstance(node, (list, tuple)):
+            return [skeleton(value) for value in node]
+        if isinstance(node, np.ndarray):
+            if node.dtype == np.float64 and node.ndim and node.size and np.all(np.isfinite(node)):
+                arrays.append(node)
+                return f"{_ARRAY_MARK}{len(arrays) - 1}"
+            return node.tolist()
+        return node
+
+    text = json.dumps(skeleton(obj), indent=2, sort_keys=True)
+    marks = [json.dumps(f"{_ARRAY_MARK}{i}") for i in range(len(arrays))]
+    if any(text.count(mark) != 1 for mark in marks):
+        # a string in obj looks like a mark: write everything through json
+        arrays, text = [], json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    places = sorted((text.index(mark), len(mark), arr) for mark, arr in zip(marks, arrays))
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        start = 0
+        for pos, size, arr in places:
+            line = text[text.rindex("\n", 0, pos) + 1 : pos]
+            f.write(text[start:pos])
+            f.write(_array_json(arr, len(line) - len(line.lstrip(" "))))
+            start = pos + size
+        f.write(text[start:])
         f.write("\n")
+
+
+# Placeholder for an array in the text json writes around it.
+_ARRAY_MARK = "\x00array"
+
+
+def _array_json(arr: np.ndarray, indent: int) -> str:
+    """json.dumps(arr.tolist(), indent=2) for an array whose opening bracket
+    sits on a line indented by indent spaces."""
+    template = "%r"
+    for depth in range(arr.ndim - 1, -1, -1):
+        inner = "\n" + " " * (indent + 2 * depth + 2)
+        items = ("," + inner).join([template] * arr.shape[depth])
+        template = "[" + inner + items + "\n" + " " * (indent + 2 * depth) + "]"
+    return template % tuple(arr.ravel().tolist())
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -543,7 +581,7 @@ def main(argv=None) -> int:
     add_common(sub.add_parser("simulate", help="run a flow and write trajectory files"))
     sp_verify = sub.add_parser("verify", help="run a verification suite")
     add_common(sp_verify, need_config=False, need_out=False)
-    sp_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
+    sp_verify.add_argument("--suite", required=True, choices=tuple(SUITES))
     add_common(sub.add_parser("gauge-compare", help="frame flow vs potential flow, |q| gap"))
     add_common(sub.add_parser("reduce", help="matrix and vector forms side by side"))
     add_common(

@@ -72,16 +72,20 @@ class MatrixField:
         return self.values.shape[-1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "grid": self.grid.to_json_dict(),
-            "values": [matrix_to_json(m) for m in self.values],
-        }
+        """Grid and values; values is the (N, n, n, 2) float view of the
+        [re, im] pairs, row major, which JSON writers take as its tolist()."""
+        v = np.ascontiguousarray(self.values)
+        pairs = v.view(np.float64).reshape(v.shape + (2,))
+        return {"grid": self.grid.to_json_dict(), "values": pairs}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MatrixField":
         grid = Grid.from_json_dict(d["grid"])
-        vals = np.array([matrix_from_json(m) for m in d["values"]], dtype=np.complex128)
-        return cls(grid, vals)
+        pairs = np.asarray(d["values"])
+        if pairs.dtype.kind not in "iuf" or pairs.ndim != 4 or pairs.shape[-1] != 2:
+            raise ValueError("values must be an (N, n, n, 2) array of numeric [re, im] pairs")
+        pairs = np.ascontiguousarray(pairs, dtype=np.float64)
+        return cls(grid, pairs.view(np.complex128)[..., 0])
 
 
 # order -> (offsets, weights, denominator, power of h)
@@ -110,11 +114,18 @@ def periodic_diff(values: np.ndarray, order: int, h: float) -> np.ndarray:
         raise ValueError(f"need at least {MIN_POINTS[order]} points for an order-{order} derivative")
     offsets, weights, denom, power = _STENCILS[order]
     pad = max(offsets)  # the stencils are symmetric
-    padded = np.concatenate((v[npts - pad:], v, v[:pad]))
+    padded = _wrap_pad(v, pad)
     acc = np.zeros(v.shape, dtype=np.result_type(v.dtype, np.float64))
     for off, w in zip(offsets, weights):
         acc += w * padded[pad + off : pad + off + npts]
     return acc / (denom * h ** power)
+
+
+def _wrap_pad(values: np.ndarray, pad: int) -> np.ndarray:
+    """values with its last pad rows put in front and its first pad rows
+    after, along axis 0."""
+    npts = values.shape[0]
+    return np.concatenate((values[npts - pad :], values, values[:pad]))
 
 
 def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:

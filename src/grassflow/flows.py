@@ -6,6 +6,9 @@ the update is the conjugation exp(-sigma) phi exp(sigma), with both
 exponentials taken from one truncated Taylor evaluation whose error is below
 roundoff, so the spectrum (and hence the orbit) is kept to roundoff without a
 linear solve.  A frame F with phi = F^-1 s F rides along as F exp(sigma).
+Each stage evaluates the generator W with one seven-point stencil for its
+linear part, whose weights are combined once per step, and phi_x from the
+same padded copy; the dexp^-1 series reuses its inner bracket.
 The leading-order flow is the third-order flow with beta = gamma = 0.  The
 intermediate flow is a direct equation for phi and is integrated by a
 classical one-step method followed by a spectral re-projection onto the
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, _exp_pair, _matmul, _orbit_square, bracket, membership_residual
-from .fields import MatrixField, cumulative_integral, periodic_diff
+from .fields import _STENCILS, MatrixField, _wrap_pad, cumulative_integral, periodic_diff
 from .functionals import EnergyReport, FlowParams, energy_report
 from .orbit import OrbitState, orbit_retract, spectrum_deviation
 
@@ -88,28 +91,59 @@ def _flow_params(p: FlowParams, kind: FlowKind) -> FlowParams:
     return p
 
 
-def _generator_values(spec: AlgebraSpec, h: float, phi: np.ndarray, p: FlowParams) -> np.ndarray:
-    w = np.zeros_like(phi)
-    if p.alpha != 0.0:
-        w -= p.alpha * periodic_diff(phi, 2, h)
-    if p.beta != 0.0:
-        w += p.beta * periodic_diff(phi, 4, h)
+def _generator(spec: AlgebraSpec, h: float, p: FlowParams):
+    """The map phi -> W of the commutator flow phi_t = [phi, W] with
+    W = -alpha phi_xx + beta phi_xxxx + 4 (4 gamma - 2 beta) sgn (phi_x^3)_x.
+
+    The stencils of -alpha D2 + beta D4 are combined once here into one
+    symmetric seven-point stencil.  Each call wrap-pads phi once and takes
+    both that stencil and phi_x from the padded copy, summing the two
+    values at offsets +o and -o before weighting them (D1 is
+    antisymmetric), so only the derivative of the cube goes through
+    periodic_diff.
+    """
+    # weights of phi[j] (at 0) and of each sum phi[j + o] + phi[j - o] in
+    # -alpha D2 + beta D4, and of each difference phi[j + o] - phi[j - o] in D1
+    even = [0.0] * 4
+    for order, scale in ((4, p.beta), (2, -p.alpha)):
+        offsets, weights, denom, power = _STENCILS[order]
+        for off, w in zip(offsets, weights):
+            if off >= 0:
+                even[off] += scale * w / (denom * h ** power)
+    center = even[0]
+    pairs = [(off, c) for off, c in enumerate(even) if off > 0 and c != 0.0]
+    offsets1, weights1, denom1, _ = _STENCILS[1]
+    odd = [(off, w / (denom1 * h)) for off, w in zip(offsets1, weights1) if off > 0]
     coeff = 4.0 * (4.0 * p.gamma - 2.0 * p.beta)
-    if coeff != 0.0:
-        # on the orbit phi^-1 = phi / c^2 and phi phi_x = -phi_x phi, so the
-        # chain phi_x phi^-1 phi_x phi^-1 phi_x is -phi_x^3 / c^2 = 4 sgn phi_x^3
-        sgn = -4.0 * _orbit_square(spec)
-        phix = periodic_diff(phi, 1, h)
-        cube = _matmul(_matmul(phix, phix), phix)
-        w += (sgn * coeff) * periodic_diff(cube, 1, h)
-    return w
+    # on the orbit phi^-1 = phi / c^2 and phi phi_x = -phi_x phi, so the
+    # chain phi_x phi^-1 phi_x phi^-1 phi_x is -phi_x^3 / c^2 = 4 sgn phi_x^3
+    cube_coeff = -4.0 * _orbit_square(spec) * coeff
+    pad = max(_STENCILS[4][0])
+
+    def gen(phi: np.ndarray) -> np.ndarray:
+        npts = phi.shape[0]
+        padded = _wrap_pad(phi, pad)
+
+        def shifted(off):
+            return padded[pad + off : pad + off + npts]
+
+        w = center * phi
+        for off, c in pairs:
+            w += c * (shifted(off) + shifted(-off))
+        if cube_coeff != 0.0:
+            phix = sum(c * (shifted(off) - shifted(-off)) for off, c in odd)
+            cube = _matmul(_matmul(phix, phix), phix)
+            w += cube_coeff * periodic_diff(cube, 1, h)
+        return w
+
+    return gen
 
 
 def third_order_generator(os: OrbitState, p: FlowParams) -> MatrixField:
     """Flow generator W of the third-level commutator flow phi_t = [phi, W],
     with the cubic term reduced to a polynomial in phi_x."""
-    w = _generator_values(os.spec, os.phi.grid.h, os.phi.values, p)
-    return MatrixField(os.phi.grid, w)
+    gen = _generator(os.spec, os.phi.grid.h, p)
+    return MatrixField(os.phi.grid, gen(os.phi.values))
 
 
 def third_order_generator_via_inverse(os: OrbitState, p: FlowParams) -> MatrixField:
@@ -132,7 +166,9 @@ def third_order_generator_via_inverse(os: OrbitState, p: FlowParams) -> MatrixFi
 
 
 def _dexpinv_apply(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return w + 0.5 * bracket(sigma, w) + (1.0 / 12.0) * bracket(sigma, bracket(sigma, w))
+    # w + [sigma, w] / 2 + [sigma, [sigma, w]] / 12, the inner bracket once
+    b = bracket(sigma, w)
+    return w + 0.5 * b + (1.0 / 12.0) * bracket(sigma, b)
 
 
 def _conjugate(g: np.ndarray, ginv: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -148,8 +184,7 @@ def _rkmk_step(
     p: FlowParams,
     dt: float,
 ):
-    def gen(phi):
-        return _generator_values(spec, h, phi, p)
+    gen = _generator(spec, h, p)
 
     def stage(sigma):
         return _dexpinv_apply(sigma, gen(_conjugate(*_exp_pair(sigma), phi0)))
@@ -327,7 +362,7 @@ def curve_flow_rhs(os: OrbitState, p: FlowParams) -> MatrixField:
         out += p.beta * (bracket(phi, phixxx) - bracket(phix, phixx))
     coeff = 4.0 * p.gamma - 2.0 * p.beta
     if coeff != 0.0:
-        phiinv = np.linalg.inv(phi)
+        phiinv = phi / _orbit_square(os.spec)  # phi^2 = c^2 I on the orbit
         chain = phix @ phiinv @ phix @ phiinv @ phix
         out += coeff * bracket(phi, chain)
     return MatrixField(os.phi.grid, out)

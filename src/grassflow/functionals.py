@@ -78,7 +78,7 @@ def energy_report(os: OrbitState, p: FlowParams) -> EnergyReport:
     phi = os.phi.values
     phix = periodic_diff(phi, 1, h)
     phixx = periodic_diff(phi, 2, h)
-    phiinv = np.linalg.inv(phi)
+    phiinv = phi / _orbit_square(spec)  # phi^2 = c^2 I on the orbit
     chain = phix @ phiinv @ phix
     e = 0.5 * _total(h, inner(spec, phix, phix))
     e21 = 0.5 * _total(h, inner(spec, phixx, phixx))
@@ -100,7 +100,7 @@ def tension(os: OrbitState) -> MatrixField:
     phi = os.phi.values
     phix = periodic_diff(phi, 1, h)
     phixx = periodic_diff(phi, 2, h)
-    phiinv = np.linalg.inv(phi)
+    phiinv = phi / _orbit_square(os.spec)  # phi^2 = c^2 I on the orbit
     return MatrixField(os.phi.grid, -(phixx - phix @ phiinv @ phix))
 
 
@@ -117,8 +117,9 @@ def functional_gradient(os: OrbitState, name: str) -> MatrixField:
     if name == "E21":
         return MatrixField(os.phi.grid, periodic_diff(phi, 4, h))
     phix = periodic_diff(phi, 1, h)
-    phiinv = np.linalg.inv(phi)
-    s22 = -4.0 * _orbit_square(spec)
+    c2 = _orbit_square(spec)
+    phiinv = phi / c2  # phi^2 = c^2 I on the orbit
+    s22 = -4.0 * c2
     chain = phiinv @ phix @ phiinv @ phix @ phiinv @ phix @ phiinv
     if name == "E22":
         return MatrixField(os.phi.grid, s22 * periodic_diff(chain, 1, h))

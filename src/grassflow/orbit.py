@@ -17,6 +17,7 @@ import numpy as np
 from .algebra import (
     AlgebraSpec,
     Family,
+    _matmul,
     _orbit_square,
     bracket,
     decompose,
@@ -117,22 +118,31 @@ def _midpoints(values: np.ndarray) -> np.ndarray:
     ) / 16.0
 
 
-def _rk4_path(rhs, a: np.ndarray, start: np.ndarray, h: float, cells) -> np.ndarray:
-    """March m' = rhs(a(x), m) across the given cells of the periodic grid
-    by the classic fourth-order one-step method.  Cell j runs from node j
-    to node j + 1 (wrapping); a at its half node comes from cubic
-    interpolation.  Returns start followed by the value after each cell."""
-    npts = a.shape[0]
-    amid = _midpoints(a)
+def _rk4_path(a: np.ndarray, start: np.ndarray, h: float, cells) -> np.ndarray:
+    """March the linear equation m' = a(x) m across the given cells of the
+    periodic grid by the classic fourth-order one-step method.  Cell j runs
+    from node j to node j + 1 (wrapping); a at its half node comes from
+    cubic interpolation.  Returns start followed by the value after each
+    cell.
+
+    The equation is linear, so one step across cell j is m -> Phi_j m with
+    Phi_j the step applied to the identity: the propagators of all cells
+    are formed in one batch, and the march is one small product per cell.
+    """
+    cells = np.asarray(cells, dtype=np.intp)
+    a0 = a[cells]
+    am = _midpoints(a)[cells]
+    a1 = a[(cells + 1) % a.shape[0]]
+    eye = np.eye(start.shape[-1], dtype=np.complex128)
+    k1 = a0
+    k2 = _matmul(am, eye + 0.5 * h * k1)
+    k3 = _matmul(am, eye + 0.5 * h * k2)
+    k4 = _matmul(a1, eye + h * k3)
+    prop = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     out = np.empty((len(cells) + 1,) + start.shape, dtype=np.complex128)
     out[0] = start
-    for i, j in enumerate(cells):
-        m = out[i]
-        k1 = rhs(a[j], m)
-        k2 = rhs(amid[j], m + 0.5 * h * k1)
-        k3 = rhs(amid[j], m + 0.5 * h * k2)
-        k4 = rhs(a[(j + 1) % npts], m + h * k3)
-        out[i + 1] = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for i, prop_j in enumerate(prop):
+        out[i + 1] = prop_j @ out[i]
     return out
 
 
@@ -146,7 +156,7 @@ def frame_from_potential(
     """
     npts = potential.grid.num_points
     start = np.eye(spec.n, dtype=np.complex128)
-    e = _rk4_path(np.matmul, potential.values, start, potential.grid.h, range(npts - 1))
+    e = _rk4_path(potential.values, start, potential.grid.h, range(npts - 1))
     return FramedState(spec, MatrixField(potential.grid, e), potential, time)
 
 
@@ -156,9 +166,7 @@ def frame_closure_defect(spec: AlgebraSpec, fs: FramedState) -> float:
     holonomy and the frame samples do not represent a periodic field."""
     # one more cell from the last node back to x = L
     last = fs.potential.grid.num_points - 1
-    e_end = _rk4_path(
-        np.matmul, fs.potential.values, fs.frame.values[-1], fs.potential.grid.h, [last]
-    )[-1]
+    e_end = _rk4_path(fs.potential.values, fs.frame.values[-1], fs.potential.grid.h, [last])[-1]
     return frobenius(e_end - fs.frame.values[0])
 
 
@@ -176,10 +184,11 @@ def gauge_fix_frame(spec: AlgebraSpec, raw_frame: MatrixField, time: float = 0.0
     npts = raw_frame.grid.num_points
     conn = periodic_diff(ev, 1, h) @ np.linalg.inv(ev)
     k_part, m_part = decompose(spec, conn)
-    # the rotation D solves D_x = -D K, so that (D F)_x = D M D^-1 (D F)
-    d = _rk4_path(
-        lambda kv, m: -(m @ kv), k_part, np.eye(spec.n, dtype=np.complex128), h, range(npts - 1)
-    )
+    # the rotation D solves D_x = -D K, so that (D F)_x = D M D^-1 (D F);
+    # its transpose solves the left-multiplied D^T_x = -K^T D^T
+    eye = np.eye(spec.n, dtype=np.complex128)
+    d_t = _rk4_path(-np.swapaxes(k_part, -1, -2), eye, h, range(npts - 1))
+    d = np.swapaxes(d_t, -1, -2)
     new_e = d @ ev
     new_p = d @ m_part @ np.linalg.inv(d)
     grid = raw_frame.grid

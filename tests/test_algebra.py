@@ -192,8 +192,8 @@ def test_exp_inverse_of_negative_argument():
         for norm in _EXP_NORMS:
             a = _skew_hermitian(rng, n, norm)
             g, ginv = _exp_pair(a)
-            np.testing.assert_allclose(g, exp_map(a), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(ginv, exp_map(-a), rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(g, exp_map(a))
+            np.testing.assert_array_equal(ginv, exp_map(-a))
             assert np.max(np.abs(g @ ginv - np.eye(n))) < 1e-13, (n, norm)
 
 
@@ -215,3 +215,14 @@ def test_two_by_two_product_matches_matmul():
         got = _matmul(a, b)
         assert got.shape == (a @ b).shape
         np.testing.assert_allclose(got, a @ b, rtol=0, atol=1e-14)
+
+
+def test_two_by_two_gather_product_is_bit_equal_to_outer_products():
+    # the gathered form makes the same products as the sum of two
+    # broadcast outer products and only adds them in another order
+    rng = np.random.default_rng(8)
+    for shape in [(2, 2), (17, 2, 2), (3, 5, 2, 2)]:
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        outer = a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+        np.testing.assert_array_equal(_matmul(a, b), outer)

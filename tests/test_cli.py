@@ -6,7 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from grassflow.cli import OBSERVABLE_COLUMNS, VERIFY_SUITES, main
+import grassflow.cli as cli
+from grassflow.algebra import AlgebraSpec, Family
+from grassflow.cli import OBSERVABLE_COLUMNS, main
+from grassflow.fields import Grid, MatrixField
+from grassflow.orbit import OrbitState
+from grassflow.suites import SUITES
 
 
 def _write_config(path, **updates):
@@ -213,8 +218,21 @@ def test_verify_failure_exit_code(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_verify_accepts_every_suite(name, monkeypatch, capsys):
+    ran = []
+
+    def fake_run_suite(suite, **options):
+        ran.append(suite)
+        return {"suite": suite, "checks": [], "pass": True}
+
+    monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+    assert main(["verify", "--suite", name]) == 0
+    assert ran == [name]
+    assert json.loads(capsys.readouterr().out)["suite"] == name
+
+
 def test_verify_rejects_unknown_suite():
-    assert "curve" not in VERIFY_SUITES
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "bogus"])
     assert err.value.code == 2
@@ -333,3 +351,45 @@ def test_curvature_residual_needs_three_output_times(tmp_path, capsys):
     rc = main(["curvature-residual", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "three snapshots" in capsys.readouterr().err
+
+
+def _json_dump_text(obj):
+    """What json.dump writes for obj with every array as its tolist()."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+
+
+@pytest.mark.parametrize("family, n, points", [
+    ("compact_u", 2, 128), ("noncompact_u", 4, 256), ("para_gl", 3, 17),
+])
+def test_snapshot_text_matches_json_dump_and_round_trips(tmp_path, family, n, points):
+    rng = np.random.default_rng(points)
+    shape = (points, n, n)
+    phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # signed zero, a subnormal, a large and a long-exponent entry
+    phi.flat[:4] = [-0.0 + 0.0j, 5e-324 - 0.0j, 1e16 + 1e-300j, -2.5e-17 + 1e22j]
+    frame = rng.standard_normal(shape) + 0.0j
+    grid = Grid(points, 2 * np.pi)
+    state = OrbitState(
+        AlgebraSpec(Family(family), n, 1), MatrixField(grid, phi), 1e-5, MatrixField(grid, frame)
+    )
+    path = tmp_path / "snapshot.json"
+    cli._write_json(str(path), state.to_json_dict())
+    text = path.read_text()
+    assert text == _json_dump_text(state.to_json_dict())
+    back = OrbitState.from_json_dict(json.loads(text))
+    for got, want in ((back.phi.values, phi), (back.frame.values, frame)):
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
+def test_json_writer_falls_back_for_non_finite_and_odd_arrays(tmp_path):
+    obj = {
+        "nan": np.array([[1.0, np.nan]]),
+        "ints": np.arange(6).reshape(2, 3),
+        "empty": np.zeros((0, 2)),
+        "nested": [{"x": np.array([0.5, -0.0])}, (1, 2.5)],
+        "mark": "\x00array0",
+    }
+    path = tmp_path / "doc.json"
+    cli._write_json(str(path), obj)
+    assert path.read_text() == _json_dump_text(obj)

@@ -169,3 +169,12 @@ def test_matrix_field_json_roundtrip():
     back = MatrixField.from_json_dict(f.to_json_dict())
     assert back.grid == grid
     assert np.array_equal(back.values, f.values)
+    # as read back from a JSON file: nested lists of [re, im] pairs
+    pairs = f.to_json_dict()["values"].tolist()
+    loaded = MatrixField.from_json_dict({"grid": grid.to_json_dict(), "values": pairs})
+    assert np.array_equal(loaded.values, vals)
+    for bad in (None, "1.5", [1.0, 2.0, 3.0]):
+        broken = f.to_json_dict()["values"].tolist()
+        broken[3][1][0] = bad
+        with pytest.raises(ValueError):
+            MatrixField.from_json_dict({"grid": grid.to_json_dict(), "values": broken})

@@ -7,9 +7,10 @@ import pytest
 
 import grassflow.flows as flows
 
-from grassflow.algebra import AlgebraSpec, Family, bracket, exp_map
+from grassflow.algebra import AlgebraSpec, Family, _orbit_square, bracket, exp_map
 from grassflow.fields import Grid, MatrixField, periodic_diff
 from grassflow.flows import (
+    _flow_params,
     FOURTH_DERIV_GAIN,
     THIRD_DERIV_GAIN,
     FlowBlowupError,
@@ -272,8 +273,7 @@ def _solve_based_step(os, p, dt):
     rather than by exp(-sigma), and moves the frame to frame exp(sigma)."""
     spec, h, phi0 = os.spec, os.phi.grid.h, os.phi.values
 
-    def gen(phi):
-        return flows._generator_values(spec, h, phi, p)
+    gen = flows._generator(spec, h, p)
 
     def conj(sigma):
         g = exp_map(sigma)
@@ -373,3 +373,64 @@ def test_curve_is_antiderivative_of_phi(u2):
     interior = slice(4, grid.num_points - 4)
     gap = np.max(np.abs(deriv[interior] - os.phi.values[interior]))
     assert gap < 1e-3
+
+
+def _four_stencil_generator(spec, h, phi, p):
+    """The generator from four separate periodic_diff passes."""
+    w = np.zeros_like(phi)
+    if p.alpha != 0.0:
+        w -= p.alpha * periodic_diff(phi, 2, h)
+    if p.beta != 0.0:
+        w += p.beta * periodic_diff(phi, 4, h)
+    coeff = 4.0 * (4.0 * p.gamma - 2.0 * p.beta)
+    if coeff != 0.0:
+        phix = periodic_diff(phi, 1, h)
+        cube = phix @ phix @ phix
+        w += (-4.0 * _orbit_square(spec) * coeff) * periodic_diff(cube, 1, h)
+    return w
+
+
+@pytest.mark.parametrize("points", [16, 17, 128])
+def test_fused_generator_matches_separate_stencils(points):
+    # the fused seven-point stencil adds the same terms in another order, so
+    # the two forms differ by roundoff in the size of the terms summed:
+    # max |phi| times the sum of the stencil weights' magnitudes
+    grid = Grid(points, TWO_PI)
+    h = grid.h
+    for spec in all_specs():
+        phi = _state(spec, grid).phi.values
+        for kind in (FlowKind.LEADING_ORDER, FlowKind.THIRD_ORDER):
+            p = _flow_params(PARAMS, kind)
+            want = _four_stencil_generator(spec, h, phi, p)
+            got = flows._generator(spec, h, p)(phi)
+            terms = np.max(np.abs(phi)) * (
+                abs(p.alpha) * 64.0 / (12.0 * h**2) + abs(p.beta) * 160.0 / (6.0 * h**4)
+            )
+            gap = np.max(np.abs(got - want))
+            assert gap <= 1e-13 * max(terms, np.max(np.abs(want))), (spec.family, kind, gap)
+
+
+def test_dexpinv_is_bit_equal_to_three_brackets():
+    rng = np.random.default_rng(11)
+    for n in (2, 3):
+        sigma, w = (rng.standard_normal((32, n, n)) + 1j * rng.standard_normal((32, n, n))
+                    for _ in range(2))
+        three = w + 0.5 * bracket(sigma, w) + (1.0 / 12.0) * bracket(sigma, bracket(sigma, w))
+        np.testing.assert_array_equal(flows._dexpinv_apply(sigma, w), three)
+
+
+def test_commutator_step_makes_six_brackets_and_four_stencil_passes(monkeypatch):
+    grid = Grid(32, TWO_PI)
+    counts = {"bracket": 0, "periodic_diff": 0}
+    for name in counts:
+        real = getattr(flows, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(flows, name, counted)
+    os = _state(AlgebraSpec(Family.COMPACT_UNITARY, 2, 1), grid)
+    dt = 0.5 * stability_bound(PARAMS, grid.h)
+    flows._rkmk_step(os.spec, grid.h, os.phi.values, os.frame.values, PARAMS, dt)
+    assert counts == {"bracket": 6, "periodic_diff": 4}
