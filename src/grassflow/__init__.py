@@ -91,7 +91,6 @@ from .orbit import (
     frame_from_potential,
     gauge_fix_frame,
     orbit_from_frame,
-    orbit_retract,
     reference_spectrum,
     spectrum_deviation,
     tangency_defect,

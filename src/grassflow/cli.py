@@ -34,7 +34,7 @@ from .flows import (
     stability_bound,
 )
 from .functionals import FlowParams
-from .gauge import GaugeError, evolve_potential, gauge_transform
+from .gauge import GaugeError, PotentialState, evolve_potential, gauge_transform
 from .initial_data import make_initial_potential, make_initial_state
 from .orbit import OrbitState, SpectralError, gauge_fix_frame
 from .reductions import phi_to_s, spec_geometry, spin_step
@@ -429,11 +429,11 @@ def cmd_verify(cfg: dict | None, out_dir: str | None, suite: str) -> int:
 
 
 def _check_commutator_command(rc: RunConfig, command: str) -> None:
-    """gauge-compare, reduce and curvature-residual cover the commutator
-    flows, and their potential and connection sides take derivatives up to
-    the fourth whatever the flow."""
+    """gauge-compare, reduce and curvature-residual cover the leading and
+    third orders, whose potential, vector and connection sides they integrate
+    with derivatives up to the fourth whatever the flow."""
     if rc.kind is FlowKind.SECOND_ORDER:
-        raise ConfigError([f"flow: {command} covers the commutator flows"])
+        raise ConfigError([f"flow: {command} covers leading_order and third_order"])
     if rc.grid.num_points < MIN_POINTS[4]:
         raise ConfigError([f"grid.N: {command} needs at least {MIN_POINTS[4]} points"])
 
@@ -441,6 +441,15 @@ def _check_commutator_command(rc: RunConfig, command: str) -> None:
 # Interior of the period, as fractions of its length, where gauge-compare
 # takes its interior_linf column.
 _GAUGE_WINDOW = (0.1, 0.9)
+
+
+def _gauge_invariant(ps: PotentialState) -> np.ndarray:
+    """Pointwise quantity that the residual block-diagonal gauge keeps: |q|
+    under the unitary gauges of the complex families, tr(q r) under the
+    real gauge q -> a q b^-1, r -> b r a^-1 of the split family."""
+    if ps.spec.family is Family.PARA_REAL:
+        return np.einsum("xij,xji->x", ps.q, ps.r)
+    return np.linalg.norm(ps.q, axis=(1, 2))
 
 
 def cmd_gauge_compare(rc: RunConfig, out_dir: str) -> int:
@@ -464,12 +473,10 @@ def cmd_gauge_compare(rc: RunConfig, out_dir: str) -> int:
         for target in times:
             state = _segment(state, rc, target, dt).states[0]
             fixed = gauge_fix_frame(rc.spec, state.frame, time=state.time)
-            matrix_q = gauge_transform(fixed).q
+            matrix_ps = gauge_transform(fixed)
             pseg = evolve_potential(ps, physics, target - ps.time, dt, output_times=[target])
             ps = pseg.states[0]
-            nm = np.linalg.norm(matrix_q, axis=(1, 2))
-            ng = np.linalg.norm(ps.q, axis=(1, 2))
-            gap = np.abs(nm - ng)
+            gap = np.abs(_gauge_invariant(matrix_ps) - _gauge_invariant(ps))
             rows.append((target, float(np.max(gap)), float(np.max(gap[mask]))))
         _write_csv(
             os.path.join(out_dir, "gauge_compare.csv"), ("t", "norm_gap", "interior_linf"), rows

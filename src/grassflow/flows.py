@@ -1,18 +1,18 @@
 """Time evolution of orbit fields for the three levels of the hierarchy.
 
-The first- and third-level flows are commutator flows phi_t = [phi, W] and
-are integrated by a fourth-order Lie-group method (Runge-Kutta-Munthe-Kaas):
-the update is the conjugation exp(-sigma) phi exp(sigma), with both
-exponentials taken from one truncated Taylor evaluation whose error is below
-roundoff, so the spectrum (and hence the orbit) is kept to roundoff without a
-linear solve.  A frame F with phi = F^-1 s F rides along as F exp(sigma).
-Each stage evaluates the generator W with one seven-point stencil for its
+All three flows are commutator flows phi_t = [phi, W] and are integrated by
+one fourth-order Lie-group method (Runge-Kutta-Munthe-Kaas): the update is
+the conjugation exp(-sigma) phi exp(sigma), with both exponentials taken
+from one truncated Taylor evaluation whose error is below roundoff, so the
+spectrum (and hence the orbit) is kept to roundoff without a linear solve.
+A frame F with phi = F^-1 s F rides along as F exp(sigma).
+The leading-order flow is the third-order flow with beta = gamma = 0; each
+stage evaluates their generator W with one seven-point stencil for its
 linear part, whose weights are combined once per step, and phi_x from the
 same padded copy; the dexp^-1 series reuses its inner bracket.
-The leading-order flow is the third-order flow with beta = gamma = 0.  The
-intermediate flow is a direct equation for phi and is integrated by a
-classical one-step method followed by a spectral re-projection onto the
-orbit.
+The intermediate flow is a direct equation phi_t = F(phi); on the orbit
+ad_phi^2 = 4 c^2 on tangent vectors, so its tangent part is [phi, W] with
+W = [phi, F] / (4 c^2).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import AlgebraSpec, _exp_pair, _matmul, _orbit_square, bracket, membership_residual
 from .fields import _STENCILS, MatrixField, _wrap_pad, cumulative_integral, periodic_diff
 from .functionals import EnergyReport, FlowParams, energy_report
-from .orbit import OrbitState, orbit_retract, spectrum_deviation
+from .orbit import OrbitState, spectrum_deviation
 
 # Peak spectral amplification of the difference stencils, used for the
 # step-size bounds.
@@ -176,15 +176,8 @@ def _conjugate(g: np.ndarray, ginv: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return _matmul(_matmul(ginv, phi), g)
 
 
-def _rkmk_step(
-    spec: AlgebraSpec,
-    h: float,
-    phi0: np.ndarray,
-    frame0: np.ndarray | None,
-    p: FlowParams,
-    dt: float,
-):
-    gen = _generator(spec, h, p)
+def _rkmk_step(gen, phi0: np.ndarray, frame0: np.ndarray | None, dt: float):
+    """One RKMK step of phi_t = [phi, gen(phi)]."""
 
     def stage(sigma):
         return _dexpinv_apply(sigma, gen(_conjugate(*_exp_pair(sigma), phi0)))
@@ -201,20 +194,19 @@ def _rkmk_step(
     return phi1, frame1
 
 
-def _second_order_step(spec: AlgebraSpec, h: float, phi0: np.ndarray, dt: float):
-    k1 = _second_order_values(spec, h, phi0)
-    k2 = _second_order_values(spec, h, phi0 + 0.5 * dt * k1)
-    k3 = _second_order_values(spec, h, phi0 + 0.5 * dt * k2)
-    k4 = _second_order_values(spec, h, phi0 + dt * k3)
-    phi1 = phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return orbit_retract(spec, phi1)
+def _second_order_generator(spec: AlgebraSpec, h: float):
+    """The map phi -> W = [phi, F] / (4 c^2) of the intermediate flow
+    phi_t = F = phi_xxx - 6 c^2 [phi_x, [phi, phi_x]]_x: [phi, W] is the
+    tangent part of F."""
+    c2 = _orbit_square(spec)
 
+    def gen(phi: np.ndarray) -> np.ndarray:
+        phix = periodic_diff(phi, 1, h)
+        corr = bracket(phix, bracket(phi, phix))
+        rate = periodic_diff(phi, 3, h) + (-6.0 * c2) * periodic_diff(corr, 1, h)
+        return bracket(phi, rate) / (4.0 * c2)
 
-def _second_order_values(spec: AlgebraSpec, h: float, phi: np.ndarray) -> np.ndarray:
-    phix = periodic_diff(phi, 1, h)
-    sgn = -6.0 * _orbit_square(spec)
-    corr = bracket(phix, bracket(phi, phix))
-    return periodic_diff(phi, 3, h) + sgn * periodic_diff(corr, 1, h)
+    return gen
 
 
 def _check_stability(p: FlowParams, h: float, kind: FlowKind, dt: float, allow_unstable: bool):
@@ -237,17 +229,16 @@ def step(
     dt: float,
     allow_unstable: bool = False,
 ) -> OrbitState:
-    """Advance one time step.  Frames ride along for the commutator flows
-    and are dropped by the re-projected intermediate flow."""
+    """Advance one time step; a frame rides along."""
     kind = FlowKind(kind)
     h = os.phi.grid.h
     _check_stability(p, h, kind, dt, allow_unstable)
     if kind is FlowKind.SECOND_ORDER:
-        phi1 = _second_order_step(os.spec, h, os.phi.values, dt)
-        frame1 = None
+        gen = _second_order_generator(os.spec, h)
     else:
-        frame0 = None if os.frame is None else os.frame.values
-        phi1, frame1 = _rkmk_step(os.spec, h, os.phi.values, frame0, _flow_params(p, kind), dt)
+        gen = _generator(os.spec, h, _flow_params(p, kind))
+    frame0 = None if os.frame is None else os.frame.values
+    phi1, frame1 = _rkmk_step(gen, os.phi.values, frame0, dt)
     frame_field = None if frame1 is None else MatrixField(os.phi.grid, frame1)
     return OrbitState(os.spec, MatrixField(os.phi.grid, phi1), os.time + dt, frame_field)
 

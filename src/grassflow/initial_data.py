@@ -251,21 +251,24 @@ def latitude_circle_state(grid: Grid, mode: int = 8, height: float = 0.65) -> Or
     return s_to_phi(SpinField(Geometry.SPHERE, grid, s))
 
 
-def state_from_potential(ps: PotentialState, closure_tol: float | None = 1e-2) -> OrbitState:
+# Largest frame closure defect that state_from_potential accepts.
+_CLOSURE_TOL = 1e-2
+
+
+def state_from_potential(ps: PotentialState) -> OrbitState:
     """Integrate the frame across the grid and conjugate the base point.
 
     The resulting samples only represent a periodic field when the frame
-    closes up over one period, so a closure defect above the tolerance is
-    rejected.  Pass None to skip the guard.
+    closes up over one period, so a closure defect above _CLOSURE_TOL is
+    rejected.
     """
     fs = frame_from_potential(ps.spec, ps.assemble(), time=ps.time)
-    if closure_tol is not None:
-        defect = frame_closure_defect(ps.spec, fs)
-        if defect > closure_tol:
-            raise ValueError(
-                f"potential carries holonomy: frame closure defect {defect:.3e} "
-                f"exceeds {closure_tol:.1e}"
-            )
+    defect = frame_closure_defect(ps.spec, fs)
+    if defect > _CLOSURE_TOL:
+        raise ValueError(
+            f"potential carries holonomy: frame closure defect {defect:.3e} "
+            f"exceeds {_CLOSURE_TOL:.1e}"
+        )
     return orbit_from_frame(fs)
 
 

@@ -5,7 +5,8 @@ point s.  Every family uses one frame convention: phi = F^-1 s F with frame
 equation F_x = P F, and a flow moves the frame on the right.  Potentials P
 are block-off-diagonal.  The families differ only in the square of the
 base point, s^2 = c^2 I with c^2 = -1/4 for the complex families and +1/4
-for the split family.
+for the split family.  Flows move phi by conjugation, so nothing here
+projects back onto the orbit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraSpec,
-    Family,
     _matmul,
     _orbit_square,
     bracket,
@@ -245,49 +245,6 @@ def spectrum_deviation(os: OrbitState) -> float:
     base-point multiset."""
     w = _sorted_eigenvalues(os.spec, os.phi.values)
     return float(np.max(np.abs(w - reference_spectrum(os.spec))))
-
-
-# Largest eigenvector condition number that orbit_retract accepts.
-_RETRACT_COND_LIMIT = 1e8
-
-
-def orbit_retract(spec: AlgebraSpec, values: np.ndarray) -> np.ndarray:
-    """Spectral projection back to the orbit: snap eigenvalues to the
-    base-point multiset while keeping the eigenspaces.
-
-    The compact family diagonalizes Hermitian data; the other families use
-    a general eigen decomposition, rejected if the eigenvector matrix is
-    too ill conditioned.
-    """
-    n, k = spec.n, spec.k
-    if spec.family is Family.COMPACT_UNITARY:
-        herm = -1j * values
-        herm = 0.5 * (herm + np.conj(np.swapaxes(herm, -1, -2)))
-        w, v = np.linalg.eigh(herm)  # ascending
-        snapped = np.full(w.shape, -0.5)
-        snapped[..., n - k :] = 0.5
-        rebuilt = (v * snapped[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-        return 1j * rebuilt
-    try:
-        w, v = np.linalg.eig(values)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigenvalue solve failed: {exc}") from exc
-    cond = np.linalg.cond(v)
-    if not np.all(np.isfinite(cond)) or float(np.max(cond)) > _RETRACT_COND_LIMIT:
-        raise SpectralError(
-            "eigenvector conditioning exceeds the retraction limit "
-            f"({float(np.max(cond)):.3e} > {_RETRACT_COND_LIMIT:.1e})"
-        )
-    key = -w.imag if spec.family.is_unitary else -w.real
-    order = np.argsort(key, axis=-1, kind="stable")
-    v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    c = spec.block_scale
-    snapped = np.full(w.shape, -c, dtype=np.complex128)
-    snapped[..., :k] = c
-    rebuilt = (v * snapped[..., None, :]) @ np.linalg.inv(v)
-    if spec.family is Family.PARA_REAL:
-        return np.real(rebuilt).astype(np.complex128)
-    return rebuilt
 
 
 def tangency_defect(fs: FramedState, field_values: np.ndarray) -> float:

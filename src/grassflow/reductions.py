@@ -224,7 +224,7 @@ def cross_check_matrix_vs_vector(
 
     kind = FlowKind(kind)
     if kind is FlowKind.SECOND_ORDER:
-        raise ValueError("cross-check covers the commutator flows")
+        raise ValueError("cross-check covers leading_order and third_order")
     times = [i * T / (samples - 1) for i in range(samples)] if T > 0 else [0.0]
     traj = evolve(s_to_phi(initial), p, kind, T, dt, output_times=times)
     physics = _flow_params(p, kind)

@@ -262,11 +262,33 @@ def test_gauge_compare_writes_gap_table(tmp_path):
     assert last[2] < 1e-4
 
 
-def test_gauge_compare_rejects_reprojected_flow(tmp_path, capsys):
+@pytest.mark.parametrize("n", [2, 3])
+def test_gauge_compare_gap_refines_on_split_family(tmp_path, n):
+    # the split family's residual gauge is real block-diagonal: it keeps
+    # tr(q r) but not |q|, so only the former gap can close under refinement
+    gaps = []
+    for points in (64, 128):
+        cfg = _write_config(
+            tmp_path / f"c{points}.json",
+            algebra={"family": "para_gl", "n": n, "k": 1},
+            grid={"N": points, "L": 2 * np.pi},
+            initial_data={"generator": "random_smooth", "seed": 3, "modes": 2, "amplitude": 0.3},
+            T=0.001,
+        )
+        out = tmp_path / f"out{points}"
+        assert main(["gauge-compare", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = _read(out / "gauge_compare.csv").decode().splitlines()
+        assert lines[0] == "t,norm_gap,interior_linf"
+        gaps.append(float(lines[-1].split(",")[1]))
+    assert gaps[0] < 1e-5
+    assert np.log2(gaps[0] / gaps[1]) > 2.0, gaps
+
+
+def test_gauge_compare_rejects_second_order_flow(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json", flow="second_order")
     rc = main(["gauge-compare", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "commutator flows" in capsys.readouterr().err
+    assert "covers leading_order and third_order" in capsys.readouterr().err
 
 
 def test_reduce_writes_summary_and_profiles(tmp_path):

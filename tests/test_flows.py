@@ -113,13 +113,30 @@ def test_commutator_step_preserves_spectrum_and_frame(u2):
     assert np.max(np.abs(rebuilt - cur.phi.values)) < 1e-8
 
 
-def test_reprojected_step_drops_frame_and_preserves_spectrum(u2):
+def test_second_order_step_keeps_frame_and_spectrum():
     grid = Grid(64, TWO_PI)
-    os = _state(u2, grid)
     dt = 0.5 * stability_bound(FlowParams(0, 0, 0), grid.h, FlowKind.SECOND_ORDER)
-    new = step(os, FlowParams(0, 0, 0), FlowKind.SECOND_ORDER, dt)
-    assert new.frame is None
-    assert spectrum_deviation(new) < 1e-12
+    for spec in all_specs():
+        new = step(_state(spec, grid), FlowParams(0, 0, 0), FlowKind.SECOND_ORDER, dt)
+        assert spectrum_deviation(new) <= 1e-12, spec.family
+        rebuilt = conjugate_base(spec, new.frame.values)
+        assert np.max(np.abs(rebuilt - new.phi.values)) <= 1e-12, spec.family
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_second_order_time_accuracy_is_fourth_order(family):
+    grid = Grid(32, TWO_PI)
+    os = random_orbit_state(AlgebraSpec(family, 2, 1), grid, seed=5, modes=4, amplitude=0.6)
+    p = FlowParams(0, 0, 0)
+    dt = 0.8 * stability_bound(p, grid.h, FlowKind.SECOND_ORDER)
+    T = 40 * dt
+    sols = [
+        evolve(os, p, FlowKind.SECOND_ORDER, T, dt / divide, output_times=[T]).states[-1]
+        for divide in (1, 2, 4)
+    ]
+    err_coarse, err_fine = (np.max(np.abs(s.phi.values - sols[2].phi.values)) for s in sols[:2])
+    rate = np.log2(err_coarse / err_fine)
+    assert rate >= 3.5, f"observed time order {rate:.2f}"
 
 
 def test_time_accuracy_is_fourth_order(u2):
@@ -252,7 +269,7 @@ def test_commutator_step_takes_no_linear_solve(monkeypatch):
     grid = Grid(32, TWO_PI)
     states = [_state(spec, grid) for spec in all_specs()]
     calls = []
-    for name in ("solve", "inv"):
+    for name in ("solve", "inv", "eig", "eigh"):
         real = getattr(np.linalg, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -261,7 +278,7 @@ def test_commutator_step_takes_no_linear_solve(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     for os in states:
-        for kind in (FlowKind.LEADING_ORDER, FlowKind.THIRD_ORDER):
+        for kind in FlowKind:
             dt = 0.5 * stability_bound(PARAMS, grid.h, kind)
             new = step(os, PARAMS, kind, dt)
             assert new.frame is not None
@@ -432,5 +449,6 @@ def test_commutator_step_makes_six_brackets_and_four_stencil_passes(monkeypatch)
         monkeypatch.setattr(flows, name, counted)
     os = _state(AlgebraSpec(Family.COMPACT_UNITARY, 2, 1), grid)
     dt = 0.5 * stability_bound(PARAMS, grid.h)
-    flows._rkmk_step(os.spec, grid.h, os.phi.values, os.frame.values, PARAMS, dt)
+    gen = flows._generator(os.spec, grid.h, PARAMS)
+    flows._rkmk_step(gen, os.phi.values, os.frame.values, dt)
     assert counts == {"bracket": 6, "periodic_diff": 4}

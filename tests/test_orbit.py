@@ -16,13 +16,11 @@ from grassflow.initial_data import (
 from grassflow.orbit import (
     FramedState,
     OrbitState,
-    SpectralError,
     conjugate_base,
     frame_closure_defect,
     frame_from_potential,
     gauge_fix_frame,
     orbit_from_frame,
-    orbit_retract,
     reference_spectrum,
     spectrum_deviation,
     tangency_defect,
@@ -91,9 +89,6 @@ def test_closure_defect_flags_holonomy(u2, grid64):
     assert frame_closure_defect(u2, fs) > 0.1
     with pytest.raises(ValueError):
         state_from_potential(ps)
-    # the guard can be waived explicitly
-    os = state_from_potential(ps, closure_tol=None)
-    assert os.phi.values.shape == (grid64.num_points, 2, 2)
 
 
 def test_gauge_fix_preserves_base_point_field(grid64):
@@ -136,22 +131,6 @@ def test_spectrum_deviation_detects_off_orbit_fields(u2, grid64):
     assert spectrum_deviation(os) < 1e-13
     bent = MatrixField(grid64, os.phi.values + 1e-3 * 1j * np.eye(2))
     assert spectrum_deviation(OrbitState(u2, bent)) > 1e-4
-
-
-def test_orbit_retract_restores_spectrum(u2, grid64):
-    os = random_orbit_state(u2, grid64, seed=14)
-    rng = np.random.default_rng(15)
-    noise = rng.standard_normal((grid64.num_points, 2, 2)) * 1e-6
-    noisy = os.phi.values + 1j * noise
-    retracted = orbit_retract(u2, noisy)
-    assert spectrum_deviation(OrbitState(u2, MatrixField(grid64, retracted))) < 1e-12
-
-
-def test_orbit_retract_rejects_defective_fields(para2, grid64):
-    # a Jordan block has no usable eigenbasis
-    vals = np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]]), (grid64.num_points, 2, 2))
-    with pytest.raises(SpectralError):
-        orbit_retract(para2, vals.astype(complex))
 
 
 def test_orbit_state_json_roundtrip(u2, grid64):

@@ -163,9 +163,9 @@ def test_spin_step_stays_on_quadric():
             assert np.all(sf.s[:, 2] > 0)
 
 
-def test_cross_check_rejects_reprojected_flow(grid64):
+def test_cross_check_rejects_second_order_flow(grid64):
     sf = _quadric_field(Geometry.SPHERE, grid64, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="leading_order and third_order"):
         cross_check_matrix_vs_vector(sf, FlowParams(1, 0, 0), FlowKind.SECOND_ORDER, 1e-3, 1e-4)
 
 
