@@ -127,7 +127,8 @@ def _rk4_path(a: np.ndarray, start: np.ndarray, h: float, cells) -> np.ndarray:
 
     The equation is linear, so one step across cell j is m -> Phi_j m with
     Phi_j the step applied to the identity: the propagators of all cells
-    are formed in one batch, and the march is one small product per cell.
+    are formed in one batch, and the march takes their prefix products
+    Phi_j ... Phi_0 by doubling, in about log2(cells) batched rounds.
     """
     cells = np.asarray(cells, dtype=np.intp)
     a0 = a[cells]
@@ -138,11 +139,16 @@ def _rk4_path(a: np.ndarray, start: np.ndarray, h: float, cells) -> np.ndarray:
     k2 = _matmul(am, eye + 0.5 * h * k1)
     k3 = _matmul(am, eye + 0.5 * h * k2)
     k4 = _matmul(a1, eye + h * k3)
-    prop = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    prod = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # after the round with shift s, entry j is the product of the (up to 2s)
+    # propagators of cells j - 2s + 1 .. j, later cells on the left
+    shift = 1
+    while shift < len(prod):
+        prod[shift:] = _matmul(prod[shift:], prod[:-shift])
+        shift *= 2
     out = np.empty((len(cells) + 1,) + start.shape, dtype=np.complex128)
     out[0] = start
-    for i, prop_j in enumerate(prop):
-        out[i + 1] = prop_j @ out[i]
+    out[1:] = prod @ start
     return out
 
 
