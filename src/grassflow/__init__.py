@@ -64,6 +64,7 @@ from .gauge import (
     curvature_residual,
     curvature_target,
     evolve_potential,
+    frame_potential_gaps,
     gauge_transform,
     matrix_kdv_rhs,
     potential_rhs,
@@ -102,6 +103,7 @@ from .reductions import (
     cross_check_matrix_vs_vector,
     geometry_cross,
     geometry_spec,
+    matrix_and_vector_spins,
     phi_to_s,
     quadric_defect,
     s_to_phi,

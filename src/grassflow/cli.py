@@ -26,18 +26,17 @@ from .flows import (
     FlowBlowupError,
     FlowKind,
     StabilityError,
-    Trajectory,
     _flow_params,
-    _march,
     _output_times,
     evolve,
     stability_bound,
+    step_count,
 )
 from .functionals import FlowParams
-from .gauge import GaugeError, PotentialState, evolve_potential, gauge_transform
+from .gauge import GaugeError, curvature_residual, frame_potential_gaps
 from .initial_data import make_initial_potential, make_initial_state
-from .orbit import OrbitState, SpectralError, gauge_fix_frame
-from .reductions import phi_to_s, spec_geometry, spin_step
+from .orbit import OrbitState, SpectralError
+from .reductions import matrix_and_vector_spins, spec_geometry
 from .suites import SUITES, run_suite
 
 OBSERVABLE_COLUMNS = (
@@ -370,11 +369,6 @@ def _run(rc: RunConfig, out_dir: str, resolved: dict, body) -> int:
     return 0
 
 
-def _segment(state: OrbitState, rc: RunConfig, target: float, dt: float) -> Trajectory:
-    """Evolve state on to a single output time."""
-    return evolve(state, rc.params, rc.kind, target - state.time, dt, output_times=[target])
-
-
 def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
     state = build_state(rc)
     dt = resolve_dt(rc)
@@ -385,8 +379,17 @@ def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
         with open(csv_path, "w") as f:
             f.write(",".join(OBSERVABLE_COLUMNS) + "\n")
         current = state
+        taken = 0  # steps of the segments before this one
         for index, target in enumerate(times):
-            seg = _segment(current, rc, target, dt)
+            # one segment per output time, so each snapshot is written on arrival
+            try:
+                seg = evolve(
+                    current, rc.params, rc.kind, target - current.time, dt, output_times=[target]
+                )
+            except FlowBlowupError as exc:
+                exc.step_index += taken
+                raise
+            taken += step_count(current.time, target, dt)
             current = seg.states[0]
             _write_json(
                 os.path.join(out_dir, f"snapshot_{index:04d}.json"), current.to_json_dict()
@@ -443,41 +446,20 @@ def _check_commutator_command(rc: RunConfig, command: str) -> None:
 _GAUGE_WINDOW = (0.1, 0.9)
 
 
-def _gauge_invariant(ps: PotentialState) -> np.ndarray:
-    """Pointwise quantity that the residual block-diagonal gauge keeps: |q|
-    under the unitary gauges of the complex families, tr(q r) under the
-    real gauge q -> a q b^-1, r -> b r a^-1 of the split family."""
-    if ps.spec.family is Family.PARA_REAL:
-        return np.einsum("xij,xji->x", ps.q, ps.r)
-    return np.linalg.norm(ps.q, axis=(1, 2))
-
-
 def cmd_gauge_compare(rc: RunConfig, out_dir: str) -> int:
     _check_commutator_command(rc, "gauge-compare")
-    from .initial_data import state_from_potential
-
     try:
         ps0 = make_initial_potential(rc.spec, rc.grid, _seeded_options(rc))
     except ValueError as exc:
         raise ConfigError([f"initial_data: {exc}"]) from None
     dt = resolve_dt(rc)
     times = _resolve_output_times(ps0.time, rc.T, dt, rc.output_times)
-    physics = _flow_params(rc.params, rc.kind)
     lo, hi = _GAUGE_WINDOW
     mask = (rc.grid.x >= lo * rc.grid.length) & (rc.grid.x <= hi * rc.grid.length)
 
     def body():
-        rows = []
-        state = state_from_potential(ps0)
-        ps = ps0
-        for target in times:
-            state = _segment(state, rc, target, dt).states[0]
-            fixed = gauge_fix_frame(rc.spec, state.frame, time=state.time)
-            matrix_ps = gauge_transform(fixed)
-            pseg = evolve_potential(ps, physics, target - ps.time, dt, output_times=[target])
-            ps = pseg.states[0]
-            gap = np.abs(_gauge_invariant(matrix_ps) - _gauge_invariant(ps))
-            rows.append((target, float(np.max(gap)), float(np.max(gap[mask]))))
+        gaps = frame_potential_gaps(ps0, rc.params, rc.kind, times, dt)
+        rows = [(t, float(np.max(gap)), float(np.max(gap[mask]))) for t, gap in zip(times, gaps)]
         _write_csv(
             os.path.join(out_dir, "gauge_compare.csv"), ("t", "norm_gap", "interior_linf"), rows
         )
@@ -494,39 +476,14 @@ def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
     state = build_state(rc)
     dt = resolve_dt(rc)
     times = _resolve_output_times(state.time, rc.T, dt, rc.output_times)
-    header = (
-        "x",
-        "s1_matrix",
-        "s2_matrix",
-        "s3_matrix",
-        "s1_vector",
-        "s2_vector",
-        "s3_vector",
-    )
-
-    physics = _flow_params(rc.params, rc.kind)
+    header = ("x", "s1_matrix", "s2_matrix", "s3_matrix", "s1_vector", "s2_vector", "s3_vector")
 
     def body():
-        summary = []
-        current = state
-        vector_side = _march(
-            phi_to_s(state),
-            state.time,
-            times,
-            dt,
-            lambda sf, h: spin_step(sf, physics, h),
-            lambda sf: (sf.s,),
-        )
-        for index, target in enumerate(times):
-            current = _segment(current, rc, target, dt).states[0]
-            matrix_s = phi_to_s(current).s
-            _, sf = next(vector_side)
-            rows = [
-                (x, ms[0], ms[1], ms[2], vs[0], vs[1], vs[2])
-                for x, ms, vs in zip(rc.grid.x, matrix_s, sf.s)
-            ]
+        spins = matrix_and_vector_spins(state, rc.params, rc.kind, times, dt)
+        for index, (matrix_s, vector_s) in enumerate(spins):
+            rows = [(x, *ms, *vs) for x, ms, vs in zip(rc.grid.x, matrix_s, vector_s)]
             _write_csv(os.path.join(out_dir, f"reduce_{index:04d}.csv"), header, rows)
-            summary.append((target, float(np.max(np.abs(matrix_s - sf.s)))))
+        summary = [(t, float(np.max(np.abs(m - v)))) for t, (m, v) in zip(times, spins)]
         _write_csv(os.path.join(out_dir, "reduce_summary.csv"), ("t", "max_gap"), summary)
 
     resolved = {"dt": dt, "output_times": times, "seed": rc.seed, "geometry": geometry.value}
@@ -534,8 +491,6 @@ def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
 
 
 def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
-    from .gauge import curvature_residual
-
     _check_commutator_command(rc, "curvature-residual")
     lambdas = rc.raw.get("lambdas", [0.5, 1.0, 2.0])
     try:

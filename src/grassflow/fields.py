@@ -39,16 +39,20 @@ class Grid:
         return cls(int(d["N"]), float(d["L"]))
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    """Nested [re, im] pairs, row major."""
-    m = np.asarray(m, dtype=np.complex128)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+def complex_pairs(values: np.ndarray) -> np.ndarray:
+    """The (..., 2) float view of the [re, im] pairs of a complex array, row
+    major, which JSON writers take as its tolist()."""
+    v = np.ascontiguousarray(values, dtype=np.complex128)
+    return v.view(np.float64).reshape(v.shape + (2,))
 
 
-def matrix_from_json(rows: list) -> np.ndarray:
-    return np.array(
-        [[complex(p[0], p[1]) for p in row] for row in rows], dtype=np.complex128
-    )
+def complex_from_pairs(pairs) -> np.ndarray:
+    """Inverse of complex_pairs for an (N, rows, cols, 2) array, or its
+    nested lists as read back from JSON."""
+    pairs = np.asarray(pairs)
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 4 or pairs.shape[-1] != 2:
+        raise ValueError("values must be an (N, rows, cols, 2) array of numeric [re, im] pairs")
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -72,20 +76,12 @@ class MatrixField:
         return self.values.shape[-1]
 
     def to_json_dict(self) -> dict:
-        """Grid and values; values is the (N, n, n, 2) float view of the
-        [re, im] pairs, row major, which JSON writers take as its tolist()."""
-        v = np.ascontiguousarray(self.values)
-        pairs = v.view(np.float64).reshape(v.shape + (2,))
-        return {"grid": self.grid.to_json_dict(), "values": pairs}
+        """Grid and values; values is the complex_pairs view."""
+        return {"grid": self.grid.to_json_dict(), "values": complex_pairs(self.values)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MatrixField":
-        grid = Grid.from_json_dict(d["grid"])
-        pairs = np.asarray(d["values"])
-        if pairs.dtype.kind not in "iuf" or pairs.ndim != 4 or pairs.shape[-1] != 2:
-            raise ValueError("values must be an (N, n, n, 2) array of numeric [re, im] pairs")
-        pairs = np.ascontiguousarray(pairs, dtype=np.float64)
-        return cls(grid, pairs.view(np.complex128)[..., 0])
+        return cls(Grid.from_json_dict(d["grid"]), complex_from_pairs(d["values"]))
 
 
 # order -> (offsets, weights, denominator, power of h)

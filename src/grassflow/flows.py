@@ -64,13 +64,19 @@ class StabilityError(RuntimeError):
 
 class FlowBlowupError(RuntimeError):
     """Evolution produced non-finite values; carries the last finite state
-    (an OrbitState, or a PotentialState for the potential equations) and
-    the index of the step that failed."""
+    (an OrbitState, or a PotentialState for the potential equations), the
+    index of the step that failed, counted from 1, and the time that step
+    reached.  A caller that marched earlier segments may add their steps to
+    step_index; the message follows."""
 
-    def __init__(self, message: str, last_state, step_index: int):
-        super().__init__(message)
+    def __init__(self, last_state, step_index: int, time: float):
+        super().__init__()
         self.last_state = last_state
         self.step_index = step_index
+        self.time = time
+
+    def __str__(self):
+        return f"non-finite field after step {self.step_index} (t={self.time:.6g})"
 
 
 def stability_bound(p: FlowParams, h: float, kind: FlowKind = FlowKind.THIRD_ORDER) -> float:
@@ -89,7 +95,12 @@ def stability_bound(p: FlowParams, h: float, kind: FlowKind = FlowKind.THIRD_ORD
 
 def _flow_params(p: FlowParams, kind: FlowKind) -> FlowParams:
     """The coefficients a commutator flow of this kind integrates: the
-    leading-order flow is the third-order flow with beta = gamma = 0."""
+    leading-order flow is the third-order flow with beta = gamma = 0.  The
+    second-order flow takes none, so the comparisons with the potential and
+    vector equations, which integrate these coefficients, exclude it."""
+    kind = FlowKind(kind)
+    if kind is FlowKind.SECOND_ORDER:
+        raise ValueError("the comparisons cover leading_order and third_order")
     if kind is FlowKind.LEADING_ORDER:
         return FlowParams(p.alpha, 0.0, 0.0)
     return p
@@ -271,28 +282,32 @@ def _output_times(t0: float, T: float, dt: float, output_times=None) -> list[flo
     return times
 
 
+def step_count(t: float, target: float, dt: float) -> int:
+    """Steps a march takes from t to target: ceil((target - t) / dt) up to
+    STEP_SLACK, each of length dt except the last, which is cut to land on
+    target."""
+    return max(0, math.ceil((target - t) / dt - STEP_SLACK))
+
+
 def _march(state, t0: float, output_times, dt: float, advance, arrays):
     """Carry state from time t0 onto each output time in turn, yielding
     (target, state) on arrival.
 
-    A segment from t to target takes ceil((target - t) / dt - STEP_SLACK)
-    steps of advance(state, h), each of length dt except the last, which is
-    cut to target - t.  Raises FlowBlowupError, with the last finite state
+    A segment from t to target takes step_count(t, target, dt) steps of
+    advance(state, h).  Raises FlowBlowupError, with the last finite state
     and the index of the failing step, when any of arrays(new_state) is not
     finite.
     """
     t, step_index = t0, 0
     for target in output_times:
-        count = max(0, math.ceil((target - t) / dt - STEP_SLACK))
+        count = step_count(t, target, dt)
         for i in range(count):
             h = dt if i < count - 1 else target - t
             new = advance(state, h)
             step_index += 1
             t += h
             if not all(np.all(np.isfinite(a)) for a in arrays(new)):
-                raise FlowBlowupError(
-                    f"non-finite field after step {step_index} (t={t:.6g})", state, step_index
-                )
+                raise FlowBlowupError(state, step_index, t)
             state = new
         t = target
         yield target, state

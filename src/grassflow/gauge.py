@@ -5,7 +5,8 @@ parameter; along solutions of the third-level flow its curvature collapses
 to a single cubic term, which curvature_residual measures from trajectory
 snapshots.  gauge_transform rewrites a gauge-fixed framed state as a pair
 of rectangular blocks (q, r), and potential_rhs evolves the pair directly;
-the two routes are compared by the verification suites.
+frame_potential_gaps compares the two routes for the verification suite and
+the gauge-compare command.
 """
 
 from __future__ import annotations
@@ -15,10 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Family, _orbit_square, bracket, decompose, frobenius
-from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
-from .flows import _march, _output_times
+from .fields import (
+    Grid,
+    MatrixField,
+    complex_from_pairs,
+    complex_pairs,
+    cumulative_trapezoid,
+    periodic_diff,
+)
+from .flows import FlowKind, _flow_params, _march, _output_times, evolve
 from .functionals import FlowParams
-from .orbit import FramedState, OrbitState
+from .orbit import (
+    FramedState,
+    OrbitState,
+    frame_closure_defect,
+    frame_from_potential,
+    gauge_fix_frame,
+    orbit_from_frame,
+)
 
 
 class GaugeError(RuntimeError):
@@ -82,24 +97,21 @@ class PotentialState:
         return MatrixField(self.grid, p)
 
     def to_json_dict(self) -> dict:
-        from .fields import matrix_to_json
-
+        """Algebra, grid, time and the complex_pairs views of q and r."""
         return {
             "algebra": self.spec.to_json_dict(),
             "grid": self.grid.to_json_dict(),
             "time": float(self.time),
-            "q": [matrix_to_json(m) for m in self.q],
-            "r": [matrix_to_json(m) for m in self.r],
+            "q": complex_pairs(self.q),
+            "r": complex_pairs(self.r),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PotentialState":
-        from .fields import matrix_from_json
-
         spec = AlgebraSpec.from_json_dict(d["algebra"])
         grid = Grid.from_json_dict(d["grid"])
-        q = np.array([matrix_from_json(m) for m in d["q"]])
-        r = np.array([matrix_from_json(m) for m in d["r"]])
+        q = complex_from_pairs(d["q"])
+        r = complex_from_pairs(d["r"])
         return cls(spec, grid, q, r, float(d.get("time", 0.0)))
 
 
@@ -130,6 +142,27 @@ def gauge_transform(fs: FramedState) -> PotentialState:
         )
     k = spec.k
     return PotentialState(spec, fs.potential.grid, m_part[:, :k, k:], m_part[:, k:, :k], fs.time)
+
+
+# Largest frame closure defect that state_from_potential accepts.
+_CLOSURE_TOL = 1e-2
+
+
+def state_from_potential(ps: PotentialState) -> OrbitState:
+    """Integrate the frame across the grid and conjugate the base point.
+
+    The resulting samples only represent a periodic field when the frame
+    closes up over one period, so a closure defect above _CLOSURE_TOL is
+    rejected.
+    """
+    fs = frame_from_potential(ps.spec, ps.assemble(), time=ps.time)
+    defect = frame_closure_defect(ps.spec, fs)
+    if defect > _CLOSURE_TOL:
+        raise ValueError(
+            f"potential carries holonomy: frame closure defect {defect:.3e} "
+            f"exceeds {_CLOSURE_TOL:.1e}"
+        )
+    return orbit_from_frame(fs)
 
 
 def connection(os: OrbitState, p: FlowParams, lam: float) -> ConnectionSample:
@@ -293,6 +326,34 @@ def evolve_potential(
     # each snapshot is stamped with its exact output time
     states = [PotentialState(spec, s.grid, s.q, s.r, target) for target, s in arrivals]
     return PotentialTrajectory(times, states)
+
+
+def _gauge_invariant(ps: PotentialState) -> np.ndarray:
+    """Pointwise quantity that the residual block-diagonal gauge keeps: |q|
+    under the unitary gauges of the complex families, tr(q r) under the
+    real gauge q -> a q b^-1, r -> b r a^-1 of the split family."""
+    if ps.spec.family is Family.PARA_REAL:
+        return np.einsum("xij,xji->x", ps.q, ps.r)
+    return np.linalg.norm(ps.q, axis=(1, 2))
+
+
+def frame_potential_gaps(
+    ps0: PotentialState, p: FlowParams, kind: FlowKind, times: list[float], dt: float
+) -> list[np.ndarray]:
+    """Drive ps0 through the frame flow of this kind, gauge fixing and
+    transforming each snapshot, and through the potential equation of the
+    same coefficients; return the pointwise gap of the gauge invariant (|q|,
+    or tr(q r) for the split family) at each of the output times.  One march
+    per side covers all of them."""
+    physics = _flow_params(p, kind)
+    T = max(times, default=ps0.time) - ps0.time
+    frames = evolve(state_from_potential(ps0), p, kind, T, dt, output_times=times)
+    direct = evolve_potential(ps0, physics, T, dt, output_times=times)
+    gaps = []
+    for state, ps in zip(frames.states, direct.states):
+        fixed = gauge_fix_frame(ps0.spec, state.frame, time=state.time)
+        gaps.append(np.abs(_gauge_invariant(gauge_transform(fixed)) - _gauge_invariant(ps)))
+    return gaps
 
 
 def akns4_rhs(q: np.ndarray, h: float) -> np.ndarray:

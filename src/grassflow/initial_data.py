@@ -12,15 +12,8 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Family, exp_map, signature_matrix
 from .fields import Grid, MatrixField
-from .gauge import PotentialState
-from .orbit import (
-    FramedState,
-    OrbitState,
-    frame_closure_defect,
-    frame_from_potential,
-    gauge_fix_frame,
-    orbit_from_frame,
-)
+from .gauge import PotentialState, state_from_potential
+from .orbit import FramedState, OrbitState, gauge_fix_frame, orbit_from_frame
 from .reductions import Geometry, SpinField, s_to_phi
 
 _REFERENCE_POINTS = 2048
@@ -249,27 +242,6 @@ def latitude_circle_state(grid: Grid, mode: int = 8, height: float = 0.65) -> Or
     s[:, 1] = radius * np.sin(wave * grid.x)
     s[:, 2] = height
     return s_to_phi(SpinField(Geometry.SPHERE, grid, s))
-
-
-# Largest frame closure defect that state_from_potential accepts.
-_CLOSURE_TOL = 1e-2
-
-
-def state_from_potential(ps: PotentialState) -> OrbitState:
-    """Integrate the frame across the grid and conjugate the base point.
-
-    The resulting samples only represent a periodic field when the frame
-    closes up over one period, so a closure defect above _CLOSURE_TOL is
-    rejected.
-    """
-    fs = frame_from_potential(ps.spec, ps.assemble(), time=ps.time)
-    defect = frame_closure_defect(ps.spec, fs)
-    if defect > _CLOSURE_TOL:
-        raise ValueError(
-            f"potential carries holonomy: frame closure defect {defect:.3e} "
-            f"exceeds {_CLOSURE_TOL:.1e}"
-        )
-    return orbit_from_frame(fs)
 
 
 _POTENTIAL_GENERATORS = {

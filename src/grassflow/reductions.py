@@ -4,7 +4,7 @@ For n = 2 each family's orbit field is a three-component vector field on a
 quadric: the round sphere, the upper hyperboloid sheet, or the unit
 one-sheet hyperboloid.  The dictionaries here conjugate the matrix flows
 into vector form exactly at the discrete level, which is what the
-cross-check drivers exploit.
+matrix_and_vector_spins exploits.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Family
 from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
+from .flows import FlowKind, _flow_params, _march, evolve
 from .functionals import FlowParams
 from .orbit import OrbitState
 
@@ -210,6 +211,24 @@ def spin_step(sf: SpinField, p: FlowParams, dt: float) -> SpinField:
     return SpinField(g, grid, out)
 
 
+def matrix_and_vector_spins(
+    os: OrbitState, p: FlowParams, kind: FlowKind, times: list[float], dt: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Evolve os through the matrix flow of this kind and phi_to_s(os)
+    through the vector flow of the same coefficients, and return the pair
+    (matrix_s, vector_s) of (N, 3) arrays at each output time.  One march
+    per side covers all of them."""
+    physics = _flow_params(p, kind)
+    T = max(times, default=os.time) - os.time
+    matrix_side = evolve(os, p, kind, T, dt, output_times=times)
+
+    def advance(sf, h):
+        return spin_step(sf, physics, h)
+
+    vector_side = _march(phi_to_s(os), os.time, times, dt, advance, lambda sf: (sf.s,))
+    return [(phi_to_s(state).s, sf.s) for state, (_, sf) in zip(matrix_side.states, vector_side)]
+
+
 def cross_check_matrix_vs_vector(
     initial: SpinField,
     p: FlowParams,
@@ -220,22 +239,9 @@ def cross_check_matrix_vs_vector(
 ) -> float:
     """Evolve the same data through the matrix flow and through the vector
     flow, and return the largest componentwise gap at the sample times."""
-    from .flows import FlowKind, _flow_params, _march, evolve
-
-    kind = FlowKind(kind)
-    if kind is FlowKind.SECOND_ORDER:
-        raise ValueError("cross-check covers leading_order and third_order")
     times = [i * T / (samples - 1) for i in range(samples)] if T > 0 else [0.0]
-    traj = evolve(s_to_phi(initial), p, kind, T, dt, output_times=times)
-    physics = _flow_params(p, kind)
-    vector_side = _march(
-        initial, 0.0, times, dt, lambda sf, h: spin_step(sf, physics, h), lambda sf: (sf.s,)
-    )
-    gap = 0.0
-    for state, (_, sf) in zip(traj.states, vector_side):
-        matrix_s = phi_to_s_values(initial.geometry, state.phi.values)
-        gap = max(gap, float(np.max(np.abs(sf.s - matrix_s))))
-    return gap
+    spins = matrix_and_vector_spins(s_to_phi(initial), p, kind, times, dt)
+    return max(float(np.max(np.abs(vector_s - matrix_s))) for matrix_s, vector_s in spins)
 
 
 def _scalar_block(q, r, h, alpha, beta, cnl, nonlocal_mode):

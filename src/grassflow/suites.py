@@ -10,34 +10,34 @@ the tolerance from above.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .algebra import AlgebraSpec, Family, bracket
-from .fields import Grid, MatrixField, periodic_diff
-from .flows import FlowKind, Trajectory, curve_flow_rhs, evolve, stability_bound, sym_pohlmeyer_curve
-from .functionals import FUNCTIONAL_NAMES, FlowParams, energy_report, fd_gradient_check
-from .gauge import (
-    PotentialState,
-    akns4_rhs,
-    curvature_residual,
-    evolve_potential,
-    gauge_transform,
-    potential_rhs,
+from .fields import Grid, MatrixField
+from .flows import (
+    FlowKind,
+    curve_flow_rhs,
+    evolve,
+    stability_bound,
+    sym_pohlmeyer_curve,
+    third_order_generator,
 )
+from .functionals import FUNCTIONAL_NAMES, FlowParams, energy_report, fd_gradient_check
+from .gauge import akns4_rhs, curvature_residual, frame_potential_gaps, potential_rhs
 from .initial_data import (
     latitude_circle_state,
     random_frame_state,
     random_orbit_state,
     random_smooth_potential,
     random_tangent_field,
-    state_from_potential,
 )
-from .orbit import gauge_fix_frame, orbit_from_frame, verify_identities
+from .orbit import verify_identities
 from .reductions import (
     Geometry,
     SpinField,
     cross_check_matrix_vs_vector,
-    geometry_spec,
     phi_to_s_values,
     s_to_phi,
     scalar_rhs,
@@ -210,8 +210,6 @@ def measure_reductions(
 ):
     """Conjugacy of the matrix and vector forms, first at the level of the
     right-hand sides, then along full trajectories."""
-    from .flows import third_order_generator
-
     checks = []
     grid = Grid(points, length)
     # The pointwise identity holds at any resolution; a coarser grid keeps
@@ -247,16 +245,10 @@ def _gauge_gap(spec, points, length, T, p, seed, window):
     grid = Grid(points, length)
     ps0 = random_smooth_potential(spec, grid, seed=seed, modes=3, amplitude=0.3)
     dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
-    os0 = state_from_potential(ps0)
-    traj = evolve(os0, p, FlowKind.THIRD_ORDER, T, dt, output_times=[T])
-    final = traj.states[-1]
-    fixed = gauge_fix_frame(spec, final.frame, time=final.time)
-    matrix_q = np.abs(gauge_transform(fixed).q[:, 0, 0])
-    ptraj = evolve_potential(ps0, p, T, dt, output_times=[T])
-    direct_q = np.abs(ptraj.states[-1].q[:, 0, 0])
+    (gap,) = frame_potential_gaps(ps0, p, FlowKind.THIRD_ORDER, [T], dt)
     lo, hi = window
     mask = (grid.x >= lo * length) & (grid.x <= hi * length)
-    return float(np.max(np.abs(matrix_q - direct_q)[mask]))
+    return float(np.max(gap[mask]))
 
 
 def measure_gauge_compare(
@@ -282,24 +274,13 @@ def measure_gauge_compare(
     ]
 
 
-def _curvature_at(points, length, p, lam, seed, corrupted=False):
+def _curvature_trajectory(points, length, p, seed):
     grid = Grid(points, length)
     spec = AlgebraSpec(Family.COMPACT_UNITARY, 2, 1)
     os = random_orbit_state(spec, grid, seed, 2, 0.25)
     dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
     times = [dt, 2.0 * dt, 3.0 * dt]
-    traj = evolve(os, p, FlowKind.THIRD_ORDER, 3.0 * dt, dt, output_times=times)
-    if corrupted:
-        mid = traj.states[1]
-        frozen = Trajectory(
-            times,
-            [mid, mid, mid],
-            [traj.reports[1]] * 3,
-            [traj.spectrum_deviations[1]] * 3,
-            [traj.membership_residuals[1]] * 3,
-        )
-        return curvature_residual(frozen, p, lam)[0][1]
-    return curvature_residual(traj, p, lam)[0][1]
+    return evolve(os, p, FlowKind.THIRD_ORDER, 3.0 * dt, dt, output_times=times)
 
 
 def measure_curvature(
@@ -316,15 +297,20 @@ def measure_curvature(
     under simultaneous space and time refinement, plus a discrimination
     check on a deliberately frozen trajectory."""
     p = FlowParams(0.8, 0.1, 0.06)
+    coarse = _curvature_trajectory(base_points, length, p, seed)
+    fine = _curvature_trajectory(fine_points, length, p, seed)
+    # the fine trajectory with its middle snapshot at all three times; the
+    # residual reads only the times and the states
+    frozen = replace(fine, states=[fine.states[1]] * 3)
     checks = []
     for lam in lambdas:
         tag = f"{lam:g}"
-        res_coarse = _curvature_at(base_points, length, p, lam, seed)
-        res_fine = _curvature_at(fine_points, length, p, lam, seed)
+        res_coarse = curvature_residual(coarse, p, lam)[0][1]
+        res_fine = curvature_residual(fine, p, lam)[0][1]
         order = np.log2(max(res_coarse, 1e-300) / max(res_fine, 1e-300))
         checks.append(_check(f"curvature_residual_lam{tag}", res_fine, tol))
         checks.append(_check(f"curvature_order_lam{tag}", order, order_min, lower_is_better=False))
-        bad = _curvature_at(fine_points, length, p, lam, seed, corrupted=True)
+        bad = curvature_residual(frozen, p, lam)[0][1]
         checks.append(_check(f"curvature_corrupted_lam{tag}", bad, corrupted_min, lower_is_better=False))
     return checks
 

@@ -155,13 +155,17 @@ def test_unstable_requested_step_aborts_with_manifest(tmp_path):
     assert manifest["abort"]["error"] == "StabilityError"
 
 
+def _blowup_config(path, **updates):
+    # no stability bound without alpha and beta, so dt=0.05 is taken and the
+    # quartic term blows up at step 5, t=0.25
+    return _write_config(path, flow="third_order",
+                         params={"alpha": 0.0, "beta": 0.0, "gamma": 1.0},
+                         initial_data={"generator": "random_smooth", "modes": 2},
+                         T=2.5, dt=0.05, **updates)
+
+
 def test_blowup_aborts_with_step_index(tmp_path):
-    # no stability bound without alpha and beta, so the step is taken and
-    # the quartic term blows up within a few steps
-    cfg = _write_config(tmp_path / "c.json", flow="third_order",
-                        params={"alpha": 0.0, "beta": 0.0, "gamma": 1.0},
-                        initial_data={"generator": "random_smooth", "modes": 2},
-                        T=2.5, dt=0.05)
+    cfg = _blowup_config(tmp_path / "c.json")
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
         rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
@@ -172,6 +176,62 @@ def test_blowup_aborts_with_step_index(tmp_path):
     assert manifest["abort"]["step_index"] >= 1
     assert manifest["abort"]["last_time"] == pytest.approx(
         0.05 * (manifest["abort"]["step_index"] - 1))
+
+
+@pytest.mark.parametrize("output_times", [None, [0.0, 0.1, 2.5], [0.0, 0.2, 0.3, 2.5]])
+def test_blowup_step_index_counts_from_the_start_of_the_run(tmp_path, output_times):
+    updates = {} if output_times is None else {"output_times": output_times}
+    cfg = _blowup_config(tmp_path / "c.json", **updates)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    abort = json.loads(_read(out / "manifest.json"))["abort"]
+    assert abort["step_index"] == 5
+    assert abort["last_time"] == pytest.approx(0.2)
+    assert abort["message"] == "non-finite field after step 5 (t=0.25)"
+
+
+@pytest.mark.parametrize("command", ["gauge-compare", "reduce"])
+def test_aborted_comparison_writes_no_tables(tmp_path, command):
+    cfg = _blowup_config(tmp_path / "c.json", output_times=[0.0, 0.1, 2.5])
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    manifest = json.loads(_read(out / "manifest.json"))
+    assert manifest["status"] == "aborted"
+    assert manifest["abort"]["error"] == "FlowBlowupError"
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("family", ["compact_u", "para_gl"])
+@pytest.mark.parametrize("command", ["gauge-compare", "reduce"])
+def test_comparison_rows_match_separate_runs_to_each_output_time(tmp_path, command, family):
+    # one march over all output times lands where a run ending at each of
+    # them does: no row depends on the output times after it
+    times = [0.0, 0.7e-3, 1.3e-3, 2e-3]
+    tables = []
+    for last in range(len(times)):
+        cfg = _write_config(
+            tmp_path / f"c{last}.json",
+            algebra={"family": family, "n": 2, "k": 1},
+            params={"alpha": 1.0, "beta": 0.1, "gamma": -0.0125},
+            flow="third_order",
+            initial_data={"generator": "random_smooth", "modes": 2, "amplitude": 0.2},
+            T=times[last],
+            output_times=times[: last + 1],
+        )
+        out = tmp_path / f"out{last}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append({table.name: _read(table).decode() for table in out.glob("*.csv")})
+    full = tables[-1]
+    for last, table in enumerate(tables):
+        for name, text in table.items():
+            lines = text.splitlines()
+            if name.startswith("reduce_0"):
+                assert text == full[name], (last, name)
+            else:
+                assert len(lines) == last + 2
+                assert lines == full[name].splitlines()[: last + 2], (last, name)
 
 
 @pytest.mark.parametrize("flow, points", [("third_order", 8), ("leading_order", 4)])

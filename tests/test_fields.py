@@ -8,8 +8,6 @@ from grassflow.fields import (
     MatrixField,
     cumulative_integral,
     cumulative_trapezoid,
-    matrix_from_json,
-    matrix_to_json,
     periodic_diff,
 )
 
@@ -154,11 +152,6 @@ def test_matrix_field_values_are_read_only():
     f = MatrixField(grid, np.zeros((8, 2, 2)))
     with pytest.raises(ValueError):
         f.values[0, 0, 0] = 1.0
-
-
-def test_matrix_json_roundtrip():
-    m = np.array([[1.0 + 2.0j, -0.5], [0.25j, 3.0]])
-    assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
 
 
 def test_matrix_field_json_roundtrip():
