@@ -1,10 +1,10 @@
 """Command line driver.
 
 Subcommands: simulate, verify, gauge-compare, reduce, curvature-residual.
-Every run is driven by a JSON config document plus optional dotted-path
-overrides, writes a manifest that reproduces it exactly, and emits only
-deterministic bytes: rerunning the same config and seed gives identical
-files.
+verify runs one suite as it stands.  Every other run is driven by a JSON
+config document plus optional dotted-path overrides, writes a manifest
+that reproduces it exactly, and emits only deterministic bytes: rerunning
+the same config and seed gives identical files.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ from .algebra import AlgebraSpec, Family
 from .fields import MIN_POINTS, Grid
 from .flows import (
     DERIVATIVE_ORDER,
+    STEP_SLACK,
     FlowBlowupError,
     FlowKind,
     StabilityError,
     _flow_params,
     _output_times,
+    auto_dt,
     evolve,
-    stability_bound,
     step_count,
 )
 from .functionals import FlowParams
@@ -246,7 +247,7 @@ def build_state(rc: RunConfig) -> OrbitState:
 
 def resolve_dt(rc: RunConfig) -> float:
     if rc.dt_raw == "auto":
-        dt = 0.5 * stability_bound(rc.params, rc.grid.h, rc.kind)
+        dt = auto_dt(rc.params, rc.grid.h, rc.kind)
         if not np.isfinite(dt):
             raise ConfigError(["dt: these params have no stability bound; give dt as a number"])
         return dt
@@ -254,10 +255,14 @@ def resolve_dt(rc: RunConfig) -> float:
 
 
 def _resolve_output_times(t0: float, T: float, dt: float, times) -> list:
+    """The output times of a run from t0 to t0 + T, which end at t0 + T."""
     try:
-        return _output_times(t0, T, dt, times)
+        times = _output_times(t0, T, dt, times)
     except ValueError as exc:
         raise ConfigError([f"output_times: {exc}"]) from None
+    if not times or times[-1] < t0 + T - STEP_SLACK * dt:
+        raise ConfigError([f"output_times: must end at start + T = {t0 + T!r}"])
+    return times
 
 
 def _fmt(value) -> str:
@@ -413,16 +418,8 @@ def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
     return _run(rc, out_dir, {"dt": dt, "output_times": times, "seed": rc.seed}, body)
 
 
-def cmd_verify(cfg: dict | None, out_dir: str | None, suite: str) -> int:
-    options = {}
-    if cfg is not None:
-        options = cfg.get("suite_options", {})
-        if not isinstance(options, dict):
-            raise ConfigError(["suite_options: must be an object"])
-    try:
-        report = run_suite(suite, **options)
-    except TypeError as exc:
-        raise ConfigError([f"suite_options: {exc}"]) from None
+def cmd_verify(out_dir: str | None, suite: str) -> int:
+    report = run_suite(suite)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if out_dir is not None:
@@ -441,11 +438,6 @@ def _check_commutator_command(rc: RunConfig, command: str) -> None:
         raise ConfigError([f"grid.N: {command} needs at least {MIN_POINTS[4]} points"])
 
 
-# Interior of the period, as fractions of its length, where gauge-compare
-# takes its interior_linf column.
-_GAUGE_WINDOW = (0.1, 0.9)
-
-
 def cmd_gauge_compare(rc: RunConfig, out_dir: str) -> int:
     _check_commutator_command(rc, "gauge-compare")
     try:
@@ -454,8 +446,7 @@ def cmd_gauge_compare(rc: RunConfig, out_dir: str) -> int:
         raise ConfigError([f"initial_data: {exc}"]) from None
     dt = resolve_dt(rc)
     times = _resolve_output_times(ps0.time, rc.T, dt, rc.output_times)
-    lo, hi = _GAUGE_WINDOW
-    mask = (rc.grid.x >= lo * rc.grid.length) & (rc.grid.x <= hi * rc.grid.length)
+    mask = rc.grid.interior
 
     def body():
         gaps = frame_potential_gaps(ps0, rc.params, rc.kind, times, dt)
@@ -528,9 +519,9 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, need_config=True, need_out=True):
-        sp.add_argument("--config", required=need_config, help="path to a JSON config")
-        sp.add_argument("--out", required=need_out, help="output directory")
+    def add_common(sp):
+        sp.add_argument("--config", required=True, help="path to a JSON config")
+        sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument(
             "--override",
@@ -542,8 +533,8 @@ def main(argv=None) -> int:
 
     add_common(sub.add_parser("simulate", help="run a flow and write trajectory files"))
     sp_verify = sub.add_parser("verify", help="run a verification suite")
-    add_common(sp_verify, need_config=False, need_out=False)
     sp_verify.add_argument("--suite", required=True, choices=tuple(SUITES))
+    sp_verify.add_argument("--out", help="directory for report.json")
     add_common(sub.add_parser("gauge-compare", help="frame flow vs potential flow, |q| gap"))
     add_common(sub.add_parser("reduce", help="matrix and vector forms side by side"))
     add_common(
@@ -551,15 +542,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if args.command == "verify":
+        return cmd_verify(args.out, args.suite)
     try:
-        cfg = None
-        if args.config is not None:
-            cfg = apply_overrides(load_config(args.config), args.override)
-        elif args.override:
-            raise ConfigError(["--override needs --config"])
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out, args.suite)
-        rc = parse_run_config(cfg, args.seed)
+        rc = parse_run_config(apply_overrides(load_config(args.config), args.override), args.seed)
         if args.command == "simulate":
             return cmd_simulate(rc, args.out)
         if args.command == "gauge-compare":

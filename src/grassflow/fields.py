@@ -7,6 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Fractions of the period that bound its interior, where the gauge and
+# curve comparisons take their maxima.
+INTERIOR = (0.1, 0.9)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [0, L) with nodes x_j = j L / N."""
@@ -30,6 +35,12 @@ class Grid:
     @property
     def x(self) -> np.ndarray:
         return self.h * np.arange(self.num_points)
+
+    @property
+    def interior(self) -> np.ndarray:
+        """Mask of the nodes within the INTERIOR fractions of the period."""
+        lo, hi = INTERIOR
+        return (self.x >= lo * self.length) & (self.x <= hi * self.length)
 
     def to_json_dict(self) -> dict:
         return {"N": self.num_points, "L": self.length}

@@ -93,6 +93,11 @@ def stability_bound(p: FlowParams, h: float, kind: FlowKind = FlowKind.THIRD_ORD
     return float(bound)
 
 
+def auto_dt(p: FlowParams, h: float, kind: FlowKind) -> float:
+    """The step of `dt: auto` and of the suites: half the stability bound."""
+    return 0.5 * stability_bound(p, h, kind)
+
+
 def _flow_params(p: FlowParams, kind: FlowKind) -> FlowParams:
     """The coefficients a commutator flow of this kind integrates: the
     leading-order flow is the third-order flow with beta = gamma = 0.  The

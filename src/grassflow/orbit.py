@@ -240,10 +240,7 @@ def _sorted_eigenvalues(spec: AlgebraSpec, values: np.ndarray) -> np.ndarray:
 
 def reference_spectrum(spec: AlgebraSpec) -> np.ndarray:
     """Eigenvalue multiset of the base point, sorted the same way."""
-    c = spec.block_scale
-    ref = np.full(spec.n, -c, dtype=np.complex128)
-    ref[: spec.k] = c
-    return ref
+    return np.diagonal(sigma3(spec))
 
 
 def spectrum_deviation(os: OrbitState) -> float:

@@ -1,11 +1,11 @@
 """Verification drivers.
 
 Each measure_* function runs one family of checks and returns a list of
-records {"name", "residual", "tolerance", "pass"}.  Defaults are the
-full-strength configurations; callers that want a faster smoke pass can
-shrink the counts and grids through the keyword arguments.  Order checks
-report the observed order in the residual slot and pass when it reaches
-the tolerance from above.
+records {"name", "residual", "tolerance", "pass"}.  A suite is a fixed
+contract: it takes no arguments, and its grids, counts, seeds and
+tolerances are written in its body.  Order checks report the observed
+order in the residual slot and pass when it reaches the tolerance from
+above.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from .algebra import AlgebraSpec, Family, bracket
 from .fields import Grid, MatrixField
 from .flows import (
     FlowKind,
+    auto_dt,
     curve_flow_rhs,
     evolve,
-    stability_bound,
     sym_pohlmeyer_curve,
     third_order_generator,
 )
@@ -44,7 +44,11 @@ from .reductions import (
     spin_rhs,
 )
 
+_LENGTH = 2.0 * np.pi
+_U21 = AlgebraSpec(Family.COMPACT_UNITARY, 2, 1)
 _SHAPES = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3))
+# Grid sizes of the refinement checks.
+_COARSE, _FINE = 128, 256
 _ORDER_FLOOR = 1e-9
 _NO_ERROR_ORDER = 99.0
 
@@ -56,63 +60,65 @@ def _check(name, residual, tolerance, lower_is_better=True):
     return {"name": name, "residual": residual, "tolerance": tolerance, "pass": bool(ok)}
 
 
-def measure_identities(
-    states_per_family=50,
-    base_points=128,
-    length=2.0 * np.pi,
-    tol=1e-6,
-    order_min=3.5,
-    check_refinement=True,
-    seed0=101,
-):
+def _order(coarse, fine):
+    """Observed order of a residual that halving the grid or step takes
+    from coarse to fine."""
+    return np.log2(max(coarse, 1e-300) / max(fine, 1e-300))
+
+
+def _refined(residual_name, order_name, coarse, fine, tol, order_min):
+    """The fine residual within tol, and its order against the coarse one
+    at least order_min."""
+    return [
+        _check(residual_name, fine, tol),
+        _check(order_name, _order(coarse, fine), order_min, lower_is_better=False),
+    ]
+
+
+def _three_steps(points, p, seed, amplitude):
+    """dt and the snapshots after one, two and three third-order steps of dt,
+    half the stability bound, from a random compact_u(2, 1) orbit state."""
+    grid = Grid(points, _LENGTH)
+    os = random_orbit_state(_U21, grid, seed, 2, amplitude)
+    dt = auto_dt(p, grid.h, FlowKind.THIRD_ORDER)
+    times = [dt, 2.0 * dt, 3.0 * dt]
+    return dt, evolve(os, p, FlowKind.THIRD_ORDER, 3.0 * dt, dt, output_times=times)
+
+
+def measure_identities():
     """Frame identity residuals on random states, with grid refinement."""
     checks = []
     for fi, family in enumerate(Family):
         worst = 0.0
         min_order = _NO_ERROR_ORDER
-        for idx in range(states_per_family):
+        for idx in range(50):
             n, k = _SHAPES[idx % len(_SHAPES)]
             spec = AlgebraSpec(family, n, k)
-            seed = seed0 + 7919 * fi + 13 * idx
+            seed = 101 + 7919 * fi + 13 * idx
             amplitude = 0.08 + 0.07 * (idx % 5) / 4.0
-            fs = random_frame_state(spec, Grid(base_points, length), seed, 2, amplitude)
-            coarse = verify_identities(fs)
-            worst = max(worst, max(coarse.values()))
-            if check_refinement:
-                fs2 = random_frame_state(spec, Grid(2 * base_points, length), seed, 2, amplitude)
-                fine = verify_identities(fs2)
-                for key, rc in coarse.items():
-                    if rc >= _ORDER_FLOOR:
-                        min_order = min(min_order, np.log2(rc / max(fine[key], 1e-300)))
-        checks.append(_check(f"identities_{family.value}_max", worst, tol))
-        if check_refinement:
-            checks.append(
-                _check(f"identities_{family.value}_order", min_order, order_min, lower_is_better=False)
+            coarse, fine = (
+                verify_identities(random_frame_state(spec, Grid(points, _LENGTH), seed, 2, amplitude))
+                for points in (_COARSE, _FINE)
             )
+            worst = max(worst, max(coarse.values()))
+            for key, rc in coarse.items():
+                if rc >= _ORDER_FLOOR:
+                    min_order = min(min_order, _order(rc, fine[key]))
+        checks.append(_check(f"identities_{family.value}_max", worst, 1e-6))
+        checks.append(_check(f"identities_{family.value}_order", min_order, 3.5, lower_is_better=False))
     return checks
 
 
-def measure_gradients(
-    states_per_family=10,
-    points=256,
-    length=2.0 * np.pi,
-    tol=1e-5,
-    identity_tol=1e-10,
-    seed0=211,
-):
+def measure_gradients():
     """First-variation checks for every declared gradient, plus the
     identity tying the quartic functional to the chain term."""
     checks = []
-    specs = (
-        AlgebraSpec(Family.COMPACT_UNITARY, 2, 1),
-        AlgebraSpec(Family.PARA_REAL, 2, 1),
-    )
-    grid = Grid(points, length)
-    for spec in specs:
+    grid = Grid(256, _LENGTH)
+    for spec, offset in ((_U21, 0), (AlgebraSpec(Family.PARA_REAL, 2, 1), 37)):
         worst = {name: 0.0 for name in FUNCTIONAL_NAMES}
         worst_id = 0.0
-        for idx in range(states_per_family):
-            seed = seed0 + 1009 * idx + (0 if spec.family is Family.COMPACT_UNITARY else 37)
+        for idx in range(10):
+            seed = 211 + 1009 * idx + offset
             os = random_orbit_state(spec, grid, seed, 2, 0.2)
             xi = MatrixField(grid, random_tangent_field(spec, grid, seed + 5000, 2, 0.3))
             for name in FUNCTIONAL_NAMES:
@@ -123,54 +129,36 @@ def measure_gradients(
             gap = abs(rep.Etilde - 2.0 * rep.E23) / max(1.0, abs(rep.Etilde))
             worst_id = max(worst_id, gap)
         for name in FUNCTIONAL_NAMES:
-            checks.append(_check(f"gradient_{spec.family.value}_{name}", worst[name], tol))
-        checks.append(_check(f"quartic_identity_{spec.family.value}", worst_id, identity_tol))
+            checks.append(_check(f"gradient_{spec.family.value}_{name}", worst[name], 1e-5))
+        checks.append(_check(f"quartic_identity_{spec.family.value}", worst_id, 1e-10))
     return checks
 
 
-def measure_conservation(
-    points=128,
-    length=2.0 * np.pi,
-    T=0.1,
-    drift_tol=1e-6,
-    spectrum_tol=1e-10,
-    order_min=3.5,
-    check_order=True,
-    generic_check=True,
-    seed=331,
-):
+def measure_conservation():
     """Hamiltonian drift and spectrum preservation along the third-level
     flow, with a time-refinement order estimate on helical data.  The
     helix is exactly precessed by the semidiscrete flow, so its drift
     isolates the time integrator."""
-    grid = Grid(points, length)
+    grid = Grid(128, _LENGTH)
     p = FlowParams(1.0, 0.0, 0.01)
-    os = latitude_circle_state(grid, mode=8, height=0.65)
-    dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
+    dt = auto_dt(p, grid.h, FlowKind.THIRD_ORDER)
 
-    def run(dt_run):
+    def run(os, T, dt_run):
         traj = evolve(os, p, FlowKind.THIRD_ORDER, T, dt_run)
         h0 = traj.reports[0].H
         drift = abs(traj.reports[-1].H - h0) / max(1.0, abs(h0))
         return drift, max(traj.spectrum_deviations)
 
-    drift1, specdev = run(dt)
-    checks = [
-        _check("conservation_drift", drift1, drift_tol),
-        _check("conservation_spectrum", specdev, spectrum_tol),
+    helix = latitude_circle_state(grid, mode=8, height=0.65)
+    drift1, specdev = run(helix, 0.1, dt)
+    drift2, _ = run(helix, 0.1, 0.5 * dt)
+    drift_g, _ = run(random_orbit_state(_U21, grid, 331, 2, 0.2), 0.05, dt)
+    return [
+        _check("conservation_drift", drift1, 1e-6),
+        _check("conservation_spectrum", specdev, 1e-10),
+        _check("conservation_order", _order(drift1, drift2), 3.5, lower_is_better=False),
+        _check("conservation_generic_drift", drift_g, 1e-6),
     ]
-    if check_order:
-        drift2, _ = run(0.5 * dt)
-        order = np.log2(max(drift1, 1e-300) / max(drift2, 1e-300))
-        checks.append(_check("conservation_order", order, order_min, lower_is_better=False))
-    if generic_check:
-        spec = AlgebraSpec(Family.COMPACT_UNITARY, 2, 1)
-        os_g = random_orbit_state(spec, grid, seed, 2, 0.2)
-        traj = evolve(os_g, p, FlowKind.THIRD_ORDER, min(T, 0.05), dt)
-        h0 = traj.reports[0].H
-        drift_g = abs(traj.reports[-1].H - h0) / max(1.0, abs(h0))
-        checks.append(_check("conservation_generic_drift", drift_g, drift_tol))
-    return checks
 
 
 def _smooth_profiles(rng, x, length, count, modes=2, amplitude=0.4):
@@ -199,22 +187,14 @@ def random_spin_field(geometry: Geometry, grid: Grid, seed: int = 0) -> SpinFiel
     return SpinField(g, grid, s)
 
 
-def measure_reductions(
-    points=128,
-    rhs_points=64,
-    length=2.0 * np.pi,
-    rhs_tol=1e-10,
-    traj_tol=1e-6,
-    T=0.05,
-    seed=431,
-):
+def measure_reductions():
     """Conjugacy of the matrix and vector forms, first at the level of the
     right-hand sides, then along full trajectories."""
     checks = []
-    grid = Grid(points, length)
+    grid = Grid(128, _LENGTH)
     # The pointwise identity holds at any resolution; a coarser grid keeps
     # the 1/h^4 roundoff of the fourth-derivative stencil well under tolerance.
-    rhs_grid = Grid(rhs_points, length)
+    rhs_grid = Grid(64, _LENGTH)
     p_rhs = FlowParams(0.9, 0.35, 0.07)
     # Split-signature tangent planes turn half the dispersive modes into
     # growing ones, so the trajectory leg there needs a small alpha to keep
@@ -225,167 +205,104 @@ def measure_reductions(
         Geometry.DE_SITTER: FlowParams(0.1, 0.0, 0.02),
     }
     for gi, geometry in enumerate(Geometry):
-        sf_rhs = random_spin_field(geometry, rhs_grid, seed + 17 * gi)
+        seed = 431 + 17 * gi
+        sf_rhs = random_spin_field(geometry, rhs_grid, seed)
         vec = spin_rhs(sf_rhs, p_rhs)
         os = s_to_phi(sf_rhs)
         w = third_order_generator(os, p_rhs)
         phidot = bracket(os.phi.values, w.values)
         matrix_vec = phi_to_s_values(geometry, phidot)
         rhs_gap = float(np.max(np.abs(matrix_vec - vec)))
-        checks.append(_check(f"reduction_rhs_{geometry.value}", rhs_gap, rhs_tol))
-        sf = random_spin_field(geometry, grid, seed + 17 * gi)
+        checks.append(_check(f"reduction_rhs_{geometry.value}", rhs_gap, 1e-10))
         p_traj = traj_params[geometry]
-        dt = 0.5 * stability_bound(p_traj, grid.h, FlowKind.THIRD_ORDER)
-        traj_gap = cross_check_matrix_vs_vector(sf, p_traj, FlowKind.THIRD_ORDER, T, dt)
-        checks.append(_check(f"reduction_trajectory_{geometry.value}", traj_gap, traj_tol))
+        dt = auto_dt(p_traj, grid.h, FlowKind.THIRD_ORDER)
+        sf = random_spin_field(geometry, grid, seed)
+        traj_gap = cross_check_matrix_vs_vector(sf, p_traj, FlowKind.THIRD_ORDER, 0.05, dt)
+        checks.append(_check(f"reduction_trajectory_{geometry.value}", traj_gap, 1e-6))
     return checks
 
 
-def _gauge_gap(spec, points, length, T, p, seed, window):
-    grid = Grid(points, length)
-    ps0 = random_smooth_potential(spec, grid, seed=seed, modes=3, amplitude=0.3)
-    dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
-    (gap,) = frame_potential_gaps(ps0, p, FlowKind.THIRD_ORDER, [T], dt)
-    lo, hi = window
-    mask = (grid.x >= lo * length) & (grid.x <= hi * length)
-    return float(np.max(gap[mask]))
+def _gauge_gap(points, p):
+    grid = Grid(points, _LENGTH)
+    ps0 = random_smooth_potential(_U21, grid, seed=521, modes=3, amplitude=0.3)
+    dt = auto_dt(p, grid.h, FlowKind.THIRD_ORDER)
+    (gap,) = frame_potential_gaps(ps0, p, FlowKind.THIRD_ORDER, [0.05], dt)
+    return float(np.max(gap[grid.interior]))
 
 
-def measure_gauge_compare(
-    base_points=128,
-    fine_points=256,
-    length=2.0 * np.pi,
-    T=0.05,
-    tol=1e-4,
-    order_min=2.0,
-    window=(0.1, 0.9),
-    seed=521,
-):
+def measure_gauge_compare():
     """Same data driven through the frame flow plus gauge fixing and
     through the potential equation directly; interior comparison of |q|."""
-    spec = AlgebraSpec(Family.COMPACT_UNITARY, 2, 1)
     p = FlowParams(1.0, 0.0, 0.02)
-    gap_coarse = _gauge_gap(spec, base_points, length, T, p, seed, window)
-    gap_fine = _gauge_gap(spec, fine_points, length, T, p, seed, window)
-    order = np.log2(max(gap_coarse, 1e-300) / max(gap_fine, 1e-300))
-    return [
-        _check("gauge_compare_gap", gap_fine, tol),
-        _check("gauge_compare_order", order, order_min, lower_is_better=False),
-    ]
+    coarse, fine = _gauge_gap(_COARSE, p), _gauge_gap(_FINE, p)
+    return _refined("gauge_compare_gap", "gauge_compare_order", coarse, fine, 1e-4, 2.0)
 
 
-def _curvature_trajectory(points, length, p, seed):
-    grid = Grid(points, length)
-    spec = AlgebraSpec(Family.COMPACT_UNITARY, 2, 1)
-    os = random_orbit_state(spec, grid, seed, 2, 0.25)
-    dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
-    times = [dt, 2.0 * dt, 3.0 * dt]
-    return evolve(os, p, FlowKind.THIRD_ORDER, 3.0 * dt, dt, output_times=times)
-
-
-def measure_curvature(
-    base_points=128,
-    fine_points=256,
-    length=2.0 * np.pi,
-    lambdas=(0.5, 1.0, 2.0),
-    tol=1e-3,
-    order_min=2.0,
-    corrupted_min=1e-1,
-    seed=613,
-):
+def measure_curvature():
     """Connection curvature against its target along a short trajectory,
     under simultaneous space and time refinement, plus a discrimination
     check on a deliberately frozen trajectory."""
     p = FlowParams(0.8, 0.1, 0.06)
-    coarse = _curvature_trajectory(base_points, length, p, seed)
-    fine = _curvature_trajectory(fine_points, length, p, seed)
+    _, coarse = _three_steps(_COARSE, p, 613, 0.25)
+    _, fine = _three_steps(_FINE, p, 613, 0.25)
     # the fine trajectory with its middle snapshot at all three times; the
     # residual reads only the times and the states
     frozen = replace(fine, states=[fine.states[1]] * 3)
     checks = []
-    for lam in lambdas:
+    for lam in (0.5, 1.0, 2.0):
         tag = f"{lam:g}"
-        res_coarse = curvature_residual(coarse, p, lam)[0][1]
-        res_fine = curvature_residual(fine, p, lam)[0][1]
-        order = np.log2(max(res_coarse, 1e-300) / max(res_fine, 1e-300))
-        checks.append(_check(f"curvature_residual_lam{tag}", res_fine, tol))
-        checks.append(_check(f"curvature_order_lam{tag}", order, order_min, lower_is_better=False))
-        bad = curvature_residual(frozen, p, lam)[0][1]
-        checks.append(_check(f"curvature_corrupted_lam{tag}", bad, corrupted_min, lower_is_better=False))
+        res_coarse, res_fine, bad = (
+            curvature_residual(traj, p, lam)[0][1] for traj in (coarse, fine, frozen)
+        )
+        checks += _refined(
+            f"curvature_residual_lam{tag}", f"curvature_order_lam{tag}", res_coarse, res_fine, 1e-3, 2.0
+        )
+        checks.append(_check(f"curvature_corrupted_lam{tag}", bad, 1e-1, lower_is_better=False))
     return checks
 
 
-def measure_integrable_limit(
-    fields_per_size=10,
-    points=128,
-    length=2.0 * np.pi,
-    tol=1e-12,
-    seed0=719,
-):
+def measure_integrable_limit():
     """On the collapse locus the potential equation must reproduce the
     classical fourth-order matrix equation exactly, and the scalar form
     must match the matrix form entrywise at generic parameters."""
     p_limit = FlowParams(0.0, 1.0, -0.125)
     checks = []
-    grid = Grid(points, length)
+    grid = Grid(128, _LENGTH)
     for n in (2, 3):
         spec = AlgebraSpec(Family.COMPACT_UNITARY, n, 1)
         worst = 0.0
-        for idx in range(fields_per_size):
-            ps = random_smooth_potential(spec, grid, seed0 + 29 * idx + n, 2, 0.3)
+        for idx in range(10):
+            ps = random_smooth_potential(spec, grid, 719 + 29 * idx + n, 2, 0.3)
             lhs = potential_rhs(ps, p_limit).q
             rhs = akns4_rhs(ps.q, grid.h)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        checks.append(_check(f"integrable_limit_u{n}", worst, tol))
-    spec = AlgebraSpec(Family.COMPACT_UNITARY, 2, 1)
+        checks.append(_check(f"integrable_limit_u{n}", worst, 1e-12))
     p_gen = FlowParams(0.8, 0.45, 0.11)
     worst = 0.0
-    for idx in range(fields_per_size):
-        ps = random_smooth_potential(spec, grid, seed0 + 1000 + idx, 2, 0.3)
+    for idx in range(10):
+        ps = random_smooth_potential(_U21, grid, 1719 + idx, 2, 0.3)
         matrix = potential_rhs(ps, p_gen).q[:, 0, 0]
         scalar = scalar_rhs(grid, ps.q[:, 0, 0], p_gen, Family.COMPACT_UNITARY)
         worst = max(worst, float(np.max(np.abs(matrix - scalar))))
-    checks.append(_check("scalar_reduction", worst, tol))
+    checks.append(_check("scalar_reduction", worst, 1e-12))
     return checks
 
 
-def _curve_residual_at(points, length, p, seed, window):
-    grid = Grid(points, length)
-    spec = AlgebraSpec(Family.COMPACT_UNITARY, 2, 1)
-    os = random_orbit_state(spec, grid, seed, 2, 0.2)
-    dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
-    times = [dt, 2.0 * dt, 3.0 * dt]
-    traj = evolve(os, p, FlowKind.THIRD_ORDER, 3.0 * dt, dt, output_times=times)
-    before = sym_pohlmeyer_curve(traj.states[0]).values
-    after = sym_pohlmeyer_curve(traj.states[2]).values
-    rate = (after - before) / (2.0 * dt)
-    rhs = curve_flow_rhs(traj.states[1], p).values
-    anchored = rhs - rhs[0]
-    gap = np.max(np.abs(rate - anchored), axis=(1, 2))
-    lo, hi = window
-    mask = (grid.x >= lo * length) & (grid.x <= hi * length)
-    return float(np.max(gap[mask]))
+def _curve_gap(points, p):
+    dt, traj = _three_steps(points, p, 811, 0.2)
+    before, middle, after = traj.states
+    rate = (sym_pohlmeyer_curve(after).values - sym_pohlmeyer_curve(before).values) / (2.0 * dt)
+    rhs = curve_flow_rhs(middle, p).values
+    gap = np.max(np.abs(rate - (rhs - rhs[0])), axis=(1, 2))
+    return float(np.max(gap[middle.phi.grid.interior]))
 
 
-def measure_curve_reconstruction(
-    base_points=128,
-    fine_points=256,
-    length=2.0 * np.pi,
-    tol=1e-3,
-    order_min=1.5,
-    window=(0.1, 0.9),
-    seed=811,
-):
+def measure_curve_reconstruction():
     """Motion of the reconstructed curve against the declared velocity
     field, anchored at the first node."""
     p = FlowParams(1.0, 0.0, 0.05)
-    res_coarse = _curve_residual_at(base_points, length, p, seed, window)
-    res_fine = _curve_residual_at(fine_points, length, p, seed, window)
-    order = np.log2(max(res_coarse, 1e-300) / max(res_fine, 1e-300))
-    return [
-        _check("curve_residual", res_fine, tol),
-        _check("curve_order", order, order_min, lower_is_better=False),
-    ]
+    coarse, fine = _curve_gap(_COARSE, p), _curve_gap(_FINE, p)
+    return _refined("curve_residual", "curve_order", coarse, fine, 1e-3, 1.5)
 
 
 SUITES = {
@@ -400,8 +317,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> dict:
+def run_suite(name: str) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose one of {sorted(SUITES)}")
-    checks = SUITES[name](**kwargs)
+    checks = SUITES[name]()
     return {"suite": name, "checks": checks, "pass": all(c["pass"] for c in checks)}

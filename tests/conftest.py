@@ -5,6 +5,7 @@ import pytest
 
 from grassflow.algebra import AlgebraSpec, Family
 from grassflow.fields import Grid
+from grassflow.suites import SUITES
 
 TWO_PI = 2.0 * np.pi
 
@@ -32,6 +33,19 @@ def grid64() -> Grid:
 @pytest.fixture
 def grid128() -> Grid:
     return Grid(128, TWO_PI)
+
+
+FAILING_CHECKS = [
+    {"name": "holds", "residual": 0.5, "tolerance": 1.0, "pass": True},
+    {"name": "misses", "residual": 2.0, "tolerance": 1.0, "pass": False},
+]
+
+
+@pytest.fixture
+def failing_suite(monkeypatch) -> str:
+    """Name of a suite, registered for the test, whose second check fails."""
+    monkeypatch.setitem(SUITES, "failing", lambda: FAILING_CHECKS)
+    return "failing"
 
 
 def all_specs() -> list[AlgebraSpec]:

@@ -256,12 +256,20 @@ def test_potential_side_commands_need_full_stencils(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("output_times", [[0.0, 0.001], []])
+@pytest.mark.parametrize("command", ["simulate", "gauge-compare", "reduce"])
+def test_output_times_must_end_at_the_end_of_the_run(tmp_path, capsys, command, output_times):
+    # a run that stopped at its last output time would report itself completed short of T
+    cfg = _write_config(tmp_path / "c.json", output_times=output_times)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "output_times: must end at start + T = 0.002" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_verify_runs_and_writes_report(tmp_path, capsys):
-    cfg = tmp_path / "v.json"
-    cfg.write_text(json.dumps({"suite_options": {"fields_per_size": 2, "points": 64}}))
     out = tmp_path / "report"
-    rc = main(["verify", "--suite", "integrable-limit", "--config", str(cfg),
-               "--out", str(out)])
+    rc = main(["verify", "--suite", "integrable-limit", "--out", str(out)])
     assert rc == 0
     report = json.loads(_read(out / "report.json"))
     assert report["suite"] == "integrable-limit"
@@ -269,20 +277,17 @@ def test_verify_runs_and_writes_report(tmp_path, capsys):
     assert '"pass": true' in capsys.readouterr().out
 
 
-def test_verify_failure_exit_code(tmp_path):
-    cfg = tmp_path / "v.json"
-    cfg.write_text(json.dumps(
-        {"suite_options": {"fields_per_size": 1, "points": 64, "tol": 1e-30}}
-    ))
-    rc = main(["verify", "--suite", "integrable-limit", "--config", str(cfg)])
-    assert rc == 1
+def test_verify_failure_exit_code(tmp_path, failing_suite):
+    out = tmp_path / "report"
+    assert main(["verify", "--suite", failing_suite, "--out", str(out)]) == 1
+    assert json.loads(_read(out / "report.json"))["pass"] is False
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_verify_accepts_every_suite(name, monkeypatch, capsys):
     ran = []
 
-    def fake_run_suite(suite, **options):
+    def fake_run_suite(suite):
         ran.append(suite)
         return {"suite": suite, "checks": [], "pass": True}
 
@@ -298,12 +303,14 @@ def test_verify_rejects_unknown_suite():
     assert err.value.code == 2
 
 
-def test_verify_rejects_bad_suite_options(tmp_path, capsys):
-    cfg = tmp_path / "v.json"
-    cfg.write_text(json.dumps({"suite_options": {"bogus_option": 1}}))
-    rc = main(["verify", "--suite", "integrable-limit", "--config", str(cfg)])
-    assert rc == 2
-    assert "suite_options" in capsys.readouterr().err
+@pytest.mark.parametrize("flag, value", [("--config", "c.json"), ("--override", "T=1"),
+                                         ("--seed", "1")])
+def test_verify_rejects_run_options(capsys, flag, value):
+    # a suite runs as it stands: no config, override or seed reaches it
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "integrable-limit", flag, value])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_gauge_compare_writes_gap_table(tmp_path):

@@ -1,17 +1,13 @@
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from grassflow.reductions import Geometry
-from grassflow.suites import (
-    SUITES,
-    measure_gradients,
-    measure_identities,
-    measure_integrable_limit,
-    random_spin_field,
-    run_suite,
-)
+from grassflow.suites import SUITES, random_spin_field, run_suite
+import conftest
 
 
 def test_registry_names():
@@ -27,13 +23,19 @@ def test_registry_names():
     ]
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suites_take_no_arguments(name):
+    # a suite is a fixed contract: nothing can shrink its scale or tolerances
+    assert inspect.signature(SUITES[name]) == inspect.Signature()
+
+
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("bogus")
 
 
 def test_check_rows_carry_verdicts():
-    out = run_suite("integrable-limit", fields_per_size=2, points=64)
+    out = run_suite("integrable-limit")
     assert out["suite"] == "integrable-limit"
     assert out["pass"] is True
     for check in out["checks"]:
@@ -41,23 +43,9 @@ def test_check_rows_carry_verdicts():
         assert check["residual"] <= check["tolerance"]
 
 
-def test_identity_suite_smoke():
-    checks = measure_identities(states_per_family=3, base_points=64, tol=1e-4,
-                                check_refinement=False)
-    assert all(c["pass"] for c in checks), checks
-
-
-def test_gradient_suite_smoke():
-    checks = measure_gradients(states_per_family=2)
-    names = [c["name"] for c in checks]
-    assert any("quartic_identity" in n for n in names)
-    assert all(c["pass"] for c in checks), checks
-
-
-def test_failure_is_reported_not_raised():
-    out = run_suite("integrable-limit", fields_per_size=1, points=64, tol=1e-30)
-    assert out["pass"] is False
-    assert any(not c["pass"] for c in out["checks"])
+def test_failure_is_reported_not_raised(failing_suite):
+    out = run_suite(failing_suite)
+    assert out == {"suite": failing_suite, "checks": conftest.FAILING_CHECKS, "pass": False}
 
 
 def test_random_spin_field_lands_on_quadrics():
