@@ -26,7 +26,6 @@ from .algebra import (
 from .fields import (
     Grid,
     MatrixField,
-    cumulative_integral,
     cumulative_trapezoid,
     periodic_diff,
 )
@@ -41,13 +40,11 @@ from .flows import (
     step,
     sym_pohlmeyer_curve,
     third_order_generator,
-    third_order_generator_via_inverse,
 )
 from .functionals import (
     FUNCTIONAL_NAMES,
     EnergyReport,
     FlowParams,
-    energy,
     energy_report,
     fd_gradient_check,
     functional_gradient,
@@ -55,7 +52,6 @@ from .functionals import (
     tension,
 )
 from .gauge import (
-    ConnectionSample,
     GaugeError,
     PotentialState,
     PotentialTrajectory,
@@ -94,7 +90,6 @@ from .orbit import (
     orbit_from_frame,
     reference_spectrum,
     spectrum_deviation,
-    tangency_defect,
     verify_identities,
 )
 from .reductions import (

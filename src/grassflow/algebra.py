@@ -125,12 +125,11 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.max(np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))))
 
 
-def membership_residual(spec: AlgebraSpec, a: np.ndarray, tol: float | None = None) -> float:
+def membership_residual(spec: AlgebraSpec, a: np.ndarray) -> float:
     """Frobenius distance from the family's defining linear condition.
 
     compact ||a* + a||, noncompact ||a* J + J a||, split ||Im a||; the
-    largest value over the batch is returned.  When tol is given the
-    residual is checked against it and a ValueError raised on failure.
+    largest value over the batch is returned.
     """
     a = np.asarray(a, dtype=np.complex128)
     ah = np.conj(np.swapaxes(a, -1, -2))
@@ -141,10 +140,7 @@ def membership_residual(spec: AlgebraSpec, a: np.ndarray, tol: float | None = No
         d = ah @ j + j @ a
     else:
         d = np.imag(a)
-    res = frobenius(d)
-    if tol is not None and res > tol:
-        raise ValueError(f"membership residual {res:.3e} exceeds {tol:.3e}")
-    return res
+    return frobenius(d)
 
 
 def decompose(spec: AlgebraSpec, a: np.ndarray) -> LieDecomposition:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -196,7 +197,9 @@ def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
         except (TypeError, ValueError):
             errors.append("output_times: must be a list of numbers")
             output_times = None
-        if output_times is not None and any(
+        if output_times is not None and not all(math.isfinite(t) for t in output_times):
+            errors.append("output_times: must be finite")
+        elif output_times is not None and any(
             b <= a for a, b in zip(output_times, output_times[1:])
         ):
             errors.append("output_times: must be strictly increasing")
@@ -211,16 +214,6 @@ def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
     if errors:
         raise ConfigError(errors)
     return RunConfig(spec, grid, params, kind, dict(initial), T, dt_raw, output_times, seed, cfg)
-
-
-_SEEDED_GENERATORS = ("random_smooth", "random_frame")
-
-
-def _seeded_options(rc: RunConfig) -> dict:
-    options = dict(rc.initial_data)
-    if options.get("generator") in _SEEDED_GENERATORS and "seed" not in options:
-        options["seed"] = rc.seed
-    return options
 
 
 def build_state(rc: RunConfig) -> OrbitState:
@@ -240,7 +233,7 @@ def build_state(rc: RunConfig) -> OrbitState:
             raise ConfigError(["initial_data.snapshot: grid does not match the config"])
         return state
     try:
-        return make_initial_state(rc.spec, rc.grid, _seeded_options(rc))
+        return make_initial_state(rc.spec, rc.grid, rc.initial_data, rc.seed)
     except ValueError as exc:
         raise ConfigError([f"initial_data: {exc}"]) from None
 
@@ -441,7 +434,7 @@ def _check_commutator_command(rc: RunConfig, command: str) -> None:
 def cmd_gauge_compare(rc: RunConfig, out_dir: str) -> int:
     _check_commutator_command(rc, "gauge-compare")
     try:
-        ps0 = make_initial_potential(rc.spec, rc.grid, _seeded_options(rc))
+        ps0 = make_initial_potential(rc.spec, rc.grid, rc.initial_data, rc.seed)
     except ValueError as exc:
         raise ConfigError([f"initial_data: {exc}"]) from None
     dt = resolve_dt(rc)
@@ -488,6 +481,8 @@ def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
         lambdas = [float(v) for v in lambdas]
     except (TypeError, ValueError):
         raise ConfigError(["lambdas: must be a list of numbers"]) from None
+    if not all(math.isfinite(v) for v in lambdas):
+        raise ConfigError(["lambdas: must be finite"])
     state = build_state(rc)
     dt = resolve_dt(rc)
     t0 = state.time

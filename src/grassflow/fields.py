@@ -143,8 +143,3 @@ def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     if v.shape[0] > 1:
         out[1:] = np.cumsum(0.5 * h * (v[:-1] + v[1:]), axis=0)
     return out
-
-
-def cumulative_integral(f: MatrixField) -> MatrixField:
-    """Running integral from the first node, trapezoid rule, no wraparound."""
-    return MatrixField(f.grid, cumulative_trapezoid(f.values, f.grid.h))

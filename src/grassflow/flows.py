@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, _exp_pair, _matmul, _orbit_square, bracket, membership_residual
-from .fields import _STENCILS, MatrixField, _wrap_pad, cumulative_integral, periodic_diff
+from .fields import _STENCILS, MatrixField, _wrap_pad, cumulative_trapezoid, periodic_diff
 from .functionals import EnergyReport, FlowParams, energy_report
 from .orbit import OrbitState, spectrum_deviation
 
@@ -170,25 +170,6 @@ def third_order_generator(os: OrbitState, p: FlowParams) -> MatrixField:
     with the cubic term reduced to a polynomial in phi_x."""
     gen = _generator(os.spec, os.phi.grid.h, p)
     return MatrixField(os.phi.grid, gen(os.phi.values))
-
-
-def third_order_generator_via_inverse(os: OrbitState, p: FlowParams) -> MatrixField:
-    """Same generator assembled without the on-orbit power reduction, using
-    explicit matrix inverses.  Slower; kept as a cross-check."""
-    h = os.phi.grid.h
-    phi = os.phi.values
-    w = np.zeros_like(phi)
-    if p.alpha != 0.0:
-        w -= p.alpha * periodic_diff(phi, 2, h)
-    if p.beta != 0.0:
-        w += p.beta * periodic_diff(phi, 4, h)
-    coeff = 4.0 * p.gamma - 2.0 * p.beta
-    if coeff != 0.0:
-        phix = periodic_diff(phi, 1, h)
-        phiinv = np.linalg.inv(phi)
-        chain = phix @ phiinv @ phix @ phiinv @ phix
-        w += coeff * periodic_diff(chain, 1, h)
-    return MatrixField(os.phi.grid, w)
 
 
 def _conjugate(g: np.ndarray, ginv: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -367,7 +348,8 @@ def evolve(
 def sym_pohlmeyer_curve(os: OrbitState) -> MatrixField:
     """Curve whose derivative is the orbit field: the running integral of
     phi anchored at the first node."""
-    return cumulative_integral(os.phi)
+    grid = os.phi.grid
+    return MatrixField(grid, cumulative_trapezoid(os.phi.values, grid.h))
 
 
 def curve_flow_rhs(os: OrbitState, p: FlowParams) -> MatrixField:

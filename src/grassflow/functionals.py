@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Family, _exp_pair, _orbit_square, bracket, inner, trace_product
+from .algebra import Family, _exp_pair, _orbit_square, bracket, inner, trace_product
 from .fields import MatrixField, periodic_diff
 from .orbit import OrbitState
 
@@ -26,13 +26,6 @@ class FlowParams:
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, float(v))
 
-    def to_json_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FlowParams":
-        return cls(float(d["alpha"]), float(d["beta"]), float(d["gamma"]))
-
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -46,30 +39,12 @@ class EnergyReport:
     Etilde: float
     H: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "E": self.E,
-            "E21": self.E21,
-            "E22": self.E22,
-            "E23": self.E23,
-            "E2": self.E2,
-            "Etilde": self.Etilde,
-            "H": self.H,
-        }
-
 
 FUNCTIONAL_NAMES = ("E", "E21", "E22", "E23", "Etilde")
 
 
 def _total(h: float, dens: np.ndarray) -> float:
     return float(h * np.sum(dens))
-
-
-def energy(os: OrbitState) -> float:
-    """Half the integrated pairing of the first derivative with itself."""
-    h = os.phi.grid.h
-    phix = periodic_diff(os.phi.values, 1, h)
-    return 0.5 * _total(h, inner(os.spec, phix, phix))
 
 
 def energy_report(os: OrbitState, p: FlowParams) -> EnergyReport:
@@ -141,15 +116,13 @@ def functional_value(os: OrbitState, name: str) -> float:
     return getattr(rep, name)
 
 
-def fd_gradient_check(
-    os: OrbitState,
-    name: str,
-    xi: MatrixField,
-    eps: float = 1e-5,
-) -> tuple[float, float]:
+_FD_EPS = 1e-5
+
+
+def fd_gradient_check(os: OrbitState, name: str, xi: MatrixField) -> tuple[float, float]:
     """Directional derivative two ways: the declared gradient paired with
     the conjugation direction [phi, xi], and a centered finite difference
-    of the functional along the conjugated family.
+    of step _FD_EPS of the functional along the conjugated family.
 
     Returns (analytic, numeric).
     """
@@ -161,10 +134,10 @@ def fd_gradient_check(
     grad = functional_gradient(os, name).values
     delta = bracket(phi, xiv)
     analytic = float(h * np.sum(inner(spec, grad, delta)))
-    g, ginv = _exp_pair(eps * xiv)
+    g, ginv = _exp_pair(_FD_EPS * xiv)
     phi_plus = ginv @ phi @ g
     phi_minus = g @ phi @ ginv
     f_plus = functional_value(OrbitState(spec, MatrixField(grid, phi_plus)), name)
     f_minus = functional_value(OrbitState(spec, MatrixField(grid, phi_minus)), name)
-    numeric = (f_plus - f_minus) / (2.0 * eps)
+    numeric = (f_plus - f_minus) / (2.0 * _FD_EPS)
     return analytic, numeric

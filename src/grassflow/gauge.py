@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Family, _orbit_square, bracket, decompose, frobenius
-from .fields import (
-    Grid,
-    MatrixField,
-    complex_from_pairs,
-    complex_pairs,
-    cumulative_trapezoid,
-    periodic_diff,
-)
+from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
 from .flows import FlowKind, _flow_params, _march, _output_times, evolve
 from .functionals import FlowParams
 from .orbit import (
@@ -38,15 +31,6 @@ from .orbit import (
 
 class GaugeError(RuntimeError):
     """Frame is not in the gauge required for block extraction."""
-
-
-@dataclass(frozen=True)
-class ConnectionSample:
-    """Connection pair evaluated at one value of the spectral parameter."""
-
-    lam: float
-    a_x: MatrixField
-    a_t: MatrixField
 
 
 @dataclass(frozen=True)
@@ -96,24 +80,6 @@ class PotentialState:
         p[:, k:, :k] = self.r
         return MatrixField(self.grid, p)
 
-    def to_json_dict(self) -> dict:
-        """Algebra, grid, time and the complex_pairs views of q and r."""
-        return {
-            "algebra": self.spec.to_json_dict(),
-            "grid": self.grid.to_json_dict(),
-            "time": float(self.time),
-            "q": complex_pairs(self.q),
-            "r": complex_pairs(self.r),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PotentialState":
-        spec = AlgebraSpec.from_json_dict(d["algebra"])
-        grid = Grid.from_json_dict(d["grid"])
-        q = complex_from_pairs(d["q"])
-        r = complex_from_pairs(d["r"])
-        return cls(spec, grid, q, r, float(d.get("time", 0.0)))
-
 
 def slaved_r(spec: AlgebraSpec, q: np.ndarray) -> np.ndarray:
     """The r block forced by membership for the complex families."""
@@ -131,12 +97,13 @@ _GAUGE_TOL = 1e-8
 
 def gauge_transform(fs: FramedState) -> PotentialState:
     """Extract the block pair from a gauge-fixed framed state.  Raises if
-    the stored potential has a block-diagonal part above _GAUGE_TOL."""
+    the stored potential has a block-diagonal part above _GAUGE_TOL, or one
+    that is not finite."""
     spec = fs.spec
     pv = fs.potential.values
     k_part, m_part = decompose(spec, pv)
     defect = frobenius(k_part)
-    if defect > _GAUGE_TOL:
+    if not defect <= _GAUGE_TOL:
         raise GaugeError(
             f"frame is not gauge fixed: block-diagonal residual {defect:.3e} > {_GAUGE_TOL:.1e}"
         )
@@ -152,12 +119,12 @@ def state_from_potential(ps: PotentialState) -> OrbitState:
     """Integrate the frame across the grid and conjugate the base point.
 
     The resulting samples only represent a periodic field when the frame
-    closes up over one period, so a closure defect above _CLOSURE_TOL is
-    rejected.
+    closes up over one period, so a closure defect above _CLOSURE_TOL, or
+    one that is not finite, is rejected.
     """
     fs = frame_from_potential(ps.spec, ps.assemble(), time=ps.time)
     defect = frame_closure_defect(ps.spec, fs)
-    if defect > _CLOSURE_TOL:
+    if not defect <= _CLOSURE_TOL:
         raise ValueError(
             f"potential carries holonomy: frame closure defect {defect:.3e} "
             f"exceeds {_CLOSURE_TOL:.1e}"
@@ -165,14 +132,14 @@ def state_from_potential(ps: PotentialState) -> OrbitState:
     return orbit_from_frame(fs)
 
 
-def connection(os: OrbitState, p: FlowParams, lam: float) -> ConnectionSample:
-    """Connection pair at one spectral value along the third-level flow.
+def connection(os: OrbitState, p: FlowParams, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Connection pair (A_x, A_t) at one spectral value along the
+    third-level flow, as value arrays on the grid.
 
     One formula serves every family; the sign sgn = -4 c^2 (+1 for the
     complex families, -1 for the split family) carries the orbit square
     phi^2 = c^2 I."""
-    grid = os.phi.grid
-    h = grid.h
+    h = os.phi.grid.h
     phi = os.phi.values
     phix = periodic_diff(phi, 1, h)
     phixx = periodic_diff(phi, 2, h)
@@ -189,7 +156,7 @@ def connection(os: OrbitState, p: FlowParams, lam: float) -> ConnectionSample:
         + (lam ** 2) * (-sgn * p.alpha * phi + p.beta * (sgn * phixx - 6.0 * phix2 @ phi))
         + lam * (bracket(phi, inner_w) - p.beta * bracket(phix, phixx))
     )
-    return ConnectionSample(lam, MatrixField(grid, a_x), MatrixField(grid, a_t))
+    return a_x, a_t
 
 
 def curvature_target(os: OrbitState, p: FlowParams, lam: float) -> MatrixField:
@@ -220,9 +187,7 @@ def curvature_residual(traj, p: FlowParams, lam: float) -> list[tuple[float, flo
         phi_dot = (
             dm ** 2 * phi_next + (dp ** 2 - dm ** 2) * states[i].phi.values - dp ** 2 * phi_prev
         ) / (dp * dm * (dp + dm))
-        sample = connection(states[i], p, lam)
-        ax = sample.a_x.values
-        at = sample.a_t.values
+        ax, at = connection(states[i], p, lam)
         h = states[i].phi.grid.h
         f = periodic_diff(at, 1, h) - lam * phi_dot + bracket(ax, at)
         k = curvature_target(states[i], p, lam).values

@@ -8,6 +8,8 @@ a fixed fine reference grid for the same reason.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .algebra import AlgebraSpec, Family, exp_map, signature_matrix
@@ -244,54 +246,68 @@ def latitude_circle_state(grid: Grid, mode: int = 8, height: float = 0.65) -> Or
     return s_to_phi(SpinField(Geometry.SPHERE, grid, s))
 
 
-_POTENTIAL_GENERATORS = {
+def _latitude_circle(spec: AlgebraSpec, grid: Grid, **options) -> OrbitState:
+    if spec.family is not Family.COMPACT_UNITARY or (spec.n, spec.k) != (2, 1):
+        raise ValueError("latitude_circle needs the compact rank-one algebra on n = 2")
+    return latitude_circle_state(grid, **options)
+
+
+# name -> builder(spec, grid, **options), of a PotentialState or an OrbitState
+_GENERATORS = {
     "random_smooth": random_smooth_potential,
     "gaussian_bump": gaussian_bump_potential,
     "two_bump": two_bump_potential,
     "plane_wave": plane_wave_potential,
+    "random_frame": random_orbit_state,
+    "latitude_circle": _latitude_circle,
 }
+_POTENTIAL_GENERATORS = ("gaussian_bump", "plane_wave", "random_smooth", "two_bump")
+
+GENERATOR_NAMES = tuple(sorted(_GENERATORS))
 
 
-def make_initial_potential(spec: AlgebraSpec, grid: Grid, config: dict) -> PotentialState:
-    """Build a starting potential; the generator must be one of the
-    potential-valued kinds."""
+def _generate(spec: AlgebraSpec, grid: Grid, config: dict, seed: int | None):
+    """Run the builder that config names with the rest of config as keyword
+    options.  A builder that draws from a seed gets seed unless config
+    gives one.  Bad or non-finite options raise ValueError."""
     options = dict(config)
     name = options.pop("generator", None)
-    if name not in _POTENTIAL_GENERATORS:
-        raise ValueError(
-            f"generator {name!r} does not produce a potential; "
-            f"choose one of {sorted(_POTENTIAL_GENERATORS)}"
-        )
+    builder = _GENERATORS[name]
+    for key, value in options.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"bad options for generator '{name}': {key} must be finite")
+    if seed is not None and "seed" in inspect.signature(builder).parameters:
+        options.setdefault("seed", seed)
     try:
-        return _POTENTIAL_GENERATORS[name](spec, grid, **options)
+        return builder(spec, grid, **options)
     except TypeError as exc:
         raise ValueError(f"bad options for generator '{name}': {exc}") from None
 
 
-def make_initial_state(spec: AlgebraSpec, grid: Grid, config: dict) -> OrbitState:
-    """Build a starting state from a generator name plus keyword options."""
-    options = dict(config)
-    name = options.pop("generator", None)
+def make_initial_potential(
+    spec: AlgebraSpec, grid: Grid, config: dict, seed: int | None = None
+) -> PotentialState:
+    """Build a starting potential; the generator must be one of the
+    potential-valued kinds.  A seeded generator draws from seed unless
+    config gives its own."""
+    name = config.get("generator")
+    if name not in _POTENTIAL_GENERATORS:
+        raise ValueError(
+            f"generator {name!r} does not produce a potential; "
+            f"choose one of {list(_POTENTIAL_GENERATORS)}"
+        )
+    return _generate(spec, grid, config, seed)
+
+
+def make_initial_state(
+    spec: AlgebraSpec, grid: Grid, config: dict, seed: int | None = None
+) -> OrbitState:
+    """Build a starting state from a generator name plus keyword options.
+    A seeded generator draws from seed unless config gives its own."""
+    name = config.get("generator")
+    if name not in _GENERATORS:
+        raise ValueError(f"unknown generator {name!r}; choose one of {list(GENERATOR_NAMES)}")
+    state = _generate(spec, grid, config, seed)
     if name in _POTENTIAL_GENERATORS:
-        builder = _POTENTIAL_GENERATORS[name]
-        try:
-            return state_from_potential(builder(spec, grid, **options))
-        except TypeError as exc:
-            raise ValueError(f"bad options for generator '{name}': {exc}") from None
-    if name == "random_frame":
-        try:
-            return random_orbit_state(spec, grid, **options)
-        except TypeError as exc:
-            raise ValueError(f"bad options for generator '{name}': {exc}") from None
-    if name == "latitude_circle":
-        if spec.family is not Family.COMPACT_UNITARY or (spec.n, spec.k) != (2, 1):
-            raise ValueError("latitude_circle needs the compact rank-one algebra on n = 2")
-        try:
-            return latitude_circle_state(grid, **options)
-        except TypeError as exc:
-            raise ValueError(f"bad options for generator '{name}': {exc}") from None
-    known = sorted([*_POTENTIAL_GENERATORS, "random_frame", "latitude_circle"])
-    raise ValueError(f"unknown generator {name!r}; choose one of {known}")
-
-
-GENERATOR_NAMES = tuple(sorted([*_POTENTIAL_GENERATORS, "random_frame", "latitude_circle"]))
+        return state_from_potential(state)
+    return state

@@ -24,7 +24,7 @@ from .algebra import (
     frobenius,
     sigma3,
 )
-from .fields import Grid, MatrixField, periodic_diff
+from .fields import MatrixField, periodic_diff
 
 
 class SpectralError(RuntimeError):
@@ -79,23 +79,6 @@ class FramedState:
             raise ValueError("frame and potential size must match the algebra")
         if self.frame.grid.num_points != self.potential.grid.num_points:
             raise ValueError("frame and potential must share the grid")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algebra": self.spec.to_json_dict(),
-            "time": float(self.time),
-            "frame": self.frame.to_json_dict(),
-            "potential": self.potential.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FramedState":
-        return cls(
-            AlgebraSpec.from_json_dict(d["algebra"]),
-            MatrixField.from_json_dict(d["frame"]),
-            MatrixField.from_json_dict(d["potential"]),
-            float(d.get("time", 0.0)),
-        )
 
 
 def conjugate_base(spec: AlgebraSpec, frame_values: np.ndarray) -> np.ndarray:
@@ -248,11 +231,3 @@ def spectrum_deviation(os: OrbitState) -> float:
     base-point multiset."""
     w = _sorted_eigenvalues(os.spec, os.phi.values)
     return float(np.max(np.abs(w - reference_spectrum(os.spec))))
-
-
-def tangency_defect(fs: FramedState, field_values: np.ndarray) -> float:
-    """How far a field at phi is from the orbit's tangent distribution:
-    conjugate by the frame, F X F^-1, and measure the block-diagonal part."""
-    ev = fs.frame.values
-    k_part, _ = decompose(fs.spec, ev @ field_values @ np.linalg.inv(ev))
-    return frobenius(k_part)

@@ -50,7 +50,8 @@ def spec_geometry(spec: AlgebraSpec) -> Geometry:
 def quadric_value(geometry: Geometry, s: np.ndarray) -> np.ndarray:
     """The quadratic form whose level set the vector lives on: |s|^2 = 1
     (sphere), s1^2 + s2^2 - s3^2 = -1 with s3 > 0 (hyperbolic), = +1
-    (one-sheet)."""
+    (one-sheet).  Of a tangent vector it is the squared length in the
+    geometry's signature."""
     g = Geometry(geometry)
     if g is Geometry.SPHERE:
         return np.sum(s * s, axis=-1)
@@ -154,13 +155,6 @@ def geometry_cross(geometry: Geometry, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return c * flip
 
 
-def derivative_norm_sq(geometry: Geometry, v: np.ndarray) -> np.ndarray:
-    """Squared length of a tangent vector in the geometry's signature."""
-    if Geometry(geometry) is Geometry.SPHERE:
-        return np.sum(v * v, axis=-1)
-    return v[..., 0] ** 2 + v[..., 1] ** 2 - v[..., 2] ** 2
-
-
 def spin_rhs(sf: SpinField, p: FlowParams) -> np.ndarray:
     """Vector form of the third-level flow for all three geometries."""
     g = sf.geometry
@@ -172,7 +166,7 @@ def spin_rhs(sf: SpinField, p: FlowParams) -> np.ndarray:
     coeff = 4.0 * p.gamma - 2.0 * p.beta
     if coeff != 0.0:
         sx = periodic_diff(s, 1, h)
-        nsq = derivative_norm_sq(g, sx)
+        nsq = quadric_value(g, sx)
         sgn = 1.0 if g is Geometry.HYPERBOLIC else -1.0
         core = core + (sgn * coeff) * periodic_diff(nsq[:, None] * sx, 1, h)
     return geometry_cross(g, s, core)

@@ -85,8 +85,6 @@ def test_membership_residual_frozen_values(u2):
     assert membership_residual(u2, 1j * np.eye(2)) == pytest.approx(0.0, abs=1e-15)
     # I fails skewness by exactly 2 I, so the distance is 2 sqrt(2)
     assert membership_residual(u2, np.eye(2)) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        membership_residual(u2, np.eye(2), tol=1e-8)
 
 
 def test_membership_residual_split_family(para2):

@@ -75,6 +75,26 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "missing field 'algebra.family'" in err
 
 
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("simulate", "output_times=[0.0, NaN, 0.002]"),
+        ("curvature-residual", "lambdas=[NaN, 1.0]"),
+        ("curvature-residual", "lambdas=[0.5, Infinity]"),
+        ("simulate", "initial_data.amplitude=NaN"),
+        ("gauge-compare", "initial_data.amplitude=NaN"),
+    ],
+    ids=["output_times", "lambdas_nan", "lambdas_inf", "simulate_option", "gauge_option"],
+)
+def test_non_finite_config_values_exit_two(tmp_path, capsys, command, override):
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(cfg), "--out", str(out), "--override", override])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out / "manifest.json")
+
+
 def test_auto_dt_without_stability_bound_exits_two(tmp_path, capsys):
     # with alpha = beta = 0 the cubic term alone has no explicit step bound
     cfg = _write_config(tmp_path / "c.json", flow="third_order",

@@ -6,7 +6,6 @@ import pytest
 from grassflow.fields import (
     Grid,
     MatrixField,
-    cumulative_integral,
     cumulative_trapezoid,
     periodic_diff,
 )
@@ -131,10 +130,10 @@ def test_cumulative_integral_of_derivative_loses_two_orders():
     errs = []
     for npts in (64, 128):
         grid = Grid(npts, TWO_PI)
-        f = MatrixField(grid, np.sin(grid.x)[:, None, None].astype(complex))
-        back = cumulative_integral(MatrixField(grid, periodic_diff(f.values, 1, grid.h)))
+        f = np.sin(grid.x)[:, None, None].astype(complex)
+        back = cumulative_trapezoid(periodic_diff(f, 1, grid.h), grid.h)
         target = np.sin(grid.x) - np.sin(grid.x)[0]
-        errs.append(np.max(np.abs(back.values[:, 0, 0] - target)))
+        errs.append(np.max(np.abs(back[:, 0, 0] - target)))
     rate = np.log2(errs[0] / errs[1])
     assert 1.6 < rate < 2.4
 

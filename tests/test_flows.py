@@ -24,7 +24,6 @@ from grassflow.flows import (
     step,
     sym_pohlmeyer_curve,
     third_order_generator,
-    third_order_generator_via_inverse,
 )
 from grassflow.functionals import FlowParams
 from grassflow.gauge import PotentialState, matrix_kdv_rhs
@@ -52,6 +51,25 @@ def test_dispersive_generator_reduces_to_leading_term():
         full = step(os, lead_params, FlowKind.THIRD_ORDER, dt)
         np.testing.assert_array_equal(lead.phi.values, full.phi.values)
         np.testing.assert_array_equal(lead.frame.values, full.frame.values)
+
+
+def third_order_generator_via_inverse(os, p: FlowParams) -> MatrixField:
+    """Same generator assembled without the on-orbit power reduction, using
+    explicit matrix inverses.  Slower; kept as a cross-check."""
+    h = os.phi.grid.h
+    phi = os.phi.values
+    w = np.zeros_like(phi)
+    if p.alpha != 0.0:
+        w -= p.alpha * periodic_diff(phi, 2, h)
+    if p.beta != 0.0:
+        w += p.beta * periodic_diff(phi, 4, h)
+    coeff = 4.0 * p.gamma - 2.0 * p.beta
+    if coeff != 0.0:
+        phix = periodic_diff(phi, 1, h)
+        phiinv = np.linalg.inv(phi)
+        chain = phix @ phiinv @ phix @ phiinv @ phix
+        w += coeff * periodic_diff(chain, 1, h)
+    return MatrixField(os.phi.grid, w)
 
 
 def test_generator_power_reduction_matches_inverse_route():

@@ -9,7 +9,6 @@ from grassflow.functionals import (
     FUNCTIONAL_NAMES,
     FlowParams,
     EnergyReport,
-    energy,
     energy_report,
     fd_gradient_check,
     functional_gradient,
@@ -35,13 +34,12 @@ def test_flow_params_validation():
         FlowParams(np.nan, 0.0, 0.0)
     p = FlowParams(1, 0, 0.5)
     assert isinstance(p.alpha, float)
-    assert FlowParams.from_json_dict(p.to_json_dict()) == p
 
 
 def test_constant_state_has_zero_energies(grid64):
     for spec in all_specs():
         os = _constant_state(spec, grid64)
-        assert energy(os) == pytest.approx(0.0, abs=1e-14)
+        assert functional_value(os, "E") == pytest.approx(0.0, abs=1e-14)
         for name in FUNCTIONAL_NAMES:
             assert functional_value(os, name) == pytest.approx(0.0, abs=1e-13)
 
@@ -54,8 +52,8 @@ def test_helix_energy_matches_closed_form(grid128):
     rho_sq = 1.0 - height * height
     h = grid128.h
     symbol = (8.0 * np.sin(mode * h) - np.sin(2.0 * mode * h)) / (6.0 * h)
-    assert energy(os) == pytest.approx(0.25 * rho_sq * symbol**2 * TWO_PI, rel=1e-12)
-    assert energy(os) == pytest.approx(0.25 * rho_sq * mode**2 * TWO_PI, rel=1e-3)
+    assert functional_value(os, "E") == pytest.approx(0.25 * rho_sq * symbol**2 * TWO_PI, rel=1e-12)
+    assert functional_value(os, "E") == pytest.approx(0.25 * rho_sq * mode**2 * TWO_PI, rel=1e-3)
 
 
 def test_report_combines_functionals(u2, grid64):
@@ -68,7 +66,6 @@ def test_report_combines_functionals(u2, grid64):
     assert rep.H == pytest.approx(
         p.alpha * rep.E + p.beta * rep.E2 + p.gamma * rep.Etilde, rel=1e-12
     )
-    assert set(rep.to_json_dict()) == {"E", "E21", "E22", "E23", "E2", "Etilde", "H"}
 
 
 def test_quartic_functional_is_twice_its_partner_on_orbit(grid64):

@@ -167,6 +167,23 @@ def test_make_initial_state_errors(u2, para2):
         make_initial_state(para2, grid, {"generator": "latitude_circle"})
     with pytest.raises(ValueError, match="bad options"):
         make_initial_state(u2, grid, {"generator": "random_smooth", "bogus": 1})
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        make_initial_state(u2, grid, {"generator": "plane_wave", "amplitude": np.inf})
+
+
+def test_seed_reaches_the_seeded_generators_unless_config_gives_one(u2):
+    grid = Grid(32, TWO_PI)
+    for name in ("random_smooth", "random_frame"):
+        drawn = make_initial_state(u2, grid, {"generator": name}, seed=7)
+        given = make_initial_state(u2, grid, {"generator": name, "seed": 7})
+        kept = make_initial_state(u2, grid, {"generator": name, "seed": 7}, seed=8)
+        np.testing.assert_array_equal(drawn.phi.values, given.phi.values)
+        np.testing.assert_array_equal(kept.phi.values, given.phi.values)
+    ps = make_initial_potential(u2, grid, {"generator": "random_smooth"}, seed=7)
+    np.testing.assert_array_equal(ps.q, random_smooth_potential(u2, grid, seed=7).q)
+    # an unseeded generator takes no seed option
+    bump = make_initial_potential(u2, grid, {"generator": "gaussian_bump"}, seed=7)
+    np.testing.assert_array_equal(bump.q, gaussian_bump_potential(u2, grid).q)
 
 
 def test_make_initial_potential_rejects_frame_generators(u2):
