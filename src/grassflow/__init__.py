@@ -28,10 +28,12 @@ from .fields import (
     MatrixField,
     cumulative_trapezoid,
     periodic_diff,
+    stencil_symbol,
 )
 from .flows import (
     FlowBlowupError,
     FlowKind,
+    NewtonError,
     StabilityError,
     Trajectory,
     curve_flow_rhs,

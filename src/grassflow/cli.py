@@ -27,6 +27,7 @@ from .flows import (
     STEP_SLACK,
     FlowBlowupError,
     FlowKind,
+    NewtonError,
     StabilityError,
     _flow_params,
     _output_times,
@@ -176,7 +177,9 @@ def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
     if T is not None:
         try:
             T = float(T)
-            if T < 0:
+            if not math.isfinite(T):
+                errors.append("T: must be finite")
+            elif T < 0:
                 errors.append("T: must be nonnegative")
         except (TypeError, ValueError):
             errors.append("T: must be a number")
@@ -185,7 +188,9 @@ def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
     if dt_raw is not None and dt_raw != "auto":
         try:
             dt_raw = float(dt_raw)
-            if dt_raw <= 0:
+            if not math.isfinite(dt_raw):
+                errors.append("dt: must be finite")
+            elif dt_raw <= 0:
                 errors.append("dt: must be positive or 'auto'")
         except (TypeError, ValueError):
             errors.append("dt: must be a number or 'auto'")
@@ -340,16 +345,20 @@ def _manifest(rc: RunConfig, resolved: dict) -> dict:
 def _abort(manifest, out_dir, exc) -> int:
     manifest["status"] = "aborted"
     manifest["abort"] = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, FlowBlowupError):
+    if isinstance(exc, _STEP_ERRORS):
         manifest["abort"]["step_index"] = exc.step_index
         manifest["abort"]["last_time"] = float(exc.last_state.time)
+    if isinstance(exc, NewtonError):
+        manifest["abort"]["residual"] = exc.residual
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"aborted: {exc}", file=sys.stderr)
     return 1
 
 
+# Errors of a failed step, which carry its index and the last good state.
+_STEP_ERRORS = (FlowBlowupError, NewtonError)
 # Errors that abort a run once its manifest is written.
-_RUN_ERRORS = (FlowBlowupError, StabilityError, SpectralError, GaugeError, ValueError)
+_RUN_ERRORS = (*_STEP_ERRORS, StabilityError, SpectralError, GaugeError, ValueError)
 
 
 def _run(rc: RunConfig, out_dir: str, resolved: dict, body) -> int:
@@ -384,7 +393,7 @@ def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
                 seg = evolve(
                     current, rc.params, rc.kind, target - current.time, dt, output_times=[target]
                 )
-            except FlowBlowupError as exc:
+            except _STEP_ERRORS as exc:
                 exc.step_index += taken
                 raise
             taken += step_count(current.time, target, dt)

@@ -128,6 +128,20 @@ def periodic_diff(values: np.ndarray, order: int, h: float) -> np.ndarray:
     return acc / (denom * h ** power)
 
 
+def stencil_symbol(order: int, num_points: int, h: float) -> np.ndarray:
+    """FFT symbol of the order-`order` stencil on num_points nodes of
+    spacing h: fft(periodic_diff(v, order, h), axis=0) equals
+    stencil_symbol(order, len(v), h) times fft(v, axis=0), mode by mode in
+    numpy's FFT order.  Real for the even orders up to roundoff, imaginary
+    for the odd ones."""
+    if order not in _STENCILS:
+        raise ValueError("derivative order must be 1, 2, 3 or 4")
+    offsets, weights, denom, power = _STENCILS[order]
+    theta = 2.0 * np.pi * np.arange(num_points) / num_points
+    total = sum(w * np.exp(1j * off * theta) for off, w in zip(offsets, weights))
+    return total / (denom * h ** power)
+
+
 def _wrap_pad(values: np.ndarray, pad: int) -> np.ndarray:
     """values with its last pad rows put in front and its first pad rows
     after, along axis 0."""

@@ -16,6 +16,16 @@ per (spec, h, params) and reused.
 The intermediate flow is a direct equation phi_t = F(phi); on the orbit
 ad_phi^2 = 4 c^2 on tangent vectors, so its tangent part is [phi, W] with
 W = [phi, F] / (4 c^2).
+
+The explicit step's bound dt <= 0.2 h^4 / (|beta| 80/3) makes the step count
+to a fixed T grow like N^4.  A step of the leading- or third-order flow on
+the complex families that is longer than that bound is an isospectral
+midpoint step instead, an implicit second-order scheme with no step bound:
+a Newton-Krylov solve for the midpoint, then a conjugation by a Cayley
+factor, which keeps the spectrum to roundoff whether or not the solve
+converged.  A solve that misses its tolerance raises NewtonError; the step
+never retries.  Elsewhere a step longer than the bound is refused
+(StabilityError) unless allow_unstable is set, which keeps the explicit step.
 """
 
 from __future__ import annotations
@@ -28,13 +38,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, _exp_pair, _matmul, _orbit_square, bracket, membership_residual
-from .fields import _STENCILS, MatrixField, _wrap_pad, cumulative_trapezoid, periodic_diff
+from .algebra import (
+    AlgebraSpec,
+    Family,
+    _exp_pair,
+    _matmul,
+    _orbit_square,
+    bracket,
+    membership_residual,
+)
+from .fields import (
+    _STENCILS,
+    MatrixField,
+    _wrap_pad,
+    cumulative_trapezoid,
+    periodic_diff,
+    stencil_symbol,
+)
 from .functionals import EnergyReport, FlowParams, energy_report
 from .orbit import OrbitState, spectrum_deviation
 
 # Peak spectral amplification of the difference stencils, used for the
-# step-size bounds.
+# step-size bounds: the peak of |stencil_symbol(order, N, h)| h^order.  The
+# fourth-order peak is exactly 80/3; the third-order peak is 4.609, and 4.7
+# is a stated margin over it.
 FOURTH_DERIV_GAIN = 80.0 / 3.0
 THIRD_DERIV_GAIN = 4.7
 
@@ -77,6 +104,28 @@ class FlowBlowupError(RuntimeError):
 
     def __str__(self):
         return f"non-finite field after step {self.step_index} (t={self.time:.6g})"
+
+
+class NewtonError(RuntimeError):
+    """The isospectral midpoint's Newton solve missed its tolerance within
+    NEWTON_ITERS iterations.  Carries the state the step started from, the
+    index of the step that failed, counted from 1 (a march adds the steps
+    before it, as for FlowBlowupError), the time that step would have
+    reached and the max-abs residual it was left with, which is finite: a
+    step whose residual is not raises FlowBlowupError."""
+
+    def __init__(self, last_state, step_index: int, time: float, residual: float):
+        super().__init__()
+        self.last_state = last_state
+        self.step_index = step_index
+        self.time = time
+        self.residual = residual
+
+    def __str__(self):
+        return (
+            f"Newton solve of step {self.step_index} (t={self.time:.6g}) left "
+            f"residual {self.residual:.3e} after {NEWTON_ITERS} iterations"
+        )
 
 
 def stability_bound(p: FlowParams, h: float, kind: FlowKind = FlowKind.THIRD_ORDER) -> float:
@@ -200,6 +249,140 @@ def _rkmk_step(gen, phi0: np.ndarray, frame0: np.ndarray | None, dt: float):
     return phi1, frame1
 
 
+# Newton on the isospectral midpoint stops once the max-abs residual is
+# NEWTON_TOL times phi's largest entry, and fails after NEWTON_ITERS
+# updates.  Each update is a GMRES solve to GMRES_TOL times the residual's
+# 2-norm, restarted every GMRES_RESTART products and capped at GMRES_ITERS.
+NEWTON_TOL = 1e-12
+NEWTON_ITERS = 8
+GMRES_TOL = 1e-3
+GMRES_RESTART = 20
+GMRES_ITERS = 60
+
+
+@functools.lru_cache(maxsize=16)
+def _linear_symbol(num_points: int, h: float, p: FlowParams) -> np.ndarray:
+    """FFT symbol of the linear part L = -alpha D2 + beta D4 of W, real and
+    read-only, since every caller shares it."""
+    d2, d4 = stencil_symbol(2, num_points, h), stencil_symbol(4, num_points, h)
+    symbol = (-p.alpha * d2 + p.beta * d4).real
+    symbol.setflags(write=False)
+    return symbol
+
+
+def _gmres(apply, precond, b: np.ndarray, tol: float) -> np.ndarray:
+    """x with ||apply(x) - b|| <= tol in the 2-norm over all entries, by
+    GMRES (Saad and Schultz 1986) right-preconditioned by precond: the
+    Krylov space is built for apply(precond(.)) and x is precond of its
+    least-squares solution, which Givens rotations keep triangular.
+    Restarts every GMRES_RESTART products of apply, and returns what it
+    has after GMRES_ITERS of them."""
+    x, r, products = np.zeros_like(b), b, 0
+    while True:
+        norm = float(np.linalg.norm(r))
+        if norm <= tol or products >= GMRES_ITERS:
+            return x
+        basis, dirs, cols, rotations, rhs = [r / norm], [], [], [], [norm]
+        while len(dirs) < GMRES_RESTART and products < GMRES_ITERS and abs(rhs[-1]) > tol:
+            dirs.append(precond(basis[-1]))
+            w = apply(dirs[-1])
+            products += 1
+            col = []
+            for v in basis:  # modified Gram-Schmidt
+                col.append(complex(np.vdot(v, w)))
+                w = w - col[-1] * v
+            below = float(np.linalg.norm(w))
+            # rotations (c, s) take (u, v) to (c u + s v, c v - conj(s) u)
+            for i, (c, s) in enumerate(rotations):
+                upper, lower = col[i], col[i + 1]
+                col[i], col[i + 1] = c * upper + s * lower, c * lower - s.conjugate() * upper
+            # the new one zeroes `below`, under the diagonal entry top
+            top, radius = col[-1], math.hypot(abs(col[-1]), below)
+            c, s = (abs(top) / radius, top / abs(top) * below / radius) if top else (0.0, 1.0 + 0j)
+            rotations.append((c, s))
+            col[-1] = c * top + s * below
+            rhs.append(-s.conjugate() * rhs[-1])
+            rhs[-2] *= c
+            cols.append(col)
+            if below == 0.0:
+                break
+            basis.append(w / below)
+        # back substitution in the triangle, whose column j is cols[j]
+        y = list(rhs[: len(cols)])
+        for j in range(len(cols) - 1, -1, -1):
+            y[j] /= cols[j][j]
+            for i in range(j):
+                y[i] -= cols[j][i] * y[j]
+        x = x + sum(coef * d for coef, d in zip(y, dirs))
+        if abs(rhs[-1]) <= tol or products >= GMRES_ITERS:
+            return x
+        r = b - apply(x)
+
+
+def _isomp_step(gen, symbol, c2: float, phi0: np.ndarray, frame0, dt: float, tol: float):
+    """One step of the isospectral midpoint (Modin and Viviani, FoCM 2020)
+    for phi_t = [phi, gen(phi)].  With a = dt / 2 and W = gen(X), Newton
+    solves (I + a W) X (I - a W) = phi0 for the midpoint X, each update by
+    GMRES on finite-difference Jacobian products (Knoll and Keyes, JCP
+    2004).  The step conjugates by the Cayley factor
+    C = (I + a W)^-1 (I - a W): phi1 = C phi0 C^-1, frame1 = frame0 C^-1,
+    so phi1 is isospectral to phi0 however far Newton got.
+
+    Returns (phi1, frame1, residual), the last being the max-abs residual
+    of the midpoint equation; phi1 and frame1 are None when it stays above
+    tol after NEWTON_ITERS updates, or is not finite.  Raises LinAlgError
+    when a Cayley factor is singular.  symbol is the FFT symbol of the linear
+    part L of gen, and c2 the orbit's c^2.
+    """
+    a = 0.5 * dt
+
+    def residual(x):
+        aw = a * gen(x)
+        left = x + _matmul(aw, x)
+        return left - _matmul(left, aw) - phi0, aw
+
+    # The Jacobian is about I - a ad_phi0 L.  On tangent vectors
+    # ad_phi0^2 = 4 c^2 = -1, so there its inverse is about
+    # (I + a ad_phi0 L)(I + a^2 L^2)^-1, the second factor diagonal in
+    # Fourier space; on normal vectors, which commute with phi0, it is about
+    # I.  The tangent part of v is ad_phi0^2 v / (4 c^2), which is
+    # (v - phi0 v phi0 / c^2) / 2 since phi0^2 = c^2 I.
+    damp = (1.0 / (1.0 + (a * symbol) ** 2))[:, None, None]
+    lsym = symbol[:, None, None]
+
+    def precond(v):
+        tangent = 0.5 * (v - _matmul(_matmul(phi0, v), phi0) / c2)
+        vh = np.fft.fft(tangent, axis=0) * damp
+        lv = np.fft.ifft(lsym * vh, axis=0)
+        return v - tangent + np.fft.ifft(vh, axis=0) + a * bracket(phi0, lv)
+
+    x = phi0
+    r, aw = residual(x)
+    err = float(np.max(np.abs(r)))
+    for _ in range(NEWTON_ITERS):
+        if err <= tol or not math.isfinite(err):
+            break
+        x0, r0 = x, r
+        # finite-difference steps of about sqrt(machine eps) relative to x0
+        reach = 1.5e-8 * (1.0 + np.linalg.norm(x0))
+
+        def jacobian(v, x0=x0, r0=r0, reach=reach):
+            eps = reach / np.linalg.norm(v)
+            return (residual(x0 + eps * v)[0] - r0) / eps
+
+        x = x0 + _gmres(jacobian, precond, -r0, GMRES_TOL * np.linalg.norm(r0))
+        r, aw = residual(x)
+        err = float(np.max(np.abs(r)))
+    if not err <= tol:
+        return None, None, err
+    eye = np.eye(phi0.shape[-1])
+    c = np.linalg.solve(eye + aw, eye - aw)
+    cinv = np.linalg.solve(eye - aw, eye + aw)
+    phi1 = _matmul(_matmul(c, phi0), cinv)
+    frame1 = None if frame0 is None else _matmul(frame0, cinv)
+    return phi1, frame1, err
+
+
 @functools.lru_cache(maxsize=16)
 def _second_order_generator(spec: AlgebraSpec, h: float):
     """The map phi -> W = [phi, F] / (4 c^2) of the intermediate flow
@@ -216,10 +399,23 @@ def _second_order_generator(spec: AlgebraSpec, h: float):
     return gen
 
 
-def _check_stability(p: FlowParams, h: float, kind: FlowKind, dt: float, allow_unstable: bool):
-    bound = stability_bound(p, h, kind)
+def _beyond_bound(p: FlowParams, h: float, kind: FlowKind, dt: float) -> bool:
     # the march may cut a last step a few ulps longer than dt
-    if dt > bound * (1.0 + STEP_SLACK):
+    return dt > stability_bound(p, h, kind) * (1.0 + STEP_SLACK)
+
+
+def _midpoint_covers(spec: AlgebraSpec, kind: FlowKind) -> bool:
+    """Whether a step beyond the explicit bound can be an isospectral
+    midpoint step: on the leading and third orders of the complex families.
+    The midpoint's preconditioner divides by 1 - 4 c^2 a^2 L^2, which is
+    singular on para_gl (4 c^2 = +1: the flow is ill-posed at grid scale),
+    and it knows the linear part only of those two orders."""
+    return kind is not FlowKind.SECOND_ORDER and spec.family is not Family.PARA_REAL
+
+
+def _check_stability(p: FlowParams, h: float, kind: FlowKind, dt: float, allow_unstable: bool):
+    if _beyond_bound(p, h, kind, dt):
+        bound = stability_bound(p, h, kind)
         warnings.warn(
             f"dt={dt:.3e} exceeds the stability bound {bound:.3e}", stacklevel=3
         )
@@ -237,16 +433,37 @@ def step(
     dt: float,
     allow_unstable: bool = False,
 ) -> OrbitState:
-    """Advance one time step; a frame rides along."""
+    """Advance one time step; a frame rides along.  A step within the
+    explicit bound, or any step with allow_unstable, is an RKMK4 step.  A
+    longer one is an isospectral midpoint step where _midpoint_covers says
+    so, and a StabilityError elsewhere.  A midpoint step raises NewtonError
+    when its solve fails and FlowBlowupError when it is not finite."""
     kind = FlowKind(kind)
     h = os.phi.grid.h
-    _check_stability(p, h, kind, dt, allow_unstable)
-    if kind is FlowKind.SECOND_ORDER:
-        gen = _second_order_generator(os.spec, h)
-    else:
-        gen = _generator(os.spec, h, _flow_params(p, kind))
     frame0 = None if os.frame is None else os.frame.values
-    phi1, frame1 = _rkmk_step(gen, os.phi.values, frame0, dt)
+    beyond = _beyond_bound(p, h, kind, dt)
+    if beyond and not allow_unstable and _midpoint_covers(os.spec, kind):
+        physics = _flow_params(p, kind)
+        gen = _generator(os.spec, h, physics)
+        symbol = _linear_symbol(os.phi.grid.num_points, h, physics)
+        tol = NEWTON_TOL * float(np.max(np.abs(os.phi.values)))
+        c2 = _orbit_square(os.spec)
+        try:
+            phi1, frame1, residual = _isomp_step(gen, symbol, c2, os.phi.values, frame0, dt, tol)
+        except np.linalg.LinAlgError:
+            raise FlowBlowupError(os, 1, os.time + dt) from None
+        if phi1 is None and math.isfinite(residual):
+            raise NewtonError(os, 1, os.time + dt, residual)
+        if phi1 is None or not all(np.all(np.isfinite(a)) for a in (phi1, frame1) if a is not None):
+            raise FlowBlowupError(os, 1, os.time + dt)
+    else:
+        if beyond:
+            _check_stability(p, h, kind, dt, allow_unstable)
+        if kind is FlowKind.SECOND_ORDER:
+            gen = _second_order_generator(os.spec, h)
+        else:
+            gen = _generator(os.spec, h, _flow_params(p, kind))
+        phi1, frame1 = _rkmk_step(gen, os.phi.values, frame0, dt)
     frame_field = None if frame1 is None else MatrixField(os.phi.grid, frame1)
     return OrbitState(os.spec, MatrixField(os.phi.grid, phi1), os.time + dt, frame_field)
 
@@ -282,14 +499,19 @@ def _march(state, t0: float, output_times, dt: float, advance, arrays):
     A segment from t to target takes step_count(t, target, dt) steps of
     advance(state, h).  Raises FlowBlowupError, with the last finite state
     and the index of the failing step, when any of arrays(new_state) is not
-    finite.
+    finite; a NewtonError or FlowBlowupError raised by advance gets the
+    steps before it added to its step_index.
     """
     t, step_index = t0, 0
     for target in output_times:
         count = step_count(t, target, dt)
         for i in range(count):
             h = dt if i < count - 1 else target - t
-            new = advance(state, h)
+            try:
+                new = advance(state, h)
+            except (NewtonError, FlowBlowupError) as exc:
+                exc.step_index += step_index
+                raise
             step_index += 1
             t += h
             if not all(np.all(np.isfinite(a)) for a in arrays(new)):
@@ -324,14 +546,18 @@ def evolve(
     allow_unstable: bool = False,
 ) -> Trajectory:
     """Run the flow for a duration T, landing exactly on the requested
-    output times.  Raises FlowBlowupError (with the last finite state and
-    the offending step index) if the field stops being finite."""
+    output times.  Each step is taken by step, so a dt beyond the explicit
+    bound runs the isospectral midpoint where that applies, and a last step
+    cut to within the bound is an RKMK4 step.  Raises FlowBlowupError (with
+    the last finite state and the offending step index) if the field stops
+    being finite, and NewtonError (likewise) if a midpoint solve fails."""
     kind = FlowKind(kind)
     times = _output_times(os.time, T, dt, output_times)
-    _check_stability(p, os.phi.grid.h, kind, dt, allow_unstable)
+    if allow_unstable or not _midpoint_covers(os.spec, kind):
+        _check_stability(p, os.phi.grid.h, kind, dt, allow_unstable)
 
     def advance(state, h):
-        return step(state, p, kind, h, allow_unstable=True)
+        return step(state, p, kind, h, allow_unstable=allow_unstable)
 
     arrivals = _march(os, os.time, times, dt, advance, lambda state: (state.phi.values,))
     # each snapshot is stamped with its exact output time

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Family, _orbit_square, bracket, decompose, frobenius
 from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
-from .flows import FlowKind, _flow_params, _march, _output_times, evolve
+from .flows import FlowKind, _check_stability, _flow_params, _march, _output_times, evolve
 from .functionals import FlowParams
 from .orbit import (
     FramedState,
@@ -119,10 +119,13 @@ def state_from_potential(ps: PotentialState) -> OrbitState:
     """Integrate the frame across the grid and conjugate the base point.
 
     The resulting samples only represent a periodic field when the frame
-    closes up over one period, so a closure defect above _CLOSURE_TOL, or
-    one that is not finite, is rejected.
+    closes up over one period, so a closure defect above _CLOSURE_TOL is
+    rejected, and so is a potential that is not finite.
     """
-    fs = frame_from_potential(ps.spec, ps.assemble(), time=ps.time)
+    potential = ps.assemble()
+    if not np.all(np.isfinite(potential.values)):
+        raise ValueError("potential is not finite")
+    fs = frame_from_potential(ps.spec, potential, time=ps.time)
     defect = frame_closure_defect(ps.spec, fs)
     if not defect <= _CLOSURE_TOL:
         raise ValueError(
@@ -309,8 +312,10 @@ def frame_potential_gaps(
     transforming each snapshot, and through the potential equation of the
     same coefficients; return the pointwise gap of the gauge invariant (|q|,
     or tr(q r) for the split family) at each of the output times.  One march
-    per side covers all of them."""
+    per side covers all of them.  Both sides are explicit integrators at the
+    same dt, so a dt beyond the frame flow's stability bound is refused."""
     physics = _flow_params(p, kind)
+    _check_stability(p, ps0.grid.h, kind, dt, allow_unstable=False)
     T = max(times, default=ps0.time) - ps0.time
     frames = evolve(state_from_potential(ps0), p, kind, T, dt, output_times=times)
     direct = evolve_potential(ps0, physics, T, dt, output_times=times)

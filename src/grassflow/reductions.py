@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Family
 from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
-from .flows import FlowKind, _flow_params, _march, evolve
+from .flows import FlowKind, _check_stability, _flow_params, _march, evolve
 from .functionals import FlowParams
 from .orbit import OrbitState
 
@@ -211,8 +211,10 @@ def matrix_and_vector_spins(
     """Evolve os through the matrix flow of this kind and phi_to_s(os)
     through the vector flow of the same coefficients, and return the pair
     (matrix_s, vector_s) of (N, 3) arrays at each output time.  One march
-    per side covers all of them."""
+    per side covers all of them.  Both sides are explicit integrators at the
+    same dt, so a dt beyond the matrix flow's stability bound is refused."""
     physics = _flow_params(p, kind)
+    _check_stability(p, os.phi.grid.h, kind, dt, allow_unstable=False)
     T = max(times, default=os.time) - os.time
     matrix_side = evolve(os, p, kind, T, dt, output_times=times)
 

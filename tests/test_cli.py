@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import grassflow.cli as cli
+import grassflow.flows as flows
 from grassflow.algebra import AlgebraSpec, Family
 from grassflow.cli import OBSERVABLE_COLUMNS, main
 from grassflow.fields import Grid, MatrixField
@@ -95,6 +97,22 @@ def test_non_finite_config_values_exit_two(tmp_path, capsys, command, override):
     assert not os.path.exists(out / "manifest.json")
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [("T=NaN", "T: must be finite"), ("T=Infinity", "T: must be finite"),
+     ("dt=NaN", "dt: must be finite")],
+    ids=["T_nan", "T_inf", "dt_nan"],
+)
+def test_non_finite_T_and_dt_are_named_where_parsed(tmp_path, capsys, override, message):
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "output_times" not in err
+    assert not os.path.exists(out)
+
+
 def test_auto_dt_without_stability_bound_exits_two(tmp_path, capsys):
     # with alpha = beta = 0 the cubic term alone has no explicit step bound
     cfg = _write_config(tmp_path / "c.json", flow="third_order",
@@ -165,7 +183,8 @@ def test_snapshot_grid_mismatch_exits_two(tmp_path, capsys):
 
 
 def test_unstable_requested_step_aborts_with_manifest(tmp_path):
-    cfg = _write_config(tmp_path / "c.json", dt=1.0)
+    # on para_gl, where no implicit step applies
+    cfg = _write_config(tmp_path / "c.json", dt=1.0, algebra={"family": "para_gl", "n": 2, "k": 1})
     out = tmp_path / "out"
     with pytest.warns(UserWarning):
         rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
@@ -502,3 +521,87 @@ def test_json_writer_falls_back_for_non_finite_and_odd_arrays(tmp_path):
     path = tmp_path / "doc.json"
     cli._write_json(str(path), obj)
     assert path.read_text() == _json_dump_text(obj)
+
+
+def _midpoint_config(path, **updates):
+    # third order on 32 points, where the explicit bound is 1.1e-4
+    cfg = dict(
+        params={"alpha": 1.0, "beta": 0.1, "gamma": -0.0125},
+        flow="third_order",
+        initial_data={"generator": "random_smooth", "modes": 2, "amplitude": 0.3},
+        dt=0.01,
+        T=0.05,
+    )
+    cfg.update(updates)
+    return _write_config(path, **cfg)
+
+
+def test_simulate_beyond_the_bound_tracks_auto_dt(tmp_path):
+    # at 18x the bound the midpoint keeps the energies of an explicit run
+    cfg = _midpoint_config(tmp_path / "c.json", T=0.01)
+    rows = {}
+    for dt in (0.002, "auto"):
+        out = tmp_path / str(dt)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--override", f"dt={json.dumps(dt)}"]) == 0
+        lines = _read(out / "observables.csv").decode().splitlines()[1:]
+        rows[dt] = np.array([[float(v) for v in line.split(",")] for line in lines])
+    iso, rk = rows[0.002], rows["auto"]
+    energies = slice(1, OBSERVABLE_COLUMNS.index("H") + 1)
+    assert np.max(np.abs(iso[:, energies] / rk[:, energies] - 1.0)) <= 1e-6
+    assert np.max(iso[:, -2:]) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "command, updates",
+    [("simulate", {"algebra": {"family": "para_gl", "n": 2, "k": 1}}),
+     ("simulate", {"flow": "second_order"}),
+     ("gauge-compare", {}),
+     ("reduce", {})],
+    ids=["para_gl", "second_order", "gauge-compare", "reduce"],
+)
+def test_dt_beyond_the_bound_is_refused_where_no_implicit_step_applies(tmp_path, command, updates):
+    # gauge-compare and reduce compare explicit integrators at the same dt
+    cfg = _midpoint_config(tmp_path / "c.json", **updates)
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    manifest = json.loads(_read(out / "manifest.json"))
+    assert manifest["abort"]["error"] == "StabilityError"
+
+
+def test_curvature_residual_runs_beyond_the_bound(tmp_path):
+    # dt at 9x the bound
+    cfg = _midpoint_config(tmp_path / "c.json", dt=1e-3, lambdas=[1.0])
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["curvature-residual", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(_read(out / "curvature.csv").decode().splitlines()) == 2
+
+
+def test_failed_newton_solve_aborts_with_step_index(tmp_path):
+    # the first segment's step of 1e-3 converges; the next, of 1.0, does not
+    cfg = _midpoint_config(tmp_path / "c.json", dt=1.0, T=1.001, output_times=[0.0, 0.001, 1.001])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    abort = json.loads(_read(out / "manifest.json"))["abort"]
+    assert abort["error"] == "NewtonError"
+    assert abort["step_index"] == 2
+    assert abort["last_time"] == pytest.approx(0.001)
+    assert np.isfinite(abort["residual"]) and abort["residual"] > 0
+    lines = _read(out / "observables.csv").decode().splitlines()[1:]
+    assert len(lines) == 2
+    assert all(np.isfinite(float(v)) for line in lines for v in line.split(","))
+
+
+def test_non_finite_midpoint_step_aborts_without_nan(tmp_path, monkeypatch):
+    monkeypatch.setattr(flows, "_generator", lambda *args: lambda phi: np.full_like(phi, np.nan))
+    cfg = _midpoint_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    text = _read(out / "manifest.json").decode()
+    abort = json.loads(text)["abort"]
+    assert abort["error"] == "FlowBlowupError"
+    assert abort["step_index"] == 1
+    assert "NaN" not in text

@@ -8,7 +8,9 @@ from grassflow.fields import (
     MatrixField,
     cumulative_trapezoid,
     periodic_diff,
+    stencil_symbol,
 )
+from grassflow.flows import FOURTH_DERIV_GAIN, THIRD_DERIV_GAIN
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,6 +60,28 @@ def test_second_derivative_symbol_is_exact_per_mode():
         assert np.allclose(got, -symbol * f, atol=1e-11)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_stencil_symbol_is_the_fft_of_the_stencil(order):
+    grid = Grid(48, 3.0)
+    rng = np.random.default_rng(order)
+    field = rng.standard_normal((48, 2, 2)) + 1j * rng.standard_normal((48, 2, 2))
+    symbol = stencil_symbol(order, grid.num_points, grid.h)[:, None, None]
+    got = np.fft.ifft(symbol * np.fft.fft(field, axis=0), axis=0)
+    want = periodic_diff(field, order, grid.h)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_step_bound_gains_are_the_stencil_peaks():
+    # the peaks over a fine grid of modes, in units of h^-order; the
+    # fourth-order peak is at the Nyquist mode, the third-order one inside
+    h = 0.01
+    fourth = np.max(np.abs(stencil_symbol(4, 4096, h))) * h**4
+    third = np.max(np.abs(stencil_symbol(3, 4096, h))) * h**3
+    assert fourth == pytest.approx(FOURTH_DERIV_GAIN, rel=1e-12)
+    assert third == pytest.approx(4.609, abs=1e-3)
+    assert THIRD_DERIV_GAIN >= third
+
+
 def test_derivatives_converge_at_fourth_order():
     errors = {}
     for npts in (32, 64):
@@ -80,6 +104,8 @@ def test_derivative_of_constant_is_zero():
 
 
 def test_unknown_derivative_order_rejected():
+    with pytest.raises(ValueError):
+        stencil_symbol(5, 16, 0.1)
     with pytest.raises(ValueError):
         periodic_diff(np.ones((16, 1, 1)), 5, 0.1)
     # too few points for the stencil's reach

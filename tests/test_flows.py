@@ -12,16 +12,19 @@ from grassflow.algebra import AlgebraSpec, Family, _orbit_square, bracket, exp_m
 from grassflow.fields import Grid, MatrixField, periodic_diff
 from grassflow.flows import (
     _flow_params,
+    auto_dt,
     FOURTH_DERIV_GAIN,
     THIRD_DERIV_GAIN,
     FlowBlowupError,
     FlowKind,
+    NewtonError,
     StabilityError,
     Trajectory,
     curve_flow_rhs,
     evolve,
     stability_bound,
     step,
+    step_count,
     sym_pohlmeyer_curve,
     third_order_generator,
 )
@@ -106,8 +109,9 @@ def test_stability_bound_formulas():
 
 
 def test_step_rejects_unstable_dt():
+    # on para_gl, where no implicit step applies
     grid = Grid(32, TWO_PI)
-    os = _state(AlgebraSpec(Family.COMPACT_UNITARY, 2, 1), grid)
+    os = _state(AlgebraSpec(Family.PARA_REAL, 2, 1), grid)
     bound = stability_bound(PARAMS, grid.h, FlowKind.THIRD_ORDER)
     with pytest.warns(UserWarning):
         with pytest.raises(StabilityError):
@@ -126,9 +130,11 @@ def test_evolve_at_the_bound_does_not_warn(u2, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         evolve(os, PARAMS, kind, 400 * bound, bound)
-    # the slack is far below any step that matters
+    # the slack is far below any step that matters; beyond it a step is
+    # refused where no implicit step applies
+    para = _state(AlgebraSpec(Family.PARA_REAL, 2, 1), grid)
     with pytest.warns(UserWarning), pytest.raises(StabilityError):
-        step(os, PARAMS, kind, bound * (1.0 + 1e-6))
+        step(para, PARAMS, kind, bound * (1.0 + 1e-6))
 
 
 def test_generators_are_built_once_per_grid_and_params(u2):
@@ -494,3 +500,176 @@ def test_commutator_step_makes_two_brackets_and_no_stencil_pass(monkeypatch):
     gen = flows._generator(os.spec, grid.h, PARAMS)
     flows._rkmk_step(gen, os.phi.values, os.frame.values, dt)
     assert counts == {"bracket": 2, "periodic_diff": 0}
+
+
+MIDPOINT_SPECS = [
+    AlgebraSpec(Family.COMPACT_UNITARY, 2, 1),
+    AlgebraSpec(Family.NONCOMPACT_UNITARY, 3, 1),
+]
+MIDPOINT_KINDS = [FlowKind.LEADING_ORDER, FlowKind.THIRD_ORDER]
+
+
+def _count_schemes(monkeypatch):
+    """Count the midpoint and RKMK4 steps taken from here on."""
+    counts = {"midpoint": 0, "rkmk4": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(flows, "_isomp_step", counted("midpoint", flows._isomp_step))
+    monkeypatch.setattr(flows, "_rkmk_step", counted("rkmk4", flows._rkmk_step))
+    return counts
+
+
+@pytest.mark.parametrize("kind", MIDPOINT_KINDS)
+@pytest.mark.parametrize("spec", MIDPOINT_SPECS, ids=lambda spec: spec.family.value)
+def test_midpoint_time_accuracy_is_second_order(spec, kind):
+    # against an RKMK run at half the bound; the midpoint runs at 20x and
+    # 10x the bound
+    grid = Grid(32, TWO_PI)
+    os = _state(spec, grid)
+    bound = stability_bound(PARAMS, grid.h, kind)
+    T = 80 * bound
+    ref = evolve(os, PARAMS, kind, T, auto_dt(PARAMS, grid.h, kind), output_times=[T])
+    errs = []
+    for dt in (20 * bound, 10 * bound):
+        traj = evolve(os, PARAMS, kind, T, dt, output_times=[T])
+        errs.append(np.max(np.abs(traj.states[-1].phi.values - ref.states[-1].phi.values)))
+    rate = np.log2(errs[0] / errs[1])
+    assert rate >= 1.9, f"observed time order {rate:.2f}"
+
+
+@pytest.mark.parametrize("kind", MIDPOINT_KINDS)
+@pytest.mark.parametrize("spec", MIDPOINT_SPECS, ids=lambda spec: spec.family.value)
+def test_midpoint_keeps_spectrum_membership_and_frame_at_100x_the_bound(spec, kind):
+    grid = Grid(32, TWO_PI)
+    dt = 100 * stability_bound(PARAMS, grid.h, kind)
+    traj = evolve(_state(spec, grid), PARAMS, kind, 5 * dt, dt)
+    assert max(traj.spectrum_deviations) <= 1e-13
+    assert max(traj.membership_residuals) <= 1e-13
+    last = traj.states[-1]
+    rebuilt = conjugate_base(spec, last.frame.values)
+    assert np.max(np.abs(rebuilt - last.phi.values)) <= 1e-12
+
+
+def test_midpoint_takes_the_step_count_of_the_march(u2, monkeypatch):
+    grid = Grid(32, TWO_PI)
+    os = _state(u2, grid)
+    bound = stability_bound(PARAMS, grid.h)
+    dt = 30 * bound
+    calls = []
+    real = flows.step
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "step", counted)
+    counts = _count_schemes(monkeypatch)
+    # every step, the cut ones too, is beyond the bound
+    times = [0.0, 0.4 * dt, 2.5 * dt, 7.0 * dt]
+    evolve(os, PARAMS, FlowKind.THIRD_ORDER, times[-1], dt, output_times=times)
+    expected = sum(step_count(a, b, dt) for a, b in zip(times, times[1:]))
+    assert len(calls) == expected == 9
+    assert counts == {"midpoint": 9, "rkmk4": 0}
+    # a last step cut to within the bound is an explicit one
+    calls.clear()
+    evolve(os, PARAMS, FlowKind.THIRD_ORDER, dt + 0.5 * bound, dt)
+    assert len(calls) == 2 and calls[1] <= bound
+    assert counts == {"midpoint": 10, "rkmk4": 1}
+
+
+def test_steps_within_the_bound_or_allowed_unstable_stay_explicit(u2, monkeypatch):
+    grid = Grid(32, TWO_PI)
+    os = _state(u2, grid)
+    bound = stability_bound(PARAMS, grid.h)
+    counts = _count_schemes(monkeypatch)
+    evolve(os, PARAMS, FlowKind.THIRD_ORDER, 4 * bound, bound)
+    assert counts == {"midpoint": 0, "rkmk4": 4}
+    with pytest.warns(UserWarning):
+        step(os, PARAMS, FlowKind.THIRD_ORDER, 2 * bound, allow_unstable=True)
+    assert counts == {"midpoint": 0, "rkmk4": 5}
+    # the midpoint takes over past the same slack as the bound's check
+    step(os, PARAMS, FlowKind.THIRD_ORDER, bound * (1.0 + 1e-6))
+    assert counts == {"midpoint": 1, "rkmk4": 5}
+
+
+@pytest.mark.parametrize(
+    "family, kind",
+    [(Family.PARA_REAL, FlowKind.THIRD_ORDER), (Family.COMPACT_UNITARY, FlowKind.SECOND_ORDER)],
+)
+def test_midpoint_leaves_para_gl_and_the_second_order_flow_to_the_bound(family, kind):
+    grid = Grid(32, TWO_PI)
+    os = _state(AlgebraSpec(family, 2, 1), grid)
+    dt = 10 * stability_bound(PARAMS, grid.h, kind)
+    with pytest.warns(UserWarning), pytest.raises(StabilityError):
+        step(os, PARAMS, kind, dt)
+    with pytest.warns(UserWarning), pytest.raises(StabilityError):
+        evolve(os, PARAMS, kind, 3 * dt, dt)
+
+
+def test_midpoint_has_no_step_bound(u2):
+    grid = Grid(32, TWO_PI)
+    dt = 100 * stability_bound(PARAMS, grid.h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step(_state(u2, grid), PARAMS, FlowKind.THIRD_ORDER, dt)
+
+
+def test_failed_newton_solve_is_typed_and_indexed(u2):
+    # at 9,000x the bound Newton misses its tolerance within its cap; the
+    # step before it, at 9x, converges
+    grid = Grid(32, TWO_PI)
+    os = random_orbit_state(u2, grid, seed=3, modes=2, amplitude=0.3)
+    with pytest.raises(NewtonError) as err:
+        step(os, PARAMS, FlowKind.THIRD_ORDER, 1.0)
+    assert err.value.step_index == 1
+    assert err.value.last_state is os
+    assert err.value.time == 1.0
+    assert math.isfinite(err.value.residual) and err.value.residual > 1e-12
+    with pytest.raises(NewtonError) as err:
+        evolve(os, PARAMS, FlowKind.THIRD_ORDER, 1.001, 1.0, output_times=[0.001, 1.001])
+    assert err.value.step_index == 2
+    assert err.value.last_state.time == pytest.approx(0.001)
+    assert np.all(np.isfinite(err.value.last_state.phi.values))
+    assert str(err.value).startswith("Newton solve of step 2 (t=1.001) left residual")
+
+
+def _nan_generator(phi):
+    return np.full_like(phi, np.nan)
+
+
+@pytest.mark.parametrize("fault", ["nan_generator", "singular_cayley_factor"])
+def test_non_finite_midpoint_step_is_a_blowup(u2, monkeypatch, fault):
+    # a midpoint step that cannot give a finite field raises FlowBlowupError
+    # from step itself, and the march counts the steps before it; here the
+    # first step is sound and the later ones are not
+    grid = Grid(32, TWO_PI)
+    os = _state(u2, grid)
+    dt = 10 * stability_bound(PARAMS, grid.h)
+    real = flows._isomp_step
+    calls = []
+
+    def faulty(gen, *args):
+        calls.append(gen)
+        if len(calls) == 1:
+            return real(gen, *args)
+        if fault == "nan_generator":
+            return real(_nan_generator, *args)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(flows, "_isomp_step", faulty)
+    with pytest.raises(FlowBlowupError) as err:
+        evolve(os, PARAMS, FlowKind.THIRD_ORDER, 3 * dt, dt)
+    assert err.value.step_index == 2
+    assert err.value.last_state.time == pytest.approx(dt)
+    assert err.value.time == pytest.approx(2 * dt)
+    assert np.all(np.isfinite(err.value.last_state.phi.values))
+    with pytest.raises(FlowBlowupError) as err:
+        step(os, PARAMS, FlowKind.THIRD_ORDER, dt)
+    assert err.value.step_index == 1
+    assert err.value.last_state is os

@@ -91,7 +91,7 @@ def test_gauge_transform_rejects_block_diagonal_part(u2):
 def test_tolerance_guards_reject_non_finite_defects(u2):
     grid = Grid(16, TWO_PI)
     nan_q = np.full((16, 1, 1), np.nan, dtype=complex)
-    with pytest.raises(ValueError, match="closure defect nan"):
+    with pytest.raises(ValueError, match="potential is not finite"):
         state_from_potential(PotentialState.from_q(u2, grid, nan_q))
     frame = MatrixField(grid, np.broadcast_to(np.eye(2), (16, 2, 2)).copy())
     bad = np.zeros((16, 2, 2), dtype=complex)
