@@ -227,7 +227,7 @@ def build_state(rc: RunConfig) -> OrbitState:
         try:
             with open(path) as f:
                 state = OrbitState.from_json_dict(json.load(f))
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError([f"initial_data.snapshot: cannot load {path!r}: {exc}"]) from None
         if state.spec != rc.spec:
             raise ConfigError(["initial_data.snapshot: algebra does not match the config"])
@@ -268,57 +268,9 @@ def _fmt(value) -> str:
 
 
 def _write_json(path: str, obj) -> None:
-    """Write obj as JSON indented by two with sorted keys, and a newline.
-
-    A numpy array in obj is written as its tolist() would be.  Finite float
-    arrays (the fields of a snapshot) are filled into one %r template per
-    array rather than walked by the json encoder; the bytes are the same,
-    since json writes a float as its repr.
-    """
-    arrays = []
-
-    def skeleton(node):
-        if isinstance(node, dict):
-            return {key: skeleton(value) for key, value in node.items()}
-        if isinstance(node, (list, tuple)):
-            return [skeleton(value) for value in node]
-        if isinstance(node, np.ndarray):
-            if node.dtype == np.float64 and node.ndim and node.size and np.all(np.isfinite(node)):
-                arrays.append(node)
-                return f"{_ARRAY_MARK}{len(arrays) - 1}"
-            return node.tolist()
-        return node
-
-    text = json.dumps(skeleton(obj), indent=2, sort_keys=True)
-    marks = [json.dumps(f"{_ARRAY_MARK}{i}") for i in range(len(arrays))]
-    if any(text.count(mark) != 1 for mark in marks):
-        # a string in obj looks like a mark: write everything through json
-        arrays, text = [], json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
-    places = sorted((text.index(mark), len(mark), arr) for mark, arr in zip(marks, arrays))
+    """Write obj as JSON indented by two with sorted keys, and a newline."""
     with open(path, "w") as f:
-        start = 0
-        for pos, size, arr in places:
-            line = text[text.rindex("\n", 0, pos) + 1 : pos]
-            f.write(text[start:pos])
-            f.write(_array_json(arr, len(line) - len(line.lstrip(" "))))
-            start = pos + size
-        f.write(text[start:])
-        f.write("\n")
-
-
-# Placeholder for an array in the text json writes around it.
-_ARRAY_MARK = "\x00array"
-
-
-def _array_json(arr: np.ndarray, indent: int) -> str:
-    """json.dumps(arr.tolist(), indent=2) for an array whose opening bracket
-    sits on a line indented by indent spaces."""
-    template = "%r"
-    for depth in range(arr.ndim - 1, -1, -1):
-        inner = "\n" + " " * (indent + 2 * depth + 2)
-        items = ("," + inner).join([template] * arr.shape[depth])
-        template = "[" + inner + items + "\n" + " " * (indent + 2 * depth) + "]"
-    return template % tuple(arr.ravel().tolist())
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -383,39 +335,41 @@ def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
     csv_path = os.path.join(out_dir, "observables.csv")
 
     def body():
-        with open(csv_path, "w") as f:
-            f.write(",".join(OBSERVABLE_COLUMNS) + "\n")
-        current = state
-        taken = 0  # steps of the segments before this one
-        for index, target in enumerate(times):
-            # one segment per output time, so each snapshot is written on arrival
-            try:
-                seg = evolve(
-                    current, rc.params, rc.kind, target - current.time, dt, output_times=[target]
+        with open(csv_path, "w") as csv:
+            csv.write(",".join(OBSERVABLE_COLUMNS) + "\n")
+            current = state
+            taken = 0  # steps of the segments before this one
+            for index, target in enumerate(times):
+                # one segment per output time, so each snapshot and row is
+                # written on arrival
+                try:
+                    seg = evolve(
+                        current, rc.params, rc.kind, target - current.time, dt,
+                        output_times=[target],
+                    )
+                except _STEP_ERRORS as exc:
+                    exc.step_index += taken
+                    raise
+                taken += step_count(current.time, target, dt)
+                current = seg.states[0]
+                _write_json(
+                    os.path.join(out_dir, f"snapshot_{index:04d}.json"), current.to_json_dict()
                 )
-            except _STEP_ERRORS as exc:
-                exc.step_index += taken
-                raise
-            taken += step_count(current.time, target, dt)
-            current = seg.states[0]
-            _write_json(
-                os.path.join(out_dir, f"snapshot_{index:04d}.json"), current.to_json_dict()
-            )
-            rep = seg.reports[0]
-            row = (
-                target,
-                rep.E,
-                rep.E21,
-                rep.E22,
-                rep.E23,
-                rep.E2,
-                rep.Etilde,
-                rep.H,
-                seg.spectrum_deviations[0],
-                seg.membership_residuals[0],
-            )
-            with open(csv_path, "a") as f:
-                f.write(",".join(_fmt(v) for v in row) + "\n")
+                rep = seg.reports[0]
+                row = (
+                    target,
+                    rep.E,
+                    rep.E21,
+                    rep.E22,
+                    rep.E23,
+                    rep.E2,
+                    rep.Etilde,
+                    rep.H,
+                    seg.spectrum_deviations[0],
+                    seg.membership_residuals[0],
+                )
+                csv.write(",".join(_fmt(v) for v in row) + "\n")
+                csv.flush()
 
     return _run(rc, out_dir, {"dt": dt, "output_times": times, "seed": rc.seed}, body)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,20 +52,28 @@ class Grid:
         return cls(int(d["N"]), float(d["L"]))
 
 
-def complex_pairs(values: np.ndarray) -> np.ndarray:
-    """The (..., 2) float view of the [re, im] pairs of a complex array, row
-    major, which JSON writers take as its tolist()."""
-    v = np.ascontiguousarray(values, dtype=np.complex128)
-    return v.view(np.float64).reshape(v.shape + (2,))
-
-
 def complex_from_pairs(pairs) -> np.ndarray:
-    """Inverse of complex_pairs for an (N, rows, cols, 2) array, or its
-    nested lists as read back from JSON."""
+    """The complex array of an (N, rows, cols, 2) array of [re, im] pairs,
+    or of its nested lists, the values of a snapshot written as text."""
     pairs = np.asarray(pairs)
     if pairs.dtype.kind not in "iuf" or pairs.ndim != 4 or pairs.shape[-1] != 2:
         raise ValueError("values must be an (N, rows, cols, 2) array of numeric [re, im] pairs")
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def _complex_from_base64(text: str, num_points: int) -> np.ndarray:
+    """The (N, n, n) complex array whose little-endian complex128 bytes,
+    row major, text encodes in base64; n follows from the byte count."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"values is not valid base64: {exc}") from None
+    n = math.isqrt(len(raw) // (16 * num_points))
+    if n < 1 or len(raw) != 16 * num_points * n * n:
+        raise ValueError(
+            f"values holds {len(raw)} bytes, not 16 N n^2 for N = {num_points} and a whole n >= 1"
+        )
+    return np.frombuffer(raw, dtype="<c16").reshape(num_points, n, n)
 
 
 @dataclass(frozen=True)
@@ -87,12 +97,23 @@ class MatrixField:
         return self.values.shape[-1]
 
     def to_json_dict(self) -> dict:
-        """Grid and values; values is the complex_pairs view."""
-        return {"grid": self.grid.to_json_dict(), "values": complex_pairs(self.values)}
+        """Grid and values; values is the base64 text of the array's bytes as
+        little-endian complex128 ("<c16"), row major, shape (N, n, n), so it
+        reads back bit for bit."""
+        raw = self.values.astype("<c16", copy=False).tobytes()
+        return {"grid": self.grid.to_json_dict(), "values": base64.b64encode(raw).decode("ascii")}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MatrixField":
-        return cls(Grid.from_json_dict(d["grid"]), complex_from_pairs(d["values"]))
+        """Read to_json_dict's output, or the nested [re, im] lists of values
+        that snapshots were once written with."""
+        grid = Grid.from_json_dict(d["grid"])
+        values = d["values"]
+        if isinstance(values, str):
+            return cls(grid, _complex_from_base64(values, grid.num_points))
+        if isinstance(values, list):
+            return cls(grid, complex_from_pairs(values))
+        raise ValueError("values must be a base64 string or nested [re, im] lists")
 
 
 # order -> (offsets, weights, denominator, power of h)

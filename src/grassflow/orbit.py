@@ -43,6 +43,10 @@ class OrbitState:
     def __post_init__(self):
         if self.phi.matrix_dim != self.spec.n:
             raise ValueError("phi matrix size must match the algebra")
+        if self.frame is not None and (
+            self.frame.grid != self.phi.grid or self.frame.matrix_dim != self.phi.matrix_dim
+        ):
+            raise ValueError("frame grid and matrix size must match phi's")
 
     def to_json_dict(self) -> dict:
         d = {

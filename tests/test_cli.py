@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import json
 import os
 import warnings
@@ -481,11 +482,6 @@ def test_curvature_residual_needs_three_output_times(tmp_path, capsys):
     assert "three snapshots" in capsys.readouterr().err
 
 
-def _json_dump_text(obj):
-    """What json.dump writes for obj with every array as its tolist()."""
-    return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
-
-
 @pytest.mark.parametrize("family, n, points", [
     ("compact_u", 2, 128), ("noncompact_u", 4, 256), ("para_gl", 3, 17),
 ])
@@ -493,8 +489,9 @@ def test_snapshot_text_matches_json_dump_and_round_trips(tmp_path, family, n, po
     rng = np.random.default_rng(points)
     shape = (points, n, n)
     phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # signed zero, a subnormal, a large and a long-exponent entry
-    phi.flat[:4] = [-0.0 + 0.0j, 5e-324 - 0.0j, 1e16 + 1e-300j, -2.5e-17 + 1e22j]
+    # signed zero, a subnormal, a large and a long-exponent entry, non-finite ones
+    phi.flat[:6] = [-0.0 + 0.0j, 5e-324 - 0.0j, 1e16 + 1e-300j, -2.5e-17 + 1e22j,
+                    complex(np.nan, np.inf), complex(-np.inf, -np.nan)]
     frame = rng.standard_normal(shape) + 0.0j
     grid = Grid(points, 2 * np.pi)
     state = OrbitState(
@@ -503,24 +500,102 @@ def test_snapshot_text_matches_json_dump_and_round_trips(tmp_path, family, n, po
     path = tmp_path / "snapshot.json"
     cli._write_json(str(path), state.to_json_dict())
     text = path.read_text()
-    assert text == _json_dump_text(state.to_json_dict())
+    assert text == json.dumps(state.to_json_dict(), indent=2, sort_keys=True) + "\n"
     back = OrbitState.from_json_dict(json.loads(text))
     for got, want in ((back.phi.values, phi), (back.frame.values, frame)):
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
-        assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_json_writer_falls_back_for_non_finite_and_odd_arrays(tmp_path):
+def test_json_writer_writes_json_dumps_text(tmp_path):
     obj = {
-        "nan": np.array([[1.0, np.nan]]),
-        "ints": np.arange(6).reshape(2, 3),
-        "empty": np.zeros((0, 2)),
-        "nested": [{"x": np.array([0.5, -0.0])}, (1, 2.5)],
-        "mark": "\x00array0",
+        "b": [1, 2.5, -0.0, 1e-300, None, True],
+        "a": {"nested": {"z": "text", "y": "two\nlines"}, "\u00e9": []},
+        "nan": float("nan"),
     }
     path = tmp_path / "doc.json"
     cli._write_json(str(path), obj)
-    assert path.read_text() == _json_dump_text(obj)
+    assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _old_format(snapshot: dict) -> dict:
+    """snapshot with its fields' values as the nested [re, im] lists that
+    snapshots were once written with."""
+    old = json.loads(json.dumps(snapshot))
+    for key in ("phi", "frame"):
+        if key in old:
+            field = MatrixField.from_json_dict(old[key])
+            shape = field.values.shape + (2,)
+            old[key]["values"] = field.values.view(np.float64).reshape(shape).tolist()
+    return old
+
+
+def test_resume_is_bit_exact_from_new_and_old_snapshots(tmp_path):
+    example = os.path.join(os.path.dirname(__file__), "..", "configs", "example.json")
+    run = ["simulate", "--config", example, "--override", "T=8e-5",
+           "--override", "output_times=[0, 4e-5, 8e-5]", "--out"]
+    assert main(run + [str(tmp_path / "whole")]) == 0
+    snap = json.loads(_read(tmp_path / "whole" / "snapshot_0001.json"))
+    old = _old_format(snap)
+    assert isinstance(old["phi"]["values"], list)
+    old_path = tmp_path / "old.json"
+    old_path.write_text(json.dumps(old))
+    loaded = OrbitState.from_json_dict(old)
+    want = OrbitState.from_json_dict(snap)
+    for got, ref in ((loaded.phi, want.phi), (loaded.frame, want.frame)):
+        assert np.array_equal(got.values.view(np.uint64), ref.values.view(np.uint64))
+    assert loaded.to_json_dict() == want.to_json_dict()
+    last_row = _read(tmp_path / "whole" / "observables.csv").splitlines()[-1]
+    for name, path in (("new", tmp_path / "whole" / "snapshot_0001.json"), ("old", old_path)):
+        out = tmp_path / name
+        resume = ["simulate", "--config", example, "--override", "T=4e-5",
+                  "--override", "output_times=null",
+                  "--override", f"initial_data={json.dumps({'snapshot': str(path)})}",
+                  "--out", str(out)]
+        assert main(resume) == 0
+        assert _read(out / "snapshot_0001.json") == _read(tmp_path / "whole" / "snapshot_0002.json")
+        assert _read(out / "observables.csv").splitlines()[-1] == last_row
+
+
+def _resume_from(tmp_path, snapshot: dict):
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(snapshot))
+    cfg = _write_config(tmp_path / "c2.json", initial_data={"snapshot": str(path)})
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    return rc, out
+
+
+@pytest.mark.parametrize("frame", [
+    MatrixField(Grid(64, 2 * np.pi), np.broadcast_to(np.eye(2), (64, 2, 2))),
+    MatrixField(Grid(32, 2 * np.pi), np.ones((32, 1, 1))),
+], ids=["grid", "matrix-size"])
+def test_snapshot_frame_unlike_phi_exits_two(tmp_path, capsys, frame):
+    cfg = _write_config(tmp_path / "c.json")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "first")]) == 0
+    snap = json.loads(_read(tmp_path / "first" / "snapshot_0000.json"))
+    snap["frame"] = frame.to_json_dict()
+    rc, out = _resume_from(tmp_path, snap)
+    assert rc == 2
+    assert "config error: initial_data.snapshot:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("values", "not base64!"),
+    ("values", base64.b64encode(bytes(16 * 32 * 3)).decode()),
+    ("values", None),
+    ("values", {"re": 1.0}),
+    ("grid", None),
+], ids=["not-base64", "n-squared-3", "null", "object", "null-grid"])
+def test_malformed_snapshot_fields_exit_two(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path / "c.json")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "first")]) == 0
+    snap = json.loads(_read(tmp_path / "first" / "snapshot_0000.json"))
+    snap["phi"][key] = value
+    rc, out = _resume_from(tmp_path, snap)
+    assert rc == 2
+    assert "config error: initial_data.snapshot:" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def _midpoint_config(path, **updates):

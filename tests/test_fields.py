@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -184,15 +187,36 @@ def test_matrix_field_json_roundtrip():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))
     f = MatrixField(grid, vals)
-    back = MatrixField.from_json_dict(f.to_json_dict())
+    d = json.loads(json.dumps(f.to_json_dict()))
+    # the documented layout: base64 of the row-major "<c16" bytes, shape (N, n, n)
+    raw = np.frombuffer(base64.b64decode(d["values"]), "<c16").reshape(8, 2, 2)
+    assert np.array_equal(raw.view(np.uint64), vals.view(np.uint64))
+    back = MatrixField.from_json_dict(d)
     assert back.grid == grid
-    assert np.array_equal(back.values, f.values)
-    # as read back from a JSON file: nested lists of [re, im] pairs
-    pairs = f.to_json_dict()["values"].tolist()
+    assert np.array_equal(back.values.view(np.uint64), vals.view(np.uint64))
+    # as snapshots were once written: nested lists of [re, im] pairs
+    pairs = vals.view(np.float64).reshape(8, 2, 2, 2).tolist()
     loaded = MatrixField.from_json_dict({"grid": grid.to_json_dict(), "values": pairs})
-    assert np.array_equal(loaded.values, vals)
+    assert np.array_equal(loaded.values.view(np.uint64), vals.view(np.uint64))
     for bad in (None, "1.5", [1.0, 2.0, 3.0]):
-        broken = f.to_json_dict()["values"].tolist()
+        broken = vals.view(np.float64).reshape(8, 2, 2, 2).tolist()
         broken[3][1][0] = bad
         with pytest.raises(ValueError):
             MatrixField.from_json_dict({"grid": grid.to_json_dict(), "values": broken})
+
+
+@pytest.mark.parametrize("values, match", [
+    ("not base64!", "base64"),
+    ("AAA", "base64"),  # missing padding
+    ("\u00e9AAA", "base64"),  # not ASCII
+    (base64.b64encode(bytes(3)).decode(), "bytes"),
+    (base64.b64encode(bytes(16 * 8 * 2)).decode(), "bytes"),  # n^2 = 2
+    ("", "bytes"),  # n = 0
+    (None, "base64 string or nested"),
+    (2.5, "base64 string or nested"),
+    ({"re": 1.0}, "base64 string or nested"),
+], ids=["not-base64", "padding", "not-ascii", "3-bytes", "n-squared-2", "empty", "null",
+        "number", "object"])
+def test_matrix_field_rejects_malformed_values(values, match):
+    with pytest.raises(ValueError, match=match):
+        MatrixField.from_json_dict({"grid": {"N": 8, "L": 2.0}, "values": values})
