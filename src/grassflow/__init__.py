@@ -35,7 +35,6 @@ from .flows import (
     FlowKind,
     NewtonError,
     StabilityError,
-    Trajectory,
     curve_flow_rhs,
     evolve,
     stability_bound,
@@ -56,7 +55,6 @@ from .functionals import (
 from .gauge import (
     GaugeError,
     PotentialState,
-    PotentialTrajectory,
     akns4_rhs,
     connection,
     curvature_residual,

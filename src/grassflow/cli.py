@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .algebra import AlgebraSpec, Family
+from .algebra import AlgebraSpec, Family, membership_residual
 from .fields import MIN_POINTS, Grid
 from .flows import (
     DERIVATIVE_ORDER,
@@ -35,10 +35,10 @@ from .flows import (
     evolve,
     step_count,
 )
-from .functionals import FlowParams
+from .functionals import FlowParams, energy_report
 from .gauge import GaugeError, curvature_residual, frame_potential_gaps
 from .initial_data import make_initial_potential, make_initial_state
-from .orbit import OrbitState, SpectralError
+from .orbit import OrbitState, SpectralError, spectrum_deviation
 from .reductions import matrix_and_vector_spins, spec_geometry
 from .suites import SUITES, run_suite
 
@@ -343,7 +343,7 @@ def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
                 # one segment per output time, so each snapshot and row is
                 # written on arrival
                 try:
-                    seg = evolve(
+                    (arrived,) = evolve(
                         current, rc.params, rc.kind, target - current.time, dt,
                         output_times=[target],
                     )
@@ -351,11 +351,11 @@ def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
                     exc.step_index += taken
                     raise
                 taken += step_count(current.time, target, dt)
-                current = seg.states[0]
+                current = arrived
                 _write_json(
                     os.path.join(out_dir, f"snapshot_{index:04d}.json"), current.to_json_dict()
                 )
-                rep = seg.reports[0]
+                rep = energy_report(current, rc.params)
                 row = (
                     target,
                     rep.E,
@@ -365,8 +365,8 @@ def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
                     rep.E2,
                     rep.Etilde,
                     rep.H,
-                    seg.spectrum_deviations[0],
-                    seg.membership_residuals[0],
+                    spectrum_deviation(current),
+                    membership_residual(current.spec, current.phi.values),
                 )
                 csv.write(",".join(_fmt(v) for v in row) + "\n")
                 csv.flush()
@@ -459,10 +459,10 @@ def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
     physics = _flow_params(rc.params, rc.kind)
 
     def body():
-        traj = evolve(state, rc.params, rc.kind, times[-1] - t0, dt, output_times=times)
+        states = evolve(state, rc.params, rc.kind, times[-1] - t0, dt, output_times=times)
         rows = []
         for lam in lambdas:
-            for t, res in curvature_residual(traj, physics, lam):
+            for t, res in curvature_residual(states, physics, lam):
                 rows.append((t, lam, res))
         _write_csv(os.path.join(out_dir, "curvature.csv"), ("t", "lam", "residual"), rows)
 

@@ -24,8 +24,8 @@ midpoint step instead, an implicit second-order scheme with no step bound:
 a Newton-Krylov solve for the midpoint, then a conjugation by a Cayley
 factor, which keeps the spectrum to roundoff whether or not the solve
 converged.  A solve that misses its tolerance raises NewtonError; the step
-never retries.  Elsewhere a step longer than the bound is refused
-(StabilityError) unless allow_unstable is set, which keeps the explicit step.
+never retries.  Elsewhere a step longer than the bound is refused with a
+StabilityError.
 """
 
 from __future__ import annotations
@@ -33,20 +33,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraSpec,
-    Family,
-    _exp_pair,
-    _matmul,
-    _orbit_square,
-    bracket,
-    membership_residual,
-)
+from .algebra import AlgebraSpec, Family, _exp_pair, _matmul, _orbit_square, bracket
 from .fields import (
     _STENCILS,
     MatrixField,
@@ -55,8 +45,8 @@ from .fields import (
     periodic_diff,
     stencil_symbol,
 )
-from .functionals import EnergyReport, FlowParams, energy_report
-from .orbit import OrbitState, spectrum_deviation
+from .functionals import FlowParams
+from .orbit import OrbitState
 
 # Peak spectral amplification of the difference stencils, used for the
 # step-size bounds: the peak of |stencil_symbol(order, N, h)| h^order.  The
@@ -413,36 +403,24 @@ def _midpoint_covers(spec: AlgebraSpec, kind: FlowKind) -> bool:
     return kind is not FlowKind.SECOND_ORDER and spec.family is not Family.PARA_REAL
 
 
-def _check_stability(p: FlowParams, h: float, kind: FlowKind, dt: float, allow_unstable: bool):
+def _check_stability(p: FlowParams, h: float, kind: FlowKind, dt: float):
     if _beyond_bound(p, h, kind, dt):
-        bound = stability_bound(p, h, kind)
-        warnings.warn(
-            f"dt={dt:.3e} exceeds the stability bound {bound:.3e}", stacklevel=3
+        raise StabilityError(
+            f"dt={dt:.3e} exceeds the stability bound {stability_bound(p, h, kind):.3e}"
         )
-        if not allow_unstable:
-            raise StabilityError(
-                f"dt={dt:.3e} exceeds the stability bound {bound:.3e}; "
-                "pass allow_unstable=True to proceed anyway"
-            )
 
 
-def step(
-    os: OrbitState,
-    p: FlowParams,
-    kind: FlowKind,
-    dt: float,
-    allow_unstable: bool = False,
-) -> OrbitState:
+def step(os: OrbitState, p: FlowParams, kind: FlowKind, dt: float) -> OrbitState:
     """Advance one time step; a frame rides along.  A step within the
-    explicit bound, or any step with allow_unstable, is an RKMK4 step.  A
-    longer one is an isospectral midpoint step where _midpoint_covers says
-    so, and a StabilityError elsewhere.  A midpoint step raises NewtonError
-    when its solve fails and FlowBlowupError when it is not finite."""
+    explicit bound is an RKMK4 step.  A longer one is an isospectral midpoint
+    step where _midpoint_covers says so, and a StabilityError elsewhere.  A
+    midpoint step raises NewtonError when its solve fails and
+    FlowBlowupError when it is not finite."""
     kind = FlowKind(kind)
     h = os.phi.grid.h
     frame0 = None if os.frame is None else os.frame.values
     beyond = _beyond_bound(p, h, kind, dt)
-    if beyond and not allow_unstable and _midpoint_covers(os.spec, kind):
+    if beyond and _midpoint_covers(os.spec, kind):
         physics = _flow_params(p, kind)
         gen = _generator(os.spec, h, physics)
         symbol = _linear_symbol(os.phi.grid.num_points, h, physics)
@@ -458,7 +436,7 @@ def step(
             raise FlowBlowupError(os, 1, os.time + dt)
     else:
         if beyond:
-            _check_stability(p, h, kind, dt, allow_unstable)
+            _check_stability(p, h, kind, dt)
         if kind is FlowKind.SECOND_ORDER:
             gen = _second_order_generator(os.spec, h)
         else:
@@ -521,21 +499,6 @@ def _march(state, t0: float, output_times, dt: float, advance, arrays):
         yield target, state
 
 
-@dataclass
-class Trajectory:
-    """Snapshots at the requested output times with their diagnostics."""
-
-    times: list[float]
-    states: list[OrbitState]
-    reports: list[EnergyReport]
-    spectrum_deviations: list[float]
-    membership_residuals: list[float]
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
-
-
 def evolve(
     os: OrbitState,
     p: FlowParams,
@@ -543,32 +506,25 @@ def evolve(
     T: float,
     dt: float,
     output_times: list[float] | None = None,
-    allow_unstable: bool = False,
-) -> Trajectory:
-    """Run the flow for a duration T, landing exactly on the requested
-    output times.  Each step is taken by step, so a dt beyond the explicit
-    bound runs the isospectral midpoint where that applies, and a last step
-    cut to within the bound is an RKMK4 step.  Raises FlowBlowupError (with
-    the last finite state and the offending step index) if the field stops
-    being finite, and NewtonError (likewise) if a midpoint solve fails."""
+) -> list[OrbitState]:
+    """Run the flow for a duration T and return the state at each output
+    time, stamped with that time exactly.  Each step is taken by step, so a
+    dt beyond the explicit bound runs the isospectral midpoint where that
+    applies, and a last step cut to within the bound is an RKMK4 step; where
+    no midpoint applies, such a dt is refused before the first step.  Raises
+    FlowBlowupError (with the last finite state and the offending step index)
+    if the field stops being finite, and NewtonError (likewise) if a midpoint
+    solve fails."""
     kind = FlowKind(kind)
     times = _output_times(os.time, T, dt, output_times)
-    if allow_unstable or not _midpoint_covers(os.spec, kind):
-        _check_stability(p, os.phi.grid.h, kind, dt, allow_unstable)
+    if not _midpoint_covers(os.spec, kind):
+        _check_stability(p, os.phi.grid.h, kind, dt)
 
     def advance(state, h):
-        return step(state, p, kind, h, allow_unstable=allow_unstable)
+        return step(state, p, kind, h)
 
     arrivals = _march(os, os.time, times, dt, advance, lambda state: (state.phi.values,))
-    # each snapshot is stamped with its exact output time
-    states = [OrbitState(s.spec, s.phi, target, s.frame) for target, s in arrivals]
-    return Trajectory(
-        times,
-        states,
-        [energy_report(state, p) for state in states],
-        [spectrum_deviation(state) for state in states],
-        [membership_residual(state.spec, state.phi.values) for state in states],
-    )
+    return [OrbitState(s.spec, s.phi, target, s.frame) for target, s in arrivals]
 
 
 def sym_pohlmeyer_curve(os: OrbitState) -> MatrixField:

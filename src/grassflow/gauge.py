@@ -170,21 +170,20 @@ def curvature_target(os: OrbitState, p: FlowParams, lam: float) -> MatrixField:
     return MatrixField(os.phi.grid, coeff * (phix @ phix @ phix))
 
 
-def curvature_residual(traj, p: FlowParams, lam: float) -> list[tuple[float, float]]:
-    """Curvature defect at interior snapshots of a trajectory.
+def curvature_residual(states, p: FlowParams, lam: float) -> list[tuple[float, float]]:
+    """Curvature defect at the interior snapshots of a list of states, each
+    at its own time (as evolve returns them).
 
     The time derivative of A_x is formed by centered differencing of the
     neighbouring snapshots (second order, uneven spacing handled); the
     result is a list of (time, residual) pairs.
     """
-    states = traj.states
-    times = traj.times
     if len(states) < 3:
         raise ValueError("need at least three snapshots for a curvature residual")
     out = []
     for i in range(1, len(states) - 1):
-        dm = times[i] - times[i - 1]
-        dp = times[i + 1] - times[i]
+        dm = states[i].time - states[i - 1].time
+        dp = states[i + 1].time - states[i].time
         phi_prev = states[i - 1].phi.values
         phi_next = states[i + 1].phi.values
         phi_dot = (
@@ -194,7 +193,7 @@ def curvature_residual(traj, p: FlowParams, lam: float) -> list[tuple[float, flo
         h = states[i].phi.grid.h
         f = periodic_diff(at, 1, h) - lam * phi_dot + bracket(ax, at)
         k = curvature_target(states[i], p, lam).values
-        out.append((times[i], frobenius(f - k)))
+        out.append((states[i].time, frobenius(f - k)))
     return out
 
 
@@ -256,23 +255,17 @@ def potential_rhs(ps: PotentialState, p: FlowParams) -> PotentialState:
     return PotentialState(ps.spec, ps.grid, dq, dr, ps.time)
 
 
-@dataclass
-class PotentialTrajectory:
-    times: list[float]
-    states: list[PotentialState]
-
-
 def evolve_potential(
     ps: PotentialState,
     p: FlowParams,
     T: float,
     dt: float,
     output_times: list[float] | None = None,
-) -> PotentialTrajectory:
-    """Integrate the potential equations with a classical one-step method,
-    landing exactly on the requested output times.  Raises FlowBlowupError
-    (with the last finite state and the offending step index) if q or r
-    stops being finite."""
+) -> list[PotentialState]:
+    """Integrate the potential equations with a classical one-step method
+    and return the state at each output time, stamped with that time
+    exactly.  Raises FlowBlowupError (with the last finite state and the
+    offending step index) if q or r stops being finite."""
     spec = ps.spec
     h = ps.grid.h
     times = _output_times(ps.time, T, dt, output_times)
@@ -291,9 +284,7 @@ def evolve_potential(
         return PotentialState(spec, state.grid, q, r, state.time + dt_step)
 
     arrivals = _march(ps, ps.time, times, dt, advance, lambda state: (state.q, state.r))
-    # each snapshot is stamped with its exact output time
-    states = [PotentialState(spec, s.grid, s.q, s.r, target) for target, s in arrivals]
-    return PotentialTrajectory(times, states)
+    return [PotentialState(spec, s.grid, s.q, s.r, target) for target, s in arrivals]
 
 
 def _gauge_invariant(ps: PotentialState) -> np.ndarray:
@@ -315,12 +306,12 @@ def frame_potential_gaps(
     per side covers all of them.  Both sides are explicit integrators at the
     same dt, so a dt beyond the frame flow's stability bound is refused."""
     physics = _flow_params(p, kind)
-    _check_stability(p, ps0.grid.h, kind, dt, allow_unstable=False)
+    _check_stability(p, ps0.grid.h, kind, dt)
     T = max(times, default=ps0.time) - ps0.time
     frames = evolve(state_from_potential(ps0), p, kind, T, dt, output_times=times)
     direct = evolve_potential(ps0, physics, T, dt, output_times=times)
     gaps = []
-    for state, ps in zip(frames.states, direct.states):
+    for state, ps in zip(frames, direct):
         fixed = gauge_fix_frame(ps0.spec, state.frame, time=state.time)
         gaps.append(np.abs(_gauge_invariant(gauge_transform(fixed)) - _gauge_invariant(ps)))
     return gaps

@@ -11,6 +11,7 @@ projects back onto the orbit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +62,13 @@ class OrbitState:
     @classmethod
     def from_json_dict(cls, d: dict) -> "OrbitState":
         frame = MatrixField.from_json_dict(d["frame"]) if "frame" in d else None
+        time = float(d.get("time", 0.0))
+        if not math.isfinite(time):
+            raise ValueError(f"time must be finite, not {time}")
         return cls(
             AlgebraSpec.from_json_dict(d["algebra"]),
             MatrixField.from_json_dict(d["phi"]),
-            float(d.get("time", 0.0)),
+            time,
             frame,
         )
 

@@ -214,7 +214,7 @@ def matrix_and_vector_spins(
     per side covers all of them.  Both sides are explicit integrators at the
     same dt, so a dt beyond the matrix flow's stability bound is refused."""
     physics = _flow_params(p, kind)
-    _check_stability(p, os.phi.grid.h, kind, dt, allow_unstable=False)
+    _check_stability(p, os.phi.grid.h, kind, dt)
     T = max(times, default=os.time) - os.time
     matrix_side = evolve(os, p, kind, T, dt, output_times=times)
 
@@ -222,7 +222,7 @@ def matrix_and_vector_spins(
         return spin_step(sf, physics, h)
 
     vector_side = _march(phi_to_s(os), os.time, times, dt, advance, lambda sf: (sf.s,))
-    return [(phi_to_s(state).s, sf.s) for state, (_, sf) in zip(matrix_side.states, vector_side)]
+    return [(phi_to_s(state).s, sf.s) for state, (_, sf) in zip(matrix_side, vector_side)]
 
 
 def cross_check_matrix_vs_vector(
@@ -240,7 +240,7 @@ def cross_check_matrix_vs_vector(
     return max(float(np.max(np.abs(vector_s - matrix_s))) for matrix_s, vector_s in spins)
 
 
-def _scalar_block(q, r, h, alpha, beta, cnl, nonlocal_mode):
+def _scalar_block(q, r, h, alpha, beta, cnl):
     """Scalar transcription of the shared potential-equation block, kept
     term by term so it can disambiguate the matrix assembly."""
     qx = periodic_diff(q, 1, h)
@@ -262,12 +262,8 @@ def _scalar_block(q, r, h, alpha, beta, cnl, nonlocal_mode):
         )
     if cnl != 0.0:
         qrq = q * r * q
-        if nonlocal_mode == "integral":
-            n1 = cumulative_trapezoid(q * periodic_diff(r * q, 1, h) * r, h)
-            n2 = cumulative_trapezoid(r * periodic_diff(q * r, 1, h) * q, h)
-        else:
-            prod = q * r
-            n1 = n2 = 0.5 * (prod * prod - prod[0] * prod[0])
+        n1 = cumulative_trapezoid(q * periodic_diff(r * q, 1, h) * r, h)
+        n2 = cumulative_trapezoid(r * periodic_diff(q * r, 1, h) * q, h)
         out = out - cnl * (-periodic_diff(qrq, 2, h) + 2.0 * qrq * r * q + q * n2 + n1 * q)
     return out
 
@@ -328,15 +324,15 @@ def scalar_rhs(
             dq = _closed_scalar_split_q(q, r, h, p.alpha, p.beta, cnl)
             dr = -_closed_scalar_split_q(r, q, h, p.alpha, p.beta, cnl)
             return dq, dr
-        dq = -_scalar_block(q, r, h, p.alpha, p.beta, cnl, nonlocal_mode)
-        dr = _scalar_block(r, q, h, p.alpha, p.beta, cnl, nonlocal_mode)
+        dq = -_scalar_block(q, r, h, p.alpha, p.beta, cnl)
+        dr = _scalar_block(r, q, h, p.alpha, p.beta, cnl)
         return dq, dr
     if r is not None:
         raise ValueError("the complex families slave r to q")
     sign = -1.0 if family is Family.COMPACT_UNITARY else 1.0
     if nonlocal_mode == "closed":
         return _closed_scalar_complex(q, h, p.alpha, p.beta, cnl, -sign)
-    return 1j * _scalar_block(q, sign * np.conj(q), h, p.alpha, p.beta, cnl, nonlocal_mode)
+    return 1j * _scalar_block(q, sign * np.conj(q), h, p.alpha, p.beta, cnl)
 
 
 def _closed_scalar_split_q(q, r, h, alpha, beta, cnl):

@@ -33,7 +33,7 @@ from .initial_data import (
     random_smooth_potential,
     random_tangent_field,
 )
-from .orbit import verify_identities
+from .orbit import spectrum_deviation, verify_identities
 from .reductions import (
     Geometry,
     SpinField,
@@ -76,7 +76,7 @@ def _refined(residual_name, order_name, coarse, fine, tol, order_min):
 
 
 def _three_steps(points, p, seed, amplitude):
-    """dt and the snapshots after one, two and three third-order steps of dt,
+    """dt and the states after one, two and three third-order steps of dt,
     half the stability bound, from a random compact_u(2, 1) orbit state."""
     grid = Grid(points, _LENGTH)
     os = random_orbit_state(_U21, grid, seed, 2, amplitude)
@@ -144,10 +144,10 @@ def measure_conservation():
     dt = auto_dt(p, grid.h, FlowKind.THIRD_ORDER)
 
     def run(os, T, dt_run):
-        traj = evolve(os, p, FlowKind.THIRD_ORDER, T, dt_run)
-        h0 = traj.reports[0].H
-        drift = abs(traj.reports[-1].H - h0) / max(1.0, abs(h0))
-        return drift, max(traj.spectrum_deviations)
+        states = evolve(os, p, FlowKind.THIRD_ORDER, T, dt_run)
+        h0 = energy_report(states[0], p).H
+        drift = abs(energy_report(states[-1], p).H - h0) / max(1.0, abs(h0))
+        return drift, max(spectrum_deviation(state) for state in states)
 
     helix = latitude_circle_state(grid, mode=8, height=0.65)
     drift1, specdev = run(helix, 0.1, dt)
@@ -245,14 +245,13 @@ def measure_curvature():
     p = FlowParams(0.8, 0.1, 0.06)
     _, coarse = _three_steps(_COARSE, p, 613, 0.25)
     _, fine = _three_steps(_FINE, p, 613, 0.25)
-    # the fine trajectory with its middle snapshot at all three times; the
-    # residual reads only the times and the states
-    frozen = replace(fine, states=[fine.states[1]] * 3)
+    # the fine trajectory's middle state stamped at all three of its times
+    frozen = [replace(fine[1], time=s.time) for s in fine]
     checks = []
     for lam in (0.5, 1.0, 2.0):
         tag = f"{lam:g}"
         res_coarse, res_fine, bad = (
-            curvature_residual(traj, p, lam)[0][1] for traj in (coarse, fine, frozen)
+            curvature_residual(states, p, lam)[0][1] for states in (coarse, fine, frozen)
         )
         checks += _refined(
             f"curvature_residual_lam{tag}", f"curvature_order_lam{tag}", res_coarse, res_fine, 1e-3, 2.0
@@ -289,8 +288,7 @@ def measure_integrable_limit():
 
 
 def _curve_gap(points, p):
-    dt, traj = _three_steps(points, p, 811, 0.2)
-    before, middle, after = traj.states
+    dt, (before, middle, after) = _three_steps(points, p, 811, 0.2)
     rate = (sym_pohlmeyer_curve(after).values - sym_pohlmeyer_curve(before).values) / (2.0 * dt)
     rhs = curve_flow_rhs(middle, p).values
     gap = np.max(np.abs(rate - (rhs - rhs[0])), axis=(1, 2))

@@ -183,16 +183,21 @@ def test_snapshot_grid_mismatch_exits_two(tmp_path, capsys):
     assert "grid does not match" in capsys.readouterr().err
 
 
-def test_unstable_requested_step_aborts_with_manifest(tmp_path):
-    # on para_gl, where no implicit step applies
+def test_unstable_requested_step_aborts_with_manifest(tmp_path, capsys):
+    # on para_gl, where no implicit step applies: one line on stderr, and no
+    # snapshot or observables row
     cfg = _write_config(tmp_path / "c.json", dt=1.0, algebra={"family": "para_gl", "n": 2, "k": 1})
     out = tmp_path / "out"
-    with pytest.warns(UserWarning):
-        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
     assert rc == 1
     manifest = json.loads(_read(out / "manifest.json"))
     assert manifest["status"] == "aborted"
     assert manifest["abort"]["error"] == "StabilityError"
+    message = manifest["abort"]["message"]
+    assert message == "dt=1.000e+00 exceeds the stability bound 7.711e-03"
+    assert capsys.readouterr().err == f"aborted: {message}\n"
+    assert not os.path.exists(out / "snapshot_0000.json")
+    assert _read(out / "observables.csv").decode() == ",".join(OBSERVABLE_COLUMNS) + "\n"
 
 
 def _blowup_config(path, **updates):
@@ -598,6 +603,19 @@ def test_malformed_snapshot_fields_exit_two(tmp_path, capsys, key, value):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_snapshot_time_not_finite_exits_two(tmp_path, capsys, time):
+    cfg = _write_config(tmp_path / "c.json")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "first")]) == 0
+    snap = json.loads(_read(tmp_path / "first" / "snapshot_0001.json"))
+    snap["time"] = time
+    rc, out = _resume_from(tmp_path, snap)
+    assert rc == 2
+    assert "config error: initial_data.snapshot:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def _midpoint_config(path, **updates):
     # third order on 32 points, where the explicit bound is 1.1e-4
     cfg = dict(
@@ -639,10 +657,10 @@ def test_dt_beyond_the_bound_is_refused_where_no_implicit_step_applies(tmp_path,
     # gauge-compare and reduce compare explicit integrators at the same dt
     cfg = _midpoint_config(tmp_path / "c.json", **updates)
     out = tmp_path / "o"
-    with pytest.warns(UserWarning):
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     manifest = json.loads(_read(out / "manifest.json"))
     assert manifest["abort"]["error"] == "StabilityError"
+    assert manifest["abort"]["message"].startswith("dt=1.000e-02 exceeds the stability bound ")
 
 
 def test_curvature_residual_runs_beyond_the_bound(tmp_path):

@@ -8,7 +8,14 @@ import pytest
 
 import grassflow.flows as flows
 
-from grassflow.algebra import AlgebraSpec, Family, _orbit_square, bracket, exp_map
+from grassflow.algebra import (
+    AlgebraSpec,
+    Family,
+    _orbit_square,
+    bracket,
+    exp_map,
+    membership_residual,
+)
 from grassflow.fields import Grid, MatrixField, periodic_diff
 from grassflow.flows import (
     _flow_params,
@@ -19,7 +26,6 @@ from grassflow.flows import (
     FlowKind,
     NewtonError,
     StabilityError,
-    Trajectory,
     curve_flow_rhs,
     evolve,
     stability_bound,
@@ -109,15 +115,14 @@ def test_stability_bound_formulas():
 
 
 def test_step_rejects_unstable_dt():
-    # on para_gl, where no implicit step applies
+    # on para_gl, where no implicit step applies; the refusal names the step
+    # and the bound, and nothing else
     grid = Grid(32, TWO_PI)
     os = _state(AlgebraSpec(Family.PARA_REAL, 2, 1), grid)
     bound = stability_bound(PARAMS, grid.h, FlowKind.THIRD_ORDER)
-    with pytest.warns(UserWarning):
-        with pytest.raises(StabilityError):
-            step(os, PARAMS, FlowKind.THIRD_ORDER, 2.0 * bound)
-    with pytest.warns(UserWarning):
-        step(os, PARAMS, FlowKind.THIRD_ORDER, 2.0 * bound, allow_unstable=True)
+    with pytest.raises(StabilityError) as err:
+        step(os, PARAMS, FlowKind.THIRD_ORDER, 2.0 * bound)
+    assert str(err.value) == f"dt={2.0 * bound:.3e} exceeds the stability bound {bound:.3e}"
 
 
 @pytest.mark.parametrize("kind", list(FlowKind))
@@ -133,7 +138,7 @@ def test_evolve_at_the_bound_does_not_warn(u2, kind):
     # the slack is far below any step that matters; beyond it a step is
     # refused where no implicit step applies
     para = _state(AlgebraSpec(Family.PARA_REAL, 2, 1), grid)
-    with pytest.warns(UserWarning), pytest.raises(StabilityError):
+    with pytest.raises(StabilityError, match="exceeds the stability bound"):
         step(para, PARAMS, kind, bound * (1.0 + 1e-6))
 
 
@@ -178,7 +183,7 @@ def test_second_order_time_accuracy_is_fourth_order(family):
     dt = 0.8 * stability_bound(p, grid.h, FlowKind.SECOND_ORDER)
     T = 40 * dt
     sols = [
-        evolve(os, p, FlowKind.SECOND_ORDER, T, dt / divide, output_times=[T]).states[-1]
+        evolve(os, p, FlowKind.SECOND_ORDER, T, dt / divide, output_times=[T])[-1]
         for divide in (1, 2, 4)
     ]
     err_coarse, err_fine = (np.max(np.abs(s.phi.values - sols[2].phi.values)) for s in sols[:2])
@@ -194,9 +199,8 @@ def test_time_accuracy_is_fourth_order(u2):
     sols = []
     for divide in (1, 2, 4):
         dt = 0.004 / divide
-        traj = evolve(os, p, FlowKind.LEADING_ORDER, T, dt,
-                      output_times=[T])
-        sols.append(traj.states[-1].phi.values)
+        (last,) = evolve(os, p, FlowKind.LEADING_ORDER, T, dt, output_times=[T])
+        sols.append(last.phi.values)
     err_coarse = np.max(np.abs(sols[0] - sols[2]))
     err_fine = np.max(np.abs(sols[1] - sols[2]))
     rate = np.log2(err_coarse / err_fine)
@@ -222,10 +226,9 @@ def test_evolve_validates_arguments(u2):
 def test_evolve_zero_duration_gives_single_snapshot(u2):
     grid = Grid(32, TWO_PI)
     os = _state(u2, grid)
-    traj = evolve(os, FlowParams(0.1, 0, 0), FlowKind.LEADING_ORDER, 0.0, 1e-4)
-    assert traj.times == [0.0]
-    assert len(traj.states) == 1
-    np.testing.assert_array_equal(traj.states[0].phi.values, os.phi.values)
+    states = evolve(os, FlowParams(0.1, 0, 0), FlowKind.LEADING_ORDER, 0.0, 1e-4)
+    assert [s.time for s in states] == [0.0]
+    np.testing.assert_array_equal(states[0].phi.values, os.phi.values)
 
 
 def _count_steps(monkeypatch):
@@ -246,10 +249,9 @@ def test_evolve_lands_exactly_on_output_times(u2, monkeypatch):
     grid = Grid(32, TWO_PI)
     os = _state(u2, grid)
     wanted = [0.0, 3.3e-4, 1e-3]
-    traj = evolve(os, FlowParams(0.1, 0, 0), FlowKind.LEADING_ORDER, 1e-3, 1e-4,
-                  output_times=wanted)
-    assert traj.times == wanted
-    assert [s.time for s in traj.states] == wanted
+    states = evolve(os, FlowParams(0.1, 0, 0), FlowKind.LEADING_ORDER, 1e-3, 1e-4,
+                    output_times=wanted)
+    assert [s.time for s in states] == wanted
     # ceil(3.3) + ceil(6.7) steps, the last of each segment shortened
     assert calls == [11]
 
@@ -261,10 +263,10 @@ def test_evolve_takes_every_step_at_any_dt(u2, dt, monkeypatch):
     calls = _count_steps(monkeypatch)
     os = _state(u2, Grid(16, TWO_PI))
     T = 40 * dt
-    traj = evolve(os, PARAMS, FlowKind.THIRD_ORDER, T, dt, allow_unstable=True)
+    last = evolve(os, PARAMS, FlowKind.THIRD_ORDER, T, dt)[-1]
     assert calls == [math.ceil(T / dt)] == [40]
-    assert traj.times[-1] == T
-    assert np.any(traj.states[-1].phi.values != os.phi.values)
+    assert last.time == T
+    assert np.any(last.phi.values != os.phi.values)
 
 
 def test_evolve_rejects_output_times_past_the_run_by_many_steps(u2):
@@ -274,36 +276,39 @@ def test_evolve_rejects_output_times_past_the_run_by_many_steps(u2):
         evolve(os, PARAMS, FlowKind.THIRD_ORDER, T, dt, output_times=[0.0, T + 5e-10])
 
 
-def test_trajectory_requires_increasing_times():
-    with pytest.raises(ValueError):
-        Trajectory([0.0, 0.0], [], [], [], [])
-
-
-def test_blowup_carries_last_state_and_step_index(u2):
+def test_blowup_carries_last_state_and_step_index():
+    # the para_gl flow is ill-posed at grid scale, so a run at its own step
+    # bound still blows up, within 400 steps
     grid = Grid(32, TWO_PI)
-    os = _state(u2, grid)
-    p = FlowParams(50.0, 0.0, 0.0)
-    with pytest.warns(UserWarning), np.errstate(over="ignore", invalid="ignore"):
+    os = _state(AlgebraSpec(Family.PARA_REAL, 2, 1), grid, seed=3)
+    bound = stability_bound(PARAMS, grid.h, FlowKind.THIRD_ORDER)
+    with np.errstate(all="ignore"):
         with pytest.raises(FlowBlowupError) as err:
-            evolve(os, p, FlowKind.LEADING_ORDER, 10.0, 0.5,
-                   allow_unstable=True)
-    assert err.value.step_index >= 1
+            evolve(os, PARAMS, FlowKind.THIRD_ORDER, 400 * bound, bound)
+    index = err.value.step_index
+    assert 1 <= index < 400
+    assert err.value.time == pytest.approx(index * bound, rel=1e-12, abs=0.0)
+    assert err.value.last_state.time == pytest.approx((index - 1) * bound, rel=1e-12, abs=0.0)
     assert np.all(np.isfinite(err.value.last_state.phi.values))
 
 
 @pytest.mark.parametrize("multiple", [1e3, 1e6])
 def test_blowup_on_example_state_is_typed_at_any_stage(multiple):
-    # far past the bound a stage of the first steps goes non-finite; the
-    # march reports it as a blow-up, not as an error from inside the step
+    # alpha = beta = 0 leaves no step bound, so steps of 1e3 and 1e6 times
+    # the example's bound are taken; far past it a stage of the first steps
+    # goes non-finite, and the march reports it as a blow-up, not as an
+    # error from inside the step
     spec = AlgebraSpec(Family.COMPACT_UNITARY, 2, 1)
     grid = Grid(128, TWO_PI)
     os = make_initial_state(
         spec, grid, {"generator": "random_smooth", "seed": 3, "modes": 2, "amplitude": 0.3}
     )
+    p = FlowParams(0.0, 0.0, 10.0)
+    assert stability_bound(p, grid.h, FlowKind.THIRD_ORDER) == np.inf
     dt = multiple * stability_bound(PARAMS, grid.h, FlowKind.THIRD_ORDER)
-    with pytest.warns(UserWarning), np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
         with pytest.raises(FlowBlowupError) as err:
-            evolve(os, PARAMS, FlowKind.THIRD_ORDER, 50 * dt, dt, allow_unstable=True)
+            evolve(os, p, FlowKind.THIRD_ORDER, 50 * dt, dt)
     index = err.value.step_index
     last = err.value.last_state
     assert 1 <= index < 50
@@ -394,9 +399,8 @@ def test_reprojected_flow_matches_matrix_mkdv_reduction(para2):
 
     T = 2e-3
     dt = 0.4 * stability_bound(FlowParams(0, 0, 0), grid.h, FlowKind.SECOND_ORDER)
-    traj = evolve(os0, FlowParams(0, 0, 0), FlowKind.SECOND_ORDER, T, dt,
-                  output_times=[T])
-    got = density(traj.states[-1])
+    (last,) = evolve(os0, FlowParams(0, 0, 0), FlowKind.SECOND_ORDER, T, dt, output_times=[T])
+    got = density(last)
 
     steps = int(round(T / dt))
     v = ps.assemble().values.copy()
@@ -534,11 +538,11 @@ def test_midpoint_time_accuracy_is_second_order(spec, kind):
     os = _state(spec, grid)
     bound = stability_bound(PARAMS, grid.h, kind)
     T = 80 * bound
-    ref = evolve(os, PARAMS, kind, T, auto_dt(PARAMS, grid.h, kind), output_times=[T])
+    (ref,) = evolve(os, PARAMS, kind, T, auto_dt(PARAMS, grid.h, kind), output_times=[T])
     errs = []
     for dt in (20 * bound, 10 * bound):
-        traj = evolve(os, PARAMS, kind, T, dt, output_times=[T])
-        errs.append(np.max(np.abs(traj.states[-1].phi.values - ref.states[-1].phi.values)))
+        (last,) = evolve(os, PARAMS, kind, T, dt, output_times=[T])
+        errs.append(np.max(np.abs(last.phi.values - ref.phi.values)))
     rate = np.log2(errs[0] / errs[1])
     assert rate >= 1.9, f"observed time order {rate:.2f}"
 
@@ -548,10 +552,10 @@ def test_midpoint_time_accuracy_is_second_order(spec, kind):
 def test_midpoint_keeps_spectrum_membership_and_frame_at_100x_the_bound(spec, kind):
     grid = Grid(32, TWO_PI)
     dt = 100 * stability_bound(PARAMS, grid.h, kind)
-    traj = evolve(_state(spec, grid), PARAMS, kind, 5 * dt, dt)
-    assert max(traj.spectrum_deviations) <= 1e-13
-    assert max(traj.membership_residuals) <= 1e-13
-    last = traj.states[-1]
+    states = evolve(_state(spec, grid), PARAMS, kind, 5 * dt, dt)
+    assert max(spectrum_deviation(s) for s in states) <= 1e-13
+    assert max(membership_residual(spec, s.phi.values) for s in states) <= 1e-13
+    last = states[-1]
     rebuilt = conjugate_base(spec, last.frame.values)
     assert np.max(np.abs(rebuilt - last.phi.values)) <= 1e-12
 
@@ -583,19 +587,16 @@ def test_midpoint_takes_the_step_count_of_the_march(u2, monkeypatch):
     assert counts == {"midpoint": 10, "rkmk4": 1}
 
 
-def test_steps_within_the_bound_or_allowed_unstable_stay_explicit(u2, monkeypatch):
+def test_steps_within_the_bound_stay_explicit(u2, monkeypatch):
     grid = Grid(32, TWO_PI)
     os = _state(u2, grid)
     bound = stability_bound(PARAMS, grid.h)
     counts = _count_schemes(monkeypatch)
     evolve(os, PARAMS, FlowKind.THIRD_ORDER, 4 * bound, bound)
     assert counts == {"midpoint": 0, "rkmk4": 4}
-    with pytest.warns(UserWarning):
-        step(os, PARAMS, FlowKind.THIRD_ORDER, 2 * bound, allow_unstable=True)
-    assert counts == {"midpoint": 0, "rkmk4": 5}
     # the midpoint takes over past the same slack as the bound's check
     step(os, PARAMS, FlowKind.THIRD_ORDER, bound * (1.0 + 1e-6))
-    assert counts == {"midpoint": 1, "rkmk4": 5}
+    assert counts == {"midpoint": 1, "rkmk4": 4}
 
 
 @pytest.mark.parametrize(
@@ -605,11 +606,15 @@ def test_steps_within_the_bound_or_allowed_unstable_stay_explicit(u2, monkeypatc
 def test_midpoint_leaves_para_gl_and_the_second_order_flow_to_the_bound(family, kind):
     grid = Grid(32, TWO_PI)
     os = _state(AlgebraSpec(family, 2, 1), grid)
-    dt = 10 * stability_bound(PARAMS, grid.h, kind)
-    with pytest.warns(UserWarning), pytest.raises(StabilityError):
+    bound = stability_bound(PARAMS, grid.h, kind)
+    dt = 10 * bound
+    message = f"dt={dt:.3e} exceeds the stability bound {bound:.3e}"
+    with pytest.raises(StabilityError) as err:
         step(os, PARAMS, kind, dt)
-    with pytest.warns(UserWarning), pytest.raises(StabilityError):
+    assert str(err.value) == message
+    with pytest.raises(StabilityError) as err:
         evolve(os, PARAMS, kind, 3 * dt, dt)
+    assert str(err.value) == message
 
 
 def test_midpoint_has_no_step_bound(u2):

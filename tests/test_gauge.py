@@ -153,10 +153,10 @@ def test_plane_wave_phase_rotation(u2):
     ps = PotentialState.from_q(u2, grid, q0)
     p = FlowParams(alpha, 0.0, 0.0)
     T = 0.01
-    traj = evolve_potential(ps, p, T, 1e-4, output_times=[T])
+    (last,) = evolve_potential(ps, p, T, 1e-4, output_times=[T])
     sym2 = (30.0 - 32.0 * np.cos(mode * h) + 2.0 * np.cos(2.0 * mode * h)) / (12.0 * h**2)
     exact = q0 * np.exp(1j * alpha * (sym2 - 2.0 * c**2) * T)
-    gap = np.max(np.abs(traj.states[-1].q - exact))
+    gap = np.max(np.abs(last.q - exact))
     assert gap < 1e-10, f"{gap:.3e}"
 
 
@@ -164,8 +164,8 @@ def test_zero_potential_is_stationary(para2):
     grid = Grid(16, TWO_PI)
     z = np.zeros((16, 1, 1))
     ps = PotentialState(para2, grid, z, z)
-    traj = evolve_potential(ps, FlowParams(1.0, 0.2, 0.1), 0.01, 1e-3)
-    assert np.all(traj.states[-1].q == 0) and np.all(traj.states[-1].r == 0)
+    last = evolve_potential(ps, FlowParams(1.0, 0.2, 0.1), 0.01, 1e-3)[-1]
+    assert np.all(last.q == 0) and np.all(last.r == 0)
 
 
 def test_evolve_potential_validates_arguments(u2):
@@ -198,10 +198,10 @@ def test_evolve_potential_takes_every_step_at_any_dt(u2, dt, monkeypatch):
     grid = Grid(16, TWO_PI)
     ps = PotentialState.from_q(u2, grid, _smooth_q(grid, (1, 1)))
     T = 40 * dt
-    traj = evolve_potential(ps, FlowParams(1.0, 0.1, -0.0125), T, dt)
+    last = evolve_potential(ps, FlowParams(1.0, 0.1, -0.0125), T, dt)[-1]
     assert calls == [4 * math.ceil(T / dt)] == [160]
-    assert traj.times[-1] == T
-    assert np.any(traj.states[-1].q != ps.q)
+    assert last.time == T
+    assert np.any(last.q != ps.q)
 
 
 def test_potential_blowup_carries_last_state_and_step_index(u2):
@@ -335,20 +335,20 @@ def test_curvature_residual_small_on_flow_and_large_off_flow(u2):
     p = FlowParams(1.0, 0.1, -0.0125)
     dt = 0.5 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
     delta = 2e-4
-    traj = evolve(os, p, FlowKind.THIRD_ORDER, 2 * delta, dt,
-                  output_times=[0.0, delta, 2 * delta])
-    residual = curvature_residual(traj, p, 1.0)
+    states = evolve(os, p, FlowKind.THIRD_ORDER, 2 * delta, dt,
+                    output_times=[0.0, delta, 2 * delta])
+    residual = curvature_residual(states, p, 1.0)
     assert len(residual) == 1
     t, value = residual[0]
     assert t == delta
     assert value < 1e-3, f"{value:.3e}"
-    wrong = curvature_residual(traj, FlowParams(1.0, 0.1, 0.05), 1.0)[0][1]
+    wrong = curvature_residual(states, FlowParams(1.0, 0.1, 0.05), 1.0)[0][1]
     assert wrong > 10.0 * value
 
 
 def test_curvature_residual_needs_three_snapshots(u2):
     grid = Grid(32, TWO_PI)
     os = random_orbit_state(u2, grid, seed=2, modes=2, amplitude=0.2)
-    traj = evolve(os, FlowParams(0.1, 0, 0), FlowKind.LEADING_ORDER, 0.0, 1e-4)
+    states = evolve(os, FlowParams(0.1, 0, 0), FlowKind.LEADING_ORDER, 0.0, 1e-4)
     with pytest.raises(ValueError):
-        curvature_residual(traj, FlowParams(0.1, 0, 0), 1.0)
+        curvature_residual(states, FlowParams(0.1, 0, 0), 1.0)
