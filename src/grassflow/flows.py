@@ -241,13 +241,12 @@ def _rkmk_step(gen, phi0: np.ndarray, frame0: np.ndarray | None, dt: float):
 
 # Newton on the isospectral midpoint stops once the max-abs residual is
 # NEWTON_TOL times phi's largest entry, and fails after NEWTON_ITERS
-# updates.  Each update is a GMRES solve to GMRES_TOL times the residual's
-# 2-norm, restarted every GMRES_RESTART products and capped at GMRES_ITERS.
+# updates.  Each update is a Krylov solve to KRYLOV_TOL times the residual's
+# 2-norm, capped at KRYLOV_ITERS products.
 NEWTON_TOL = 1e-12
 NEWTON_ITERS = 8
-GMRES_TOL = 1e-3
-GMRES_RESTART = 20
-GMRES_ITERS = 60
+KRYLOV_TOL = 1e-3
+KRYLOV_ITERS = 60
 
 
 @functools.lru_cache(maxsize=16)
@@ -260,60 +259,39 @@ def _linear_symbol(num_points: int, h: float, p: FlowParams) -> np.ndarray:
     return symbol
 
 
-def _gmres(apply, precond, b: np.ndarray, tol: float) -> np.ndarray:
-    """x with ||apply(x) - b|| <= tol in the 2-norm over all entries, by
-    GMRES (Saad and Schultz 1986) right-preconditioned by precond: the
-    Krylov space is built for apply(precond(.)) and x is precond of its
-    least-squares solution, which Givens rotations keep triangular.
-    Restarts every GMRES_RESTART products of apply, and returns what it
-    has after GMRES_ITERS of them."""
-    x, r, products = np.zeros_like(b), b, 0
-    while True:
-        norm = float(np.linalg.norm(r))
-        if norm <= tol or products >= GMRES_ITERS:
+def _gcr(apply, precond, b: np.ndarray, tol: float) -> np.ndarray:
+    """x with ||apply(x) - b|| <= tol in the 2-norm over all entries, by the
+    generalized conjugate residual method (Eisenstat, Elman and Schultz
+    1983) right-preconditioned by precond.  Each direction precond(r) has
+    its image under apply made orthonormal to the earlier images, so x
+    minimises the residual over the directions so far, as GMRES does.
+    Returns what it has after KRYLOV_ITERS products of apply, or once an
+    image vanishes."""
+    x, r = np.zeros_like(b), b
+    dirs, images = [], []
+    while float(np.linalg.norm(r)) > tol and len(images) < KRYLOV_ITERS:
+        p = precond(r)
+        ap = apply(p)
+        for d, image in zip(dirs, images):  # modified Gram-Schmidt
+            c = np.vdot(image, ap)
+            ap = ap - c * image
+            p = p - c * d
+        norm = float(np.linalg.norm(ap))
+        if norm == 0.0:
             return x
-        basis, dirs, cols, rotations, rhs = [r / norm], [], [], [], [norm]
-        while len(dirs) < GMRES_RESTART and products < GMRES_ITERS and abs(rhs[-1]) > tol:
-            dirs.append(precond(basis[-1]))
-            w = apply(dirs[-1])
-            products += 1
-            col = []
-            for v in basis:  # modified Gram-Schmidt
-                col.append(complex(np.vdot(v, w)))
-                w = w - col[-1] * v
-            below = float(np.linalg.norm(w))
-            # rotations (c, s) take (u, v) to (c u + s v, c v - conj(s) u)
-            for i, (c, s) in enumerate(rotations):
-                upper, lower = col[i], col[i + 1]
-                col[i], col[i + 1] = c * upper + s * lower, c * lower - s.conjugate() * upper
-            # the new one zeroes `below`, under the diagonal entry top
-            top, radius = col[-1], math.hypot(abs(col[-1]), below)
-            c, s = (abs(top) / radius, top / abs(top) * below / radius) if top else (0.0, 1.0 + 0j)
-            rotations.append((c, s))
-            col[-1] = c * top + s * below
-            rhs.append(-s.conjugate() * rhs[-1])
-            rhs[-2] *= c
-            cols.append(col)
-            if below == 0.0:
-                break
-            basis.append(w / below)
-        # back substitution in the triangle, whose column j is cols[j]
-        y = list(rhs[: len(cols)])
-        for j in range(len(cols) - 1, -1, -1):
-            y[j] /= cols[j][j]
-            for i in range(j):
-                y[i] -= cols[j][i] * y[j]
-        x = x + sum(coef * d for coef, d in zip(y, dirs))
-        if abs(rhs[-1]) <= tol or products >= GMRES_ITERS:
-            return x
-        r = b - apply(x)
+        dirs.append(p / norm)
+        images.append(ap / norm)
+        c = np.vdot(images[-1], r)
+        x = x + c * dirs[-1]
+        r = r - c * images[-1]
+    return x
 
 
 def _isomp_step(gen, symbol, c2: float, phi0: np.ndarray, frame0, dt: float, tol: float):
     """One step of the isospectral midpoint (Modin and Viviani, FoCM 2020)
     for phi_t = [phi, gen(phi)].  With a = dt / 2 and W = gen(X), Newton
     solves (I + a W) X (I - a W) = phi0 for the midpoint X, each update by
-    GMRES on finite-difference Jacobian products (Knoll and Keyes, JCP
+    GCR on finite-difference Jacobian products (Knoll and Keyes, JCP
     2004).  The step conjugates by the Cayley factor
     C = (I + a W)^-1 (I - a W): phi1 = C phi0 C^-1, frame1 = frame0 C^-1,
     so phi1 is isospectral to phi0 however far Newton got.
@@ -360,7 +338,7 @@ def _isomp_step(gen, symbol, c2: float, phi0: np.ndarray, frame0, dt: float, tol
             eps = reach / np.linalg.norm(v)
             return (residual(x0 + eps * v)[0] - r0) / eps
 
-        x = x0 + _gmres(jacobian, precond, -r0, GMRES_TOL * np.linalg.norm(r0))
+        x = x0 + _gcr(jacobian, precond, -r0, KRYLOV_TOL * np.linalg.norm(r0))
         r, aw = residual(x)
         err = float(np.max(np.abs(r)))
     if not err <= tol:
@@ -448,18 +426,23 @@ def step(os: OrbitState, p: FlowParams, kind: FlowKind, dt: float) -> OrbitState
 
 def _output_times(t0: float, T: float, dt: float, output_times=None) -> list[float]:
     """Output times of a run of duration T from t0 with step dt: by default
-    the two ends, else the given times, which must increase strictly and lie
-    within [t0, t0 + T] up to STEP_SLACK steps."""
+    the two ends, else the given times, which must be finite, increase
+    strictly, lie within [t0, t0 + T] and end at t0 + T, up to STEP_SLACK
+    steps."""
+    times = None if output_times is None else [float(t) for t in output_times]
+    if times is not None and not all(math.isfinite(t) for t in times):
+        raise ValueError("must be finite")
     if not (math.isfinite(T) and math.isfinite(dt) and T >= 0 and dt > 0):
         raise ValueError("need finite T >= 0 and dt > 0")
-    if output_times is None:
+    if times is None:
         return [t0, t0 + T] if T > 0 else [t0]
-    times = [float(t) for t in output_times]
     if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("output times must be strictly increasing")
+        raise ValueError("must be strictly increasing")
     slack = STEP_SLACK * dt
     if times and (times[0] < t0 - slack or times[-1] > t0 + T + slack):
-        raise ValueError("output times must lie within [start, start + T]")
+        raise ValueError("must lie within [start, start + T]")
+    if not times or times[-1] < t0 + T - slack:
+        raise ValueError(f"must end at start + T = {t0 + T!r}")
     return times
 
 

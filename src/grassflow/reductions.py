@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Family
 from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
-from .flows import FlowKind, _check_stability, _flow_params, _march, evolve
+from .flows import FlowBlowupError, FlowKind, _check_stability, _flow_params, _march, evolve
 from .functionals import FlowParams
 from .orbit import OrbitState
 
@@ -70,11 +70,13 @@ def quadric_defect(geometry: Geometry, s: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SpinField:
-    """Three-component real vector field on the geometry's quadric."""
+    """Three-component real vector field on the geometry's quadric, at a
+    time."""
 
     geometry: Geometry
     grid: Grid
     s: np.ndarray
+    time: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "geometry", Geometry(self.geometry))
@@ -135,12 +137,12 @@ def phi_to_s_values(geometry: Geometry, phi: np.ndarray) -> np.ndarray:
 
 def s_to_phi(sf: SpinField) -> OrbitState:
     spec = geometry_spec(sf.geometry)
-    return OrbitState(spec, MatrixField(sf.grid, s_to_phi_values(sf.geometry, sf.s)))
+    return OrbitState(spec, MatrixField(sf.grid, s_to_phi_values(sf.geometry, sf.s)), sf.time)
 
 
 def phi_to_s(os: OrbitState) -> SpinField:
     geometry = spec_geometry(os.spec)
-    return SpinField(geometry, os.phi.grid, phi_to_s_values(geometry, os.phi.values))
+    return SpinField(geometry, os.phi.grid, phi_to_s_values(geometry, os.phi.values), os.time)
 
 
 def geometry_cross(geometry: Geometry, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,7 +188,8 @@ def renormalize(geometry: Geometry, s: np.ndarray) -> np.ndarray:
 
 
 def spin_step(sf: SpinField, p: FlowParams, dt: float) -> SpinField:
-    """One classical step of the vector flow with per-stage projection."""
+    """One classical step of the vector flow with per-stage projection.
+    Raises ValueError when a stage leaves the cone of the quadric."""
     g = sf.geometry
     grid = sf.grid
 
@@ -202,7 +205,7 @@ def spin_step(sf: SpinField, p: FlowParams, dt: float) -> SpinField:
     s4 = renormalize(g, s + dt * k3)
     k4 = rhs(s4)
     out = renormalize(g, s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    return SpinField(g, grid, out)
+    return SpinField(g, grid, out, sf.time + dt)
 
 
 def matrix_and_vector_spins(
@@ -212,14 +215,19 @@ def matrix_and_vector_spins(
     through the vector flow of the same coefficients, and return the pair
     (matrix_s, vector_s) of (N, 3) arrays at each output time.  One march
     per side covers all of them.  Both sides are explicit integrators at the
-    same dt, so a dt beyond the matrix flow's stability bound is refused."""
+    same dt, so a dt beyond the matrix flow's stability bound is refused.
+    Either side raises FlowBlowupError when it stops being finite, or, on
+    the vector side, leaves its quadric's cone."""
     physics = _flow_params(p, kind)
     _check_stability(p, os.phi.grid.h, kind, dt)
     T = max(times, default=os.time) - os.time
     matrix_side = evolve(os, p, kind, T, dt, output_times=times)
 
     def advance(sf, h):
-        return spin_step(sf, physics, h)
+        try:
+            return spin_step(sf, physics, h)
+        except ValueError:
+            raise FlowBlowupError(sf, 1, sf.time + h) from None
 
     vector_side = _march(phi_to_s(os), os.time, times, dt, advance, lambda sf: (sf.s,))
     return [(phi_to_s(state).s, sf.s) for state, (_, sf) in zip(matrix_side, vector_side)]
@@ -291,47 +299,44 @@ def _closed_scalar_complex(q, h, alpha, beta, cnl, focusing_sign):
     return 1j * s
 
 
-def scalar_rhs(
-    grid: Grid,
-    q: np.ndarray,
-    p: FlowParams,
-    family: Family,
-    r: np.ndarray | None = None,
-    nonlocal_mode: str = "integral",
-):
-    """Scalar right-hand sides of the three potential equations (n = 2).
+def scalar_rhs(grid: Grid, q: np.ndarray, p: FlowParams, family: Family, r=None):
+    """Scalar right-hand sides of the three potential equations (n = 2), in
+    their printed closed form, written independently of the matrix assembly.
 
     For the complex families the return value is dq/dt; the split family
-    needs an explicit real pair and returns (dq/dt, dr/dt).  With
-    nonlocal_mode="integral" the nonlocal terms are running trapezoid
-    integrals anchored at the first node, matching potential_rhs pointwise;
-    "closed" substitutes the exact primitive of the integrand, which shifts
-    the result by a spatially constant multiple of the field.
+    needs an explicit real pair and returns (dq/dt, dr/dt).  The nonlocal
+    terms take the exact primitive of their integrand, so the result differs
+    from potential_rhs, whose running integrals are anchored at the first
+    node, by a spatially constant multiple of the field.
     """
     family = Family(family)
-    if nonlocal_mode not in ("integral", "closed"):
-        raise ValueError("nonlocal_mode must be 'integral' or 'closed'")
-    h = grid.h
     q = np.asarray(q, dtype=np.complex128)
     if q.shape != (grid.num_points,):
         raise ValueError("q must be a flat array over the grid")
-    cnl = 2.0 * (8.0 * p.gamma + p.beta)
-    if family is Family.PARA_REAL:
-        if r is None:
-            raise ValueError("the split family needs an explicit r")
-        r = np.asarray(r, dtype=np.complex128)
-        if nonlocal_mode == "closed":
-            dq = _closed_scalar_split_q(q, r, h, p.alpha, p.beta, cnl)
-            dr = -_closed_scalar_split_q(r, q, h, p.alpha, p.beta, cnl)
-            return dq, dr
-        dq = -_scalar_block(q, r, h, p.alpha, p.beta, cnl)
-        dr = _scalar_block(r, q, h, p.alpha, p.beta, cnl)
-        return dq, dr
-    if r is not None:
+    if family is Family.PARA_REAL and r is None:
+        raise ValueError("the split family needs an explicit r")
+    if family is not Family.PARA_REAL and r is not None:
         raise ValueError("the complex families slave r to q")
-    sign = -1.0 if family is Family.COMPACT_UNITARY else 1.0
-    if nonlocal_mode == "closed":
-        return _closed_scalar_complex(q, h, p.alpha, p.beta, cnl, -sign)
+    h, cnl = grid.h, 2.0 * (8.0 * p.gamma + p.beta)
+    if r is not None:
+        r = np.asarray(r, dtype=np.complex128)
+        dq = _closed_scalar_split_q(q, r, h, p.alpha, p.beta, cnl)
+        return dq, -_closed_scalar_split_q(r, q, h, p.alpha, p.beta, cnl)
+    focusing_sign = 1.0 if family is Family.COMPACT_UNITARY else -1.0
+    return _closed_scalar_complex(q, h, p.alpha, p.beta, cnl, focusing_sign)
+
+
+def _anchored_scalar_rhs(grid: Grid, q: np.ndarray, p: FlowParams, family: Family, r=None):
+    """scalar_rhs with the nonlocal terms as running trapezoid integrals
+    anchored at the first node: the transcription _scalar_block, which
+    matches potential_rhs pointwise."""
+    h, cnl = grid.h, 2.0 * (8.0 * p.gamma + p.beta)
+    q = np.asarray(q, dtype=np.complex128)
+    if r is not None:
+        r = np.asarray(r, dtype=np.complex128)
+        dq = -_scalar_block(q, r, h, p.alpha, p.beta, cnl)
+        return dq, _scalar_block(r, q, h, p.alpha, p.beta, cnl)
+    sign = -1.0 if Family(family) is Family.COMPACT_UNITARY else 1.0
     return 1j * _scalar_block(q, sign * np.conj(q), h, p.alpha, p.beta, cnl)
 
 

@@ -37,10 +37,10 @@ from .orbit import spectrum_deviation, verify_identities
 from .reductions import (
     Geometry,
     SpinField,
+    _anchored_scalar_rhs,
     cross_check_matrix_vs_vector,
     phi_to_s_values,
     s_to_phi,
-    scalar_rhs,
     spin_rhs,
 )
 
@@ -281,7 +281,7 @@ def measure_integrable_limit():
     for idx in range(10):
         ps = random_smooth_potential(_U21, grid, 1719 + idx, 2, 0.3)
         matrix = potential_rhs(ps, p_gen).q[:, 0, 0]
-        scalar = scalar_rhs(grid, ps.q[:, 0, 0], p_gen, Family.COMPACT_UNITARY)
+        scalar = _anchored_scalar_rhs(grid, ps.q[:, 0, 0], p_gen, Family.COMPACT_UNITARY)
         worst = max(worst, float(np.max(np.abs(matrix - scalar))))
     checks.append(_check("scalar_reduction", worst, 1e-12))
     return checks

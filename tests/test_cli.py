@@ -158,6 +158,50 @@ def test_seed_flag_changes_the_draw(tmp_path):
     assert outs[1] != outs[2]
 
 
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "gauge-compare"])
+def test_seed_flag_overrides_both_config_seeds(tmp_path, command):
+    # the config gives the same seed twice; --seed replaces it in the draw
+    # and in the manifest
+    init = {"generator": "random_smooth", "seed": 3, "modes": 2}
+    cfg = _write_config(tmp_path / "c.json", initial_data=init)
+    runs = {}
+    for name, flag in (("config", []), ("flag", ["--seed", "7"])):
+        out = tmp_path / name
+        assert main([command, "--config", str(cfg), "--out", str(out), *flag]) == 0
+        runs[name] = (_outputs(out), json.loads(_read(out / "manifest.json"))["resolved"]["seed"])
+    seven = _write_config(tmp_path / "seven.json", initial_data={**init, "seed": 7}, seed=7)
+    assert main([command, "--config", str(seven), "--out", str(tmp_path / "seven")]) == 0
+    assert runs["config"][1] == 3 and runs["flag"][1] == 7
+    assert runs["flag"][0] != runs["config"][0]
+    assert runs["flag"][0] == _outputs(tmp_path / "seven")
+
+
+def test_initial_data_seed_alone_is_the_resolved_seed(tmp_path):
+    cfg = _write_config(tmp_path / "c.json", seed=None,
+                        initial_data={"generator": "random_smooth", "seed": 5, "modes": 2})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert json.loads(_read(tmp_path / "a" / "manifest.json"))["resolved"]["seed"] == 5
+    flagged = _write_config(tmp_path / "f.json",
+                            initial_data={"generator": "random_smooth", "modes": 2})
+    assert main(["simulate", "--config", str(flagged), "--out", str(tmp_path / "b"),
+                 "--seed", "5"]) == 0
+    assert _outputs(tmp_path / "a") == _outputs(tmp_path / "b")
+
+
+def test_differing_config_seeds_exit_two(tmp_path, capsys):
+    # one of the two would be ignored
+    cfg = _write_config(tmp_path / "c.json", seed=3,
+                        initial_data={"generator": "random_smooth", "seed": 4, "modes": 2})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "seed: 3 differs from initial_data.seed 4" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_snapshot_resume(tmp_path):
     cfg = _write_config(tmp_path / "c.json")
     first = tmp_path / "first"
@@ -185,7 +229,7 @@ def test_snapshot_grid_mismatch_exits_two(tmp_path, capsys):
 
 def test_unstable_requested_step_aborts_with_manifest(tmp_path, capsys):
     # on para_gl, where no implicit step applies: one line on stderr, and no
-    # snapshot or observables row
+    # snapshot or observables file
     cfg = _write_config(tmp_path / "c.json", dt=1.0, algebra={"family": "para_gl", "n": 2, "k": 1})
     out = tmp_path / "out"
     rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
@@ -197,7 +241,7 @@ def test_unstable_requested_step_aborts_with_manifest(tmp_path, capsys):
     assert message == "dt=1.000e+00 exceeds the stability bound 7.711e-03"
     assert capsys.readouterr().err == f"aborted: {message}\n"
     assert not os.path.exists(out / "snapshot_0000.json")
-    assert _read(out / "observables.csv").decode() == ",".join(OBSERVABLE_COLUMNS) + "\n"
+    assert not os.path.exists(out / "observables.csv")
 
 
 def _blowup_config(path, **updates):
@@ -674,8 +718,8 @@ def test_curvature_residual_runs_beyond_the_bound(tmp_path):
 
 
 def test_failed_newton_solve_aborts_with_step_index(tmp_path):
-    # the first segment's step of 1e-3 converges; the next, of 1.0, does not
-    cfg = _midpoint_config(tmp_path / "c.json", dt=1.0, T=1.001, output_times=[0.0, 0.001, 1.001])
+    # the first segment's step of 1e-3 converges; the next, of 3.0, does not
+    cfg = _midpoint_config(tmp_path / "c.json", dt=3.0, T=3.001, output_times=[0.0, 0.001, 3.001])
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
     abort = json.loads(_read(out / "manifest.json"))["abort"]

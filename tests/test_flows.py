@@ -221,6 +221,12 @@ def test_evolve_validates_arguments(u2):
         evolve(os, p, FlowKind.LEADING_ORDER, 1e-3, 1e-4, output_times=[0.0, 0.0])
     with pytest.raises(ValueError):
         evolve(os, p, FlowKind.LEADING_ORDER, 1e-3, 1e-4, output_times=[0.0, 2e-3])
+    with pytest.raises(ValueError, match="must be finite"):
+        evolve(os, p, FlowKind.LEADING_ORDER, 1e-3, 1e-4, output_times=[0.0, np.nan])
+    # a run that stopped at its last output time would come back short of T
+    for times in ([0.0, 5e-4], []):
+        with pytest.raises(ValueError, match="must end at start"):
+            evolve(os, p, FlowKind.LEADING_ORDER, 1e-3, 1e-4, output_times=times)
 
 
 def test_evolve_zero_duration_gives_single_snapshot(u2):
@@ -678,3 +684,58 @@ def test_non_finite_midpoint_step_is_a_blowup(u2, monkeypatch, fault):
         step(os, PARAMS, FlowKind.THIRD_ORDER, dt)
     assert err.value.step_index == 1
     assert err.value.last_state is os
+
+
+def _small_system(size=12, seed=7):
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    a = np.diag(1.0 + np.arange(size)) + 0.3 * noise
+    b = (rng.standard_normal(size) + 1j * rng.standard_normal(size)).reshape(3, size // 3)
+    products = [0]
+
+    def apply(v):
+        products[0] += 1
+        return (a @ v.ravel()).reshape(v.shape)
+
+    return a, b, apply, products
+
+
+@pytest.mark.parametrize("precond", ["identity", "diagonal"])
+def test_gcr_solves_a_small_complex_system(precond):
+    a, b, apply, products = _small_system()
+    inverse_diagonal = (1.0 / np.diag(a)).reshape(b.shape)
+    pre = (lambda v: v) if precond == "identity" else (lambda v: inverse_diagonal * v)
+    tol = 1e-12 * np.linalg.norm(b)
+    x = flows._gcr(apply, pre, b, tol)
+    want = np.linalg.solve(a, b.ravel()).reshape(b.shape)
+    assert np.linalg.norm(a @ x.ravel() - b.ravel()) <= tol
+    assert np.max(np.abs(x - want)) < 1e-10
+    # one product per direction, at most one per unknown
+    assert 1 <= products[0] <= b.size
+
+
+def test_gcr_stops_at_its_tolerance(monkeypatch):
+    a, b, apply, products = _small_system()
+    tol = 0.1 * np.linalg.norm(b)
+    x = flows._gcr(apply, lambda v: v, b, tol)
+    taken = products[0]
+    assert np.linalg.norm(a @ x.ravel() - b.ravel()) <= tol
+    # one product fewer leaves the residual above it
+    monkeypatch.setattr(flows, "KRYLOV_ITERS", taken - 1)
+    x = flows._gcr(apply, lambda v: v, b, tol)
+    assert np.linalg.norm(a @ x.ravel() - b.ravel()) > tol
+
+
+def test_gcr_stops_at_its_product_cap(monkeypatch):
+    a, b, apply, products = _small_system()
+    monkeypatch.setattr(flows, "KRYLOV_ITERS", 3)
+    x = flows._gcr(apply, lambda v: v, b, 0.0)
+    assert products == [3]
+    assert 0 < np.linalg.norm(a @ x.ravel() - b.ravel()) < np.linalg.norm(b)
+
+
+def test_gcr_of_a_zero_right_hand_side_is_zero():
+    _, b, apply, products = _small_system()
+    x = flows._gcr(apply, lambda v: v, np.zeros_like(b), 0.0)
+    assert products == [0]
+    assert x.shape == b.shape and not np.any(x)

@@ -27,7 +27,7 @@ from grassflow.gauge import (
 from grassflow.flows import FlowBlowupError, FlowKind, evolve, stability_bound
 from grassflow.initial_data import random_orbit_state, random_smooth_potential
 from grassflow.orbit import FramedState
-from grassflow.reductions import scalar_rhs
+from grassflow.reductions import _anchored_scalar_rhs, scalar_rhs
 from conftest import TWO_PI
 
 
@@ -226,13 +226,13 @@ def test_scalar_rhs_matches_block_equation(u2, u31, para2):
     for spec in (u2, AlgebraSpec(Family.NONCOMPACT_UNITARY, 2, 1)):
         ps = PotentialState.from_q(spec, grid, qs[:, None, None])
         got = potential_rhs(ps, p).q[:, 0, 0]
-        want = scalar_rhs(grid, qs, p, spec.family)
+        want = _anchored_scalar_rhs(grid, qs, p, spec.family)
         assert np.max(np.abs(got - want)) < 1e-12
     rs = 0.2 * np.cos(x) - 0.15 * np.sin(3 * x)
     qr = (0.3 * np.cos(x) + 0.1 * np.sin(2 * x)).astype(complex)
     ps = PotentialState(para2, grid, qr[:, None, None], rs[:, None, None])
     got = potential_rhs(ps, p)
-    wq, wr = scalar_rhs(grid, qr, p, Family.PARA_REAL, r=rs)
+    wq, wr = _anchored_scalar_rhs(grid, qr, p, Family.PARA_REAL, r=rs)
     assert np.max(np.abs(got.q[:, 0, 0] - wq)) < 1e-12
     assert np.max(np.abs(got.r[:, 0, 0] - wr)) < 1e-12
 
@@ -241,8 +241,6 @@ def test_scalar_rhs_validation(u2):
     grid = Grid(16, TWO_PI)
     q = np.zeros(16, dtype=complex)
     p = FlowParams(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        scalar_rhs(grid, q, p, Family.COMPACT_UNITARY, nonlocal_mode="bogus")
     with pytest.raises(ValueError):
         scalar_rhs(grid, q, p, Family.PARA_REAL)
     with pytest.raises(ValueError):
@@ -257,7 +255,7 @@ def test_constant_scalar_closed_rate():
     a2 = abs(c) ** 2
     p = FlowParams(0.8, 0.3, 0.06)
     q = np.full(32, c)
-    rate = scalar_rhs(grid, q, p, Family.COMPACT_UNITARY, nonlocal_mode="closed")
+    rate = scalar_rhs(grid, q, p, Family.COMPACT_UNITARY)
     want = -1j * (
         2.0 * p.alpha * a2 * c
         - 6.0 * p.beta * a2**2 * c
@@ -276,16 +274,16 @@ def test_closed_and_integral_modes_differ_by_anchor_shift():
     cnl = 2.0 * (8.0 * p.gamma + p.beta)
     q = 0.3 * np.exp(1j * x) + 0.1 * np.exp(-2j * x)
     for family, sign in ((Family.COMPACT_UNITARY, -1.0), (Family.NONCOMPACT_UNITARY, 1.0)):
-        closed = scalar_rhs(grid, q, p, family, nonlocal_mode="closed")
-        integ = scalar_rhs(grid, q, p, family, nonlocal_mode="integral")
+        closed = scalar_rhs(grid, q, p, family)
+        integ = _anchored_scalar_rhs(grid, q, p, family)
         raw = np.max(np.abs(closed - integ))
         shift = -1j * cnl * (sign * abs(q[0]) ** 2) ** 2 * q
         res = np.max(np.abs(closed - integ - shift))
         assert raw > 1e-3 and res < 1e-4, f"{family}: raw {raw:.3e} res {res:.3e}"
     qr = (0.3 * np.cos(x) + 0.1 * np.sin(2 * x)).astype(complex)
     rs = (0.2 * np.cos(x) - 0.15 * np.sin(3 * x)).astype(complex)
-    dqc, drc = scalar_rhs(grid, qr, p, Family.PARA_REAL, r=rs, nonlocal_mode="closed")
-    dqi, dri = scalar_rhs(grid, qr, p, Family.PARA_REAL, r=rs, nonlocal_mode="integral")
+    dqc, drc = scalar_rhs(grid, qr, p, Family.PARA_REAL, r=rs)
+    dqi, dri = _anchored_scalar_rhs(grid, qr, p, Family.PARA_REAL, r=rs)
     qr0 = (qr[0] * rs[0]) ** 2
     assert np.max(np.abs(dqc - dqi - cnl * qr0 * qr)) < 1e-4
     assert np.max(np.abs(drc - dri + cnl * qr0 * rs)) < 1e-4

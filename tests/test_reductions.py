@@ -5,7 +5,7 @@ import pytest
 
 from grassflow.algebra import AlgebraSpec, Family, inner, membership_residual
 from grassflow.fields import Grid, periodic_diff
-from grassflow.flows import FlowKind, stability_bound
+from grassflow.flows import FlowBlowupError, FlowKind, auto_dt, stability_bound
 from grassflow.functionals import FlowParams
 from grassflow.orbit import spectrum_deviation
 from grassflow.reductions import (
@@ -14,6 +14,7 @@ from grassflow.reductions import (
     cross_check_matrix_vs_vector,
     geometry_cross,
     geometry_spec,
+    matrix_and_vector_spins,
     phi_to_s,
     phi_to_s_values,
     quadric_defect,
@@ -26,6 +27,7 @@ from grassflow.reductions import (
     spin_rhs,
     spin_step,
 )
+from grassflow.suites import random_spin_field
 from conftest import TWO_PI
 
 
@@ -183,3 +185,21 @@ def test_cross_check_small_run(grid64):
     sf = _quadric_field(Geometry.SPHERE, grid64, seed=2)
     gap = cross_check_matrix_vs_vector(sf, p, FlowKind.LEADING_ORDER, 0.01, dt)
     assert gap < 1e-8, f"{gap:.3e}"
+
+
+def test_vector_side_blowup_is_typed_and_indexed():
+    # on the one-sheet hyperboloid at this p the vector march leaves its
+    # quadric's cone a step or two before the matrix side stops being finite
+    os = s_to_phi(random_spin_field(Geometry.DE_SITTER, Grid(64, TWO_PI), 3))
+    p = FlowParams(1.0, 0.1, 0.05)
+    dt = auto_dt(p, os.phi.grid.h, FlowKind.THIRD_ORDER)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FlowBlowupError) as err:
+            matrix_and_vector_spins(os, p, FlowKind.THIRD_ORDER, [0.0, 306 * dt], dt)
+    index = err.value.step_index
+    assert 1 <= index <= 306
+    last = err.value.last_state
+    assert isinstance(last, SpinField)
+    assert np.all(np.isfinite(last.s))
+    assert last.time == pytest.approx((index - 1) * dt)
+    assert err.value.time == pytest.approx(index * dt)
