@@ -36,7 +36,7 @@ from .flows import (
 )
 from .functionals import FlowParams, energy_report
 from .gauge import GaugeError, curvature_residual, frame_potential_gaps
-from .initial_data import make_initial_potential, make_initial_state
+from .initial_data import draws_seed, make_initial_potential, make_initial_state
 from .orbit import OrbitState, SpectralError, spectrum_deviation
 from .reductions import matrix_and_vector_spins, spec_geometry
 from .suites import SUITES, run_suite
@@ -71,7 +71,7 @@ class RunConfig:
     T: float
     dt_raw: object
     output_times: list | None
-    seed: int
+    seed: int | None
     raw: dict
 
 
@@ -220,6 +220,8 @@ def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
     initial = dict(initial)
     if seed_override is not None:
         initial.pop("seed", None)
+    if not draws_seed(initial):
+        seed = None  # nothing is drawn, so the run records no seed
     return RunConfig(spec, grid, params, kind, initial, T, dt_raw, output_times, seed, cfg)
 
 

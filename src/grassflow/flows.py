@@ -11,8 +11,8 @@ A frame F with phi = F^-1 s F rides along as F exp(sigma).
 The leading-order flow is the third-order flow with beta = gamma = 0; each
 stage evaluates their generator W with one seven-point stencil for its
 linear part and takes phi_x and the derivative of the cube from padded
-copies, so their steps call periodic_diff nowhere.  Generators are built once
-per (spec, h, params) and reused.
+copies, so their steps call periodic_diff nowhere.  A flow's bound, generator
+and midpoint symbol are one record, built once per (spec, grid, params, kind).
 The intermediate flow is a direct equation phi_t = F(phi); on the orbit
 ad_phi^2 = 4 c^2 on tangent vectors, so its tangent part is [phi, W] with
 W = [phi, F] / (4 c^2).
@@ -30,6 +30,7 @@ StabilityError.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
@@ -39,6 +40,7 @@ import numpy as np
 from .algebra import AlgebraSpec, Family, _exp_pair, _matmul, _orbit_square, bracket
 from .fields import (
     _STENCILS,
+    Grid,
     MatrixField,
     _wrap_pad,
     cumulative_trapezoid,
@@ -80,20 +82,21 @@ class StabilityError(RuntimeError):
 
 
 class FlowBlowupError(RuntimeError):
-    """Evolution produced non-finite values; carries the last finite state
-    (an OrbitState, or a PotentialState for the potential equations), the
-    index of the step that failed, counted from 1, and the time that step
-    reached.  A caller that marched earlier segments may add their steps to
-    step_index; the message follows."""
+    """Evolution produced non-finite values, or a field its step cannot
+    carry on; carries the last good state (an OrbitState, PotentialState or
+    SpinField), the index of the step that failed, counted from 1, the time
+    that step reached and what went wrong.  A caller that marched earlier
+    segments may add their steps to step_index; the message follows."""
 
-    def __init__(self, last_state, step_index: int, time: float):
+    def __init__(self, last_state, step_index: int, time: float, what: str = "non-finite field"):
         super().__init__()
         self.last_state = last_state
         self.step_index = step_index
         self.time = time
+        self.what = what
 
     def __str__(self):
-        return f"non-finite field after step {self.step_index} (t={self.time:.6g})"
+        return f"{self.what} after step {self.step_index} (t={self.time:.6g})"
 
 
 class NewtonError(RuntimeError):
@@ -150,7 +153,6 @@ def _flow_params(p: FlowParams, kind: FlowKind) -> FlowParams:
     return p
 
 
-@functools.lru_cache(maxsize=16)
 def _generator(spec: AlgebraSpec, h: float, p: FlowParams):
     """The map phi -> W of the commutator flow phi_t = [phi, W] with
     W = -alpha phi_xx + beta phi_xxxx + 4 (4 gamma - 2 beta) sgn (phi_x^3)_x.
@@ -160,7 +162,7 @@ def _generator(spec: AlgebraSpec, h: float, p: FlowParams):
     both that stencil and phi_x from the padded copy, summing the two
     values at offsets +o and -o before weighting them (D1 is
     antisymmetric); the derivative of the cube is taken the same way from
-    one padded copy of the cube.  Built once per (spec, h, p).
+    one padded copy of the cube.
     """
     # weights of phi[j] (at 0) and of each sum phi[j + o] + phi[j - o] in
     # -alpha D2 + beta D4, and of each difference phi[j + o] - phi[j - o] in D1
@@ -207,7 +209,7 @@ def _generator(spec: AlgebraSpec, h: float, p: FlowParams):
 def third_order_generator(os: OrbitState, p: FlowParams) -> MatrixField:
     """Flow generator W of the third-level commutator flow phi_t = [phi, W],
     with the cubic term reduced to a polynomial in phi_x."""
-    gen = _generator(os.spec, os.phi.grid.h, p)
+    gen = _flow(os.spec, os.phi.grid, p, FlowKind.THIRD_ORDER).generator
     return MatrixField(os.phi.grid, gen(os.phi.values))
 
 
@@ -240,23 +242,14 @@ def _rkmk_step(gen, phi0: np.ndarray, frame0: np.ndarray | None, dt: float):
 
 
 # Newton on the isospectral midpoint stops once the max-abs residual is
-# NEWTON_TOL times phi's largest entry, and fails after NEWTON_ITERS
-# updates.  Each update is a Krylov solve to KRYLOV_TOL times the residual's
-# 2-norm, capped at KRYLOV_ITERS products.
+# NEWTON_TOL + eps (dt / 2) max|L| times phi's largest entry, the second
+# term being the roundoff of evaluating the residual (Kelley 1995), and
+# fails after NEWTON_ITERS updates.  Each update is a Krylov solve to
+# KRYLOV_TOL times the residual's 2-norm, capped at KRYLOV_ITERS products.
 NEWTON_TOL = 1e-12
 NEWTON_ITERS = 8
 KRYLOV_TOL = 1e-3
 KRYLOV_ITERS = 60
-
-
-@functools.lru_cache(maxsize=16)
-def _linear_symbol(num_points: int, h: float, p: FlowParams) -> np.ndarray:
-    """FFT symbol of the linear part L = -alpha D2 + beta D4 of W, real and
-    read-only, since every caller shares it."""
-    d2, d4 = stencil_symbol(2, num_points, h), stencil_symbol(4, num_points, h)
-    symbol = (-p.alpha * d2 + p.beta * d4).real
-    symbol.setflags(write=False)
-    return symbol
 
 
 def _gcr(apply, precond, b: np.ndarray, tol: float) -> np.ndarray:
@@ -287,7 +280,7 @@ def _gcr(apply, precond, b: np.ndarray, tol: float) -> np.ndarray:
     return x
 
 
-def _isomp_step(gen, symbol, c2: float, phi0: np.ndarray, frame0, dt: float, tol: float):
+def _isomp_step(gen, symbol, c2: float, phi0: np.ndarray, frame0, dt: float):
     """One step of the isospectral midpoint (Modin and Viviani, FoCM 2020)
     for phi_t = [phi, gen(phi)].  With a = dt / 2 and W = gen(X), Newton
     solves (I + a W) X (I - a W) = phi0 for the midpoint X, each update by
@@ -296,13 +289,14 @@ def _isomp_step(gen, symbol, c2: float, phi0: np.ndarray, frame0, dt: float, tol
     C = (I + a W)^-1 (I - a W): phi1 = C phi0 C^-1, frame1 = frame0 C^-1,
     so phi1 is isospectral to phi0 however far Newton got.
 
-    Returns (phi1, frame1, residual), the last being the max-abs residual
-    of the midpoint equation; phi1 and frame1 are None when it stays above
-    tol after NEWTON_ITERS updates, or is not finite.  Raises LinAlgError
-    when a Cayley factor is singular.  symbol is the FFT symbol of the linear
-    part L of gen, and c2 the orbit's c^2.
+    Returns (phi1, frame1, residual, tol) from the last iterate, residual
+    being the max-abs residual of the midpoint equation and tol its stop
+    test; the caller judges them.  Raises LinAlgError when a Cayley factor
+    is singular.  symbol is the FFT symbol of the linear part L of gen, and
+    c2 the orbit's c^2.
     """
     a = 0.5 * dt
+    tol = (NEWTON_TOL + np.finfo(float).eps * a * np.max(np.abs(symbol))) * np.max(np.abs(phi0))
 
     def residual(x):
         aw = a * gen(x)
@@ -341,21 +335,18 @@ def _isomp_step(gen, symbol, c2: float, phi0: np.ndarray, frame0, dt: float, tol
         x = x0 + _gcr(jacobian, precond, -r0, KRYLOV_TOL * np.linalg.norm(r0))
         r, aw = residual(x)
         err = float(np.max(np.abs(r)))
-    if not err <= tol:
-        return None, None, err
     eye = np.eye(phi0.shape[-1])
     c = np.linalg.solve(eye + aw, eye - aw)
     cinv = np.linalg.solve(eye - aw, eye + aw)
     phi1 = _matmul(_matmul(c, phi0), cinv)
     frame1 = None if frame0 is None else _matmul(frame0, cinv)
-    return phi1, frame1, err
+    return phi1, frame1, err, tol
 
 
-@functools.lru_cache(maxsize=16)
 def _second_order_generator(spec: AlgebraSpec, h: float):
     """The map phi -> W = [phi, F] / (4 c^2) of the intermediate flow
     phi_t = F = phi_xxx - 6 c^2 [phi_x, [phi, phi_x]]_x: [phi, W] is the
-    tangent part of F.  Built once per (spec, h)."""
+    tangent part of F."""
     c2 = _orbit_square(spec)
 
     def gen(phi: np.ndarray) -> np.ndarray:
@@ -367,59 +358,57 @@ def _second_order_generator(spec: AlgebraSpec, h: float):
     return gen
 
 
-def _beyond_bound(p: FlowParams, h: float, kind: FlowKind, dt: float) -> bool:
+_Flow = collections.namedtuple("_Flow", "bound generator symbol")
+
+
+@functools.lru_cache(maxsize=16)
+def _flow(spec: AlgebraSpec, grid: Grid, p: FlowParams, kind: FlowKind) -> _Flow:
+    """What a step of this flow needs, built once: its explicit step bound,
+    its generator phi -> W and the real, read-only FFT symbol of the linear
+    part L = -alpha D2 + beta D4 of W.  The symbol is None where no midpoint
+    step applies: its preconditioner divides by 1 - 4 c^2 a^2 L^2, singular
+    on para_gl (4 c^2 = +1: the flow is ill-posed at grid scale), and knows
+    L only on the leading and third orders."""
+    kind, h = FlowKind(kind), grid.h
+    bound = stability_bound(p, h, kind)
+    if kind is FlowKind.SECOND_ORDER:
+        return _Flow(bound, _second_order_generator(spec, h), None)
+    physics = _flow_params(p, kind)
+    symbol = None
+    if spec.family is not Family.PARA_REAL:
+        d2, d4 = (stencil_symbol(order, grid.num_points, h) for order in (2, 4))
+        symbol = (-physics.alpha * d2 + physics.beta * d4).real
+        symbol.setflags(write=False)
+    return _Flow(bound, _generator(spec, h, physics), symbol)
+
+
+def _check_stability(bound: float, dt: float):
     # the march may cut a last step a few ulps longer than dt
-    return dt > stability_bound(p, h, kind) * (1.0 + STEP_SLACK)
-
-
-def _midpoint_covers(spec: AlgebraSpec, kind: FlowKind) -> bool:
-    """Whether a step beyond the explicit bound can be an isospectral
-    midpoint step: on the leading and third orders of the complex families.
-    The midpoint's preconditioner divides by 1 - 4 c^2 a^2 L^2, which is
-    singular on para_gl (4 c^2 = +1: the flow is ill-posed at grid scale),
-    and it knows the linear part only of those two orders."""
-    return kind is not FlowKind.SECOND_ORDER and spec.family is not Family.PARA_REAL
-
-
-def _check_stability(p: FlowParams, h: float, kind: FlowKind, dt: float):
-    if _beyond_bound(p, h, kind, dt):
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the stability bound {stability_bound(p, h, kind):.3e}"
-        )
+    if dt > bound * (1.0 + STEP_SLACK):
+        raise StabilityError(f"dt={dt:.3e} exceeds the stability bound {bound:.3e}")
 
 
 def step(os: OrbitState, p: FlowParams, kind: FlowKind, dt: float) -> OrbitState:
     """Advance one time step; a frame rides along.  A step within the
-    explicit bound is an RKMK4 step.  A longer one is an isospectral midpoint
-    step where _midpoint_covers says so, and a StabilityError elsewhere.  A
-    midpoint step raises NewtonError when its solve fails and
-    FlowBlowupError when it is not finite."""
-    kind = FlowKind(kind)
-    h = os.phi.grid.h
+    explicit bound is an RKMK4 step, a longer one a midpoint step where the
+    flow has a midpoint symbol and a StabilityError elsewhere.  A midpoint
+    step raises NewtonError when its solve misses its tolerance, and
+    FlowBlowupError on a non-finite value or a singular Cayley factor."""
+    bound, gen, symbol = _flow(os.spec, os.phi.grid, p, kind)
     frame0 = None if os.frame is None else os.frame.values
-    beyond = _beyond_bound(p, h, kind, dt)
-    if beyond and _midpoint_covers(os.spec, kind):
-        physics = _flow_params(p, kind)
-        gen = _generator(os.spec, h, physics)
-        symbol = _linear_symbol(os.phi.grid.num_points, h, physics)
-        tol = NEWTON_TOL * float(np.max(np.abs(os.phi.values)))
+    if symbol is None or dt <= bound * (1.0 + STEP_SLACK):
+        _check_stability(bound, dt)
+        phi1, frame1 = _rkmk_step(gen, os.phi.values, frame0, dt)
+    else:
         c2 = _orbit_square(os.spec)
         try:
-            phi1, frame1, residual = _isomp_step(gen, symbol, c2, os.phi.values, frame0, dt, tol)
+            phi1, frame1, residual, tol = _isomp_step(gen, symbol, c2, os.phi.values, frame0, dt)
         except np.linalg.LinAlgError:
             raise FlowBlowupError(os, 1, os.time + dt) from None
-        if phi1 is None and math.isfinite(residual):
+        if tol < residual < math.inf:  # missed; a non-finite residual is a blow-up
             raise NewtonError(os, 1, os.time + dt, residual)
-        if phi1 is None or not all(np.all(np.isfinite(a)) for a in (phi1, frame1) if a is not None):
+        if not all(np.all(np.isfinite(a)) for a in (phi1, frame1, residual) if a is not None):
             raise FlowBlowupError(os, 1, os.time + dt)
-    else:
-        if beyond:
-            _check_stability(p, h, kind, dt)
-        if kind is FlowKind.SECOND_ORDER:
-            gen = _second_order_generator(os.spec, h)
-        else:
-            gen = _generator(os.spec, h, _flow_params(p, kind))
-        phi1, frame1 = _rkmk_step(gen, os.phi.values, frame0, dt)
     frame_field = None if frame1 is None else MatrixField(os.phi.grid, frame1)
     return OrbitState(os.spec, MatrixField(os.phi.grid, phi1), os.time + dt, frame_field)
 
@@ -498,10 +487,10 @@ def evolve(
     FlowBlowupError (with the last finite state and the offending step index)
     if the field stops being finite, and NewtonError (likewise) if a midpoint
     solve fails."""
-    kind = FlowKind(kind)
     times = _output_times(os.time, T, dt, output_times)
-    if not _midpoint_covers(os.spec, kind):
-        _check_stability(p, os.phi.grid.h, kind, dt)
+    flow = _flow(os.spec, os.phi.grid, p, kind)
+    if flow.symbol is None:
+        _check_stability(flow.bound, dt)
 
     def advance(state, h):
         return step(state, p, kind, h)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Family, _orbit_square, bracket, decompose, frobenius
 from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
-from .flows import FlowKind, _check_stability, _flow_params, _march, _output_times, evolve
+from .flows import FlowKind, _check_stability, _flow, _flow_params, _march, _output_times, evolve
 from .functionals import FlowParams
 from .orbit import (
     FramedState,
@@ -306,7 +306,7 @@ def frame_potential_gaps(
     per side covers all of them.  Both sides are explicit integrators at the
     same dt, so a dt beyond the frame flow's stability bound is refused."""
     physics = _flow_params(p, kind)
-    _check_stability(p, ps0.grid.h, kind, dt)
+    _check_stability(_flow(ps0.spec, ps0.grid, p, kind).bound, dt)
     T = max(times, default=ps0.time) - ps0.time
     frames = evolve(state_from_potential(ps0), p, kind, T, dt, output_times=times)
     direct = evolve_potential(ps0, physics, T, dt, output_times=times)

@@ -266,6 +266,12 @@ _POTENTIAL_GENERATORS = ("gaussian_bump", "plane_wave", "random_smooth", "two_bu
 GENERATOR_NAMES = tuple(sorted(_GENERATORS))
 
 
+def draws_seed(config: dict) -> bool:
+    """Whether the generator that config names draws from a seed."""
+    name = config.get("generator")
+    return name in GENERATOR_NAMES and "seed" in inspect.signature(_GENERATORS[name]).parameters
+
+
 def _generate(spec: AlgebraSpec, grid: Grid, config: dict, seed: int | None):
     """Run the builder that config names with the rest of config as keyword
     options.  A builder that draws from a seed gets seed unless config
@@ -276,7 +282,7 @@ def _generate(spec: AlgebraSpec, grid: Grid, config: dict, seed: int | None):
     for key, value in options.items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"bad options for generator '{name}': {key} must be finite")
-    if seed is not None and "seed" in inspect.signature(builder).parameters:
+    if seed is not None and draws_seed(config):
         options.setdefault("seed", seed)
     try:
         return builder(spec, grid, **options)

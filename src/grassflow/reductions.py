@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Family
 from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
-from .flows import FlowBlowupError, FlowKind, _check_stability, _flow_params, _march, evolve
+from .flows import FlowBlowupError, FlowKind, _check_stability, _flow, _flow_params, _march, evolve
 from .functionals import FlowParams
 from .orbit import OrbitState
 
@@ -183,7 +183,7 @@ def renormalize(geometry: Geometry, s: np.ndarray) -> np.ndarray:
     target = quadric_target(g)
     scale = val / target
     if np.any(scale <= 0):
-        raise ValueError("field left the cone of its quadric; cannot renormalize")
+        raise ValueError("field left the cone of its quadric")
     return s / np.sqrt(scale)[:, None]
 
 
@@ -219,15 +219,15 @@ def matrix_and_vector_spins(
     Either side raises FlowBlowupError when it stops being finite, or, on
     the vector side, leaves its quadric's cone."""
     physics = _flow_params(p, kind)
-    _check_stability(p, os.phi.grid.h, kind, dt)
+    _check_stability(_flow(os.spec, os.phi.grid, p, kind).bound, dt)
     T = max(times, default=os.time) - os.time
     matrix_side = evolve(os, p, kind, T, dt, output_times=times)
 
     def advance(sf, h):
         try:
             return spin_step(sf, physics, h)
-        except ValueError:
-            raise FlowBlowupError(sf, 1, sf.time + h) from None
+        except ValueError as exc:
+            raise FlowBlowupError(sf, 1, sf.time + h, str(exc)) from None
 
     vector_side = _march(phi_to_s(os), os.time, times, dt, advance, lambda sf: (sf.s,))
     return [(phi_to_s(state).s, sf.s) for state, (_, sf) in zip(matrix_side, vector_side)]

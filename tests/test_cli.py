@@ -192,6 +192,18 @@ def test_initial_data_seed_alone_is_the_resolved_seed(tmp_path):
     assert _outputs(tmp_path / "a") == _outputs(tmp_path / "b")
 
 
+def test_seedless_generator_records_no_seed(tmp_path):
+    # plane_wave draws nothing, so --seed changes no file of the run
+    cfg = _write_config(tmp_path / "c.json")
+    runs = []
+    for seed in ("5", "9"):
+        out = tmp_path / seed
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0]["manifest.json"])["resolved"]["seed"] is None
+
+
 def test_differing_config_seeds_exit_two(tmp_path, capsys):
     # one of the two would be ignored
     cfg = _write_config(tmp_path / "c.json", seed=3,
@@ -214,6 +226,7 @@ def test_snapshot_resume(tmp_path):
     times = manifest["resolved"]["output_times"]
     assert times[0] == pytest.approx(0.002)
     assert times[-1] == pytest.approx(0.003)
+    assert manifest["resolved"]["seed"] is None
 
 
 def test_snapshot_grid_mismatch_exits_two(tmp_path, capsys):
@@ -733,7 +746,12 @@ def test_failed_newton_solve_aborts_with_step_index(tmp_path):
 
 
 def test_non_finite_midpoint_step_aborts_without_nan(tmp_path, monkeypatch):
-    monkeypatch.setattr(flows, "_generator", lambda *args: lambda phi: np.full_like(phi, np.nan))
+    real = flows._flow
+
+    def nan_flow(*args):
+        return real(*args)._replace(generator=lambda phi: np.full_like(phi, np.nan))
+
+    monkeypatch.setattr(flows, "_flow", nan_flow)
     cfg = _midpoint_config(tmp_path / "c.json")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1

@@ -143,10 +143,11 @@ def test_evolve_at_the_bound_does_not_warn(u2, kind):
 
 
 def test_generators_are_built_once_per_grid_and_params(u2):
-    h = TWO_PI / 32
-    assert flows._generator(u2, h, PARAMS) is flows._generator(u2, h, FlowParams(1.0, 0.1, -0.0125))
-    assert flows._generator(u2, h, PARAMS) is not flows._generator(u2, 2 * h, PARAMS)
-    assert flows._second_order_generator(u2, h) is flows._second_order_generator(u2, h)
+    grid, kind, second = Grid(32, TWO_PI), FlowKind.THIRD_ORDER, FlowKind.SECOND_ORDER
+    flow = flows._flow(u2, grid, PARAMS, kind)
+    assert flows._flow(u2, Grid(32, TWO_PI), FlowParams(1.0, 0.1, -0.0125), kind) is flow
+    assert flows._flow(u2, Grid(16, TWO_PI), PARAMS, kind).generator is not flow.generator
+    assert flows._flow(u2, grid, PARAMS, second) is flows._flow(u2, grid, PARAMS, second)
 
 
 def test_commutator_step_preserves_spectrum_and_frame(u2):
@@ -648,6 +649,20 @@ def test_failed_newton_solve_is_typed_and_indexed(u2):
     assert err.value.last_state.time == pytest.approx(0.001)
     assert np.all(np.isfinite(err.value.last_state.phi.values))
     assert str(err.value).startswith("Newton solve of step 2 (t=1.001) left residual")
+
+
+def test_midpoint_converges_at_1024_points(u2):
+    # the example physics and data at N = 1024, where the roundoff term of
+    # the stop test, eps (dt / 2) max|L| = 8.4e-12 at dt = 4e-5, is above
+    # NEWTON_TOL; a stop test without it fails at the first step
+    grid = Grid(1024, TWO_PI)
+    data = {"generator": "random_smooth", "seed": 3, "modes": 2, "amplitude": 0.3}
+    os = make_initial_state(u2, grid, data)
+    T = 8 * 4e-5
+    (coarse,) = evolve(os, PARAMS, FlowKind.THIRD_ORDER, T, 4e-5, output_times=[T])
+    (fine,) = evolve(os, PARAMS, FlowKind.THIRD_ORDER, T, 2e-5, output_times=[T])
+    assert spectrum_deviation(coarse) <= 1e-13
+    assert np.max(np.abs(fine.phi.values - coarse.phi.values)) <= 1e-10
 
 
 def _nan_generator(phi):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import grassflow.reductions as reductions
 from grassflow.algebra import AlgebraSpec, Family, inner, membership_residual
 from grassflow.fields import Grid, periodic_diff
 from grassflow.flows import FlowBlowupError, FlowKind, auto_dt, stability_bound
@@ -203,3 +204,17 @@ def test_vector_side_blowup_is_typed_and_indexed():
     assert np.all(np.isfinite(last.s))
     assert last.time == pytest.approx((index - 1) * dt)
     assert err.value.time == pytest.approx(index * dt)
+    assert str(err.value) == (
+        f"field left the cone of its quadric after step {index} (t={err.value.time:.6g})"
+    )
+
+
+def test_non_finite_vector_side_says_so(monkeypatch):
+    os = s_to_phi(random_spin_field(Geometry.SPHERE, Grid(32, TWO_PI), 3))
+    p = FlowParams(1.0, 0.0, 0.0)
+    dt = auto_dt(p, os.phi.grid.h, FlowKind.LEADING_ORDER)
+    monkeypatch.setattr(reductions, "spin_rhs", lambda sf, p: np.full_like(sf.s, np.nan))
+    with pytest.raises(FlowBlowupError) as err:
+        matrix_and_vector_spins(os, p, FlowKind.LEADING_ORDER, [0.0, 2 * dt], dt)
+    assert err.value.step_index == 1
+    assert str(err.value) == f"vector field has non-finite values after step 1 (t={dt:.6g})"
