@@ -89,7 +89,8 @@ class FlowBlowupError(RuntimeError):
     segments may add their steps to step_index; the message follows."""
 
     def __init__(self, last_state, step_index: int, time: float, what: str = "non-finite field"):
-        super().__init__()
+        # the arguments go to args, from which pickle rebuilds the error
+        super().__init__(last_state, step_index, time, what)
         self.last_state = last_state
         self.step_index = step_index
         self.time = time
@@ -108,7 +109,7 @@ class NewtonError(RuntimeError):
     step whose residual is not raises FlowBlowupError."""
 
     def __init__(self, last_state, step_index: int, time: float, residual: float):
-        super().__init__()
+        super().__init__(last_state, step_index, time, residual)
         self.last_state = last_state
         self.step_index = step_index
         self.time = time

@@ -5,8 +5,8 @@ parameter; along solutions of the third-level flow its curvature collapses
 to a single cubic term, which curvature_residual measures from trajectory
 snapshots.  gauge_transform rewrites a gauge-fixed framed state as a pair
 of rectangular blocks (q, r), and potential_rhs evolves the pair directly;
-frame_potential_gaps compares the two routes for the verification suite and
-the gauge-compare command.
+frame_potential_gaps compares the two routes for the gauge-compare command,
+and the verification suite runs the same two sides apart.
 """
 
 from __future__ import annotations
@@ -296,25 +296,41 @@ def _gauge_invariant(ps: PotentialState) -> np.ndarray:
     return np.linalg.norm(ps.q, axis=(1, 2))
 
 
+def _frame_invariants(
+    ps0: PotentialState, p: FlowParams, kind: FlowKind, times: list[float], dt: float
+) -> list[np.ndarray]:
+    """The gauge invariant of ps0 driven through the frame flow of this kind
+    at each of the output times, each snapshot gauge fixed and transformed;
+    one march covers all of them."""
+    T = max(times, default=ps0.time) - ps0.time
+    frames = evolve(state_from_potential(ps0), p, kind, T, dt, output_times=times)
+    return [
+        _gauge_invariant(gauge_transform(gauge_fix_frame(ps0.spec, state.frame, time=state.time)))
+        for state in frames
+    ]
+
+
+def _potential_invariants(
+    ps0: PotentialState, p: FlowParams, kind: FlowKind, times: list[float], dt: float
+) -> list[np.ndarray]:
+    """The gauge invariant of ps0 driven through the potential equation of
+    the same coefficients at each of the output times, in one march."""
+    T = max(times, default=ps0.time) - ps0.time
+    direct = evolve_potential(ps0, _flow_params(p, kind), T, dt, output_times=times)
+    return [_gauge_invariant(ps) for ps in direct]
+
+
 def frame_potential_gaps(
     ps0: PotentialState, p: FlowParams, kind: FlowKind, times: list[float], dt: float
 ) -> list[np.ndarray]:
-    """Drive ps0 through the frame flow of this kind, gauge fixing and
-    transforming each snapshot, and through the potential equation of the
-    same coefficients; return the pointwise gap of the gauge invariant (|q|,
-    or tr(q r) for the split family) at each of the output times.  One march
-    per side covers all of them.  Both sides are explicit integrators at the
-    same dt, so a dt beyond the frame flow's stability bound is refused."""
-    physics = _flow_params(p, kind)
+    """Pointwise gap of the gauge invariant (|q|, or tr(q r) for the split
+    family) between the frame side and the potential side of ps0 at each of
+    the output times.  Both sides are explicit integrators at the same dt,
+    so a dt beyond the frame flow's stability bound is refused."""
     _check_stability(_flow(ps0.spec, ps0.grid, p, kind).bound, dt)
-    T = max(times, default=ps0.time) - ps0.time
-    frames = evolve(state_from_potential(ps0), p, kind, T, dt, output_times=times)
-    direct = evolve_potential(ps0, physics, T, dt, output_times=times)
-    gaps = []
-    for state, ps in zip(frames, direct):
-        fixed = gauge_fix_frame(ps0.spec, state.frame, time=state.time)
-        gaps.append(np.abs(_gauge_invariant(gauge_transform(fixed)) - _gauge_invariant(ps)))
-    return gaps
+    frames = _frame_invariants(ps0, p, kind, times, dt)
+    direct = _potential_invariants(ps0, p, kind, times, dt)
+    return [np.abs(a - b) for a, b in zip(frames, direct)]
 
 
 def akns4_rhs(q: np.ndarray, h: float) -> np.ndarray:

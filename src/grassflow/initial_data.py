@@ -311,7 +311,7 @@ def make_initial_state(
     """Build a starting state from a generator name plus keyword options.
     A seeded generator draws from seed unless config gives its own."""
     name = config.get("generator")
-    if name not in _GENERATORS:
+    if name not in GENERATOR_NAMES:  # a tuple, so an unhashable name is unknown too
         raise ValueError(f"unknown generator {name!r}; choose one of {list(GENERATOR_NAMES)}")
     state = _generate(spec, grid, config, seed)
     if name in _POTENTIAL_GENERATORS:

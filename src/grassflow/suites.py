@@ -3,9 +3,10 @@
 Each measure_* function runs one family of checks and returns a list of
 records {"name", "residual", "tolerance", "pass"}.  A suite is a fixed
 contract: it takes no arguments, and its grids, counts, seeds and
-tolerances are written in its body.  Order checks report the observed
-order in the residual slot and pass when it reaches the tolerance from
-above.
+tolerances are written in its body and in the task functions it hands to
+_map, which runs its independent pieces on every usable CPU.  Order checks
+report the observed order in the residual slot and pass when it reaches the
+tolerance from above.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from .flows import (
     third_order_generator,
 )
 from .functionals import FUNCTIONAL_NAMES, FlowParams, energy_report, fd_gradient_check
-from .gauge import akns4_rhs, curvature_residual, frame_potential_gaps, potential_rhs
+from .gauge import (
+    _frame_invariants,
+    _potential_invariants,
+    akns4_rhs,
+    curvature_residual,
+    potential_rhs,
+)
 from .initial_data import (
     latitude_circle_state,
     random_frame_state,
@@ -51,6 +58,33 @@ _SHAPES = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3))
 _COARSE, _FINE = 128, 256
 _ORDER_FLOOR = 1e-9
 _NO_ERROR_ORDER = 99.0
+
+
+def _map(fn, items):
+    """[fn(x) for x in items], in order, computed on a pool of forked
+    workers, one per item up to the CPUs this process may run on.  It runs
+    serially when that is one worker or the platform cannot fork.  The pool
+    is joined before the results return, and a worker's exception is raised
+    here.  fn and the items must pickle, so fn is a module-level function."""
+    import multiprocessing  # imported here: at the top it costs every CLI start ~9 ms
+    import os
+
+    items = list(items)
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
+    workers = min(len(items), len(cpus))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(x) for x in items]
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        results = pool.map(fn, items, chunksize=1)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+    return results
 
 
 def _check(name, residual, tolerance, lower_is_better=True):
@@ -85,21 +119,31 @@ def _three_steps(points, p, seed, amplitude):
     return dt, evolve(os, p, FlowKind.THIRD_ORDER, 3.0 * dt, dt, output_times=times)
 
 
+def _identity_draw(task):
+    """Identity residuals of one random frame draw on the coarse and the
+    fine grid."""
+    fi, family, idx = task
+    n, k = _SHAPES[idx % len(_SHAPES)]
+    spec = AlgebraSpec(family, n, k)
+    seed = 101 + 7919 * fi + 13 * idx
+    amplitude = 0.08 + 0.07 * (idx % 5) / 4.0
+    return [
+        verify_identities(random_frame_state(spec, Grid(points, _LENGTH), seed, 2, amplitude))
+        for points in (_COARSE, _FINE)
+    ]
+
+
 def measure_identities():
     """Frame identity residuals on random states, with grid refinement."""
+    draws = 50
+    families = list(enumerate(Family))
+    tasks = [(fi, family, idx) for fi, family in families for idx in range(draws)]
+    residuals = _map(_identity_draw, tasks)
     checks = []
-    for fi, family in enumerate(Family):
+    for fi, family in families:
         worst = 0.0
         min_order = _NO_ERROR_ORDER
-        for idx in range(50):
-            n, k = _SHAPES[idx % len(_SHAPES)]
-            spec = AlgebraSpec(family, n, k)
-            seed = 101 + 7919 * fi + 13 * idx
-            amplitude = 0.08 + 0.07 * (idx % 5) / 4.0
-            coarse, fine = (
-                verify_identities(random_frame_state(spec, Grid(points, _LENGTH), seed, 2, amplitude))
-                for points in (_COARSE, _FINE)
-            )
+        for coarse, fine in residuals[fi * draws : (fi + 1) * draws]:
             worst = max(worst, max(coarse.values()))
             for key, rc in coarse.items():
                 if rc >= _ORDER_FLOOR:
@@ -109,29 +153,51 @@ def measure_identities():
     return checks
 
 
+def _gradient_draw(task):
+    """Relative gradient gaps of one random state and direction, by
+    functional, and the gap of its quartic identity."""
+    spec, offset, idx = task
+    grid = Grid(256, _LENGTH)
+    seed = 211 + 1009 * idx + offset
+    os = random_orbit_state(spec, grid, seed, 2, 0.2)
+    xi = MatrixField(grid, random_tangent_field(spec, grid, seed + 5000, 2, 0.3))
+    rels = {}
+    for name in FUNCTIONAL_NAMES:
+        analytic, numeric = fd_gradient_check(os, name, xi)
+        rels[name] = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+    rep = energy_report(os, FlowParams(0.0, 0.0, 0.0))
+    return rels, abs(rep.Etilde - 2.0 * rep.E23) / max(1.0, abs(rep.Etilde))
+
+
 def measure_gradients():
     """First-variation checks for every declared gradient, plus the
     identity tying the quartic functional to the chain term."""
+    draws = 10
+    specs = ((_U21, 0), (AlgebraSpec(Family.PARA_REAL, 2, 1), 37))
+    tasks = [(spec, offset, idx) for spec, offset in specs for idx in range(draws)]
+    gaps = _map(_gradient_draw, tasks)
     checks = []
-    grid = Grid(256, _LENGTH)
-    for spec, offset in ((_U21, 0), (AlgebraSpec(Family.PARA_REAL, 2, 1), 37)):
+    for si, (spec, _) in enumerate(specs):
         worst = {name: 0.0 for name in FUNCTIONAL_NAMES}
         worst_id = 0.0
-        for idx in range(10):
-            seed = 211 + 1009 * idx + offset
-            os = random_orbit_state(spec, grid, seed, 2, 0.2)
-            xi = MatrixField(grid, random_tangent_field(spec, grid, seed + 5000, 2, 0.3))
+        for rels, gap in gaps[si * draws : (si + 1) * draws]:
             for name in FUNCTIONAL_NAMES:
-                analytic, numeric = fd_gradient_check(os, name, xi)
-                rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-                worst[name] = max(worst[name], rel)
-            rep = energy_report(os, FlowParams(0.0, 0.0, 0.0))
-            gap = abs(rep.Etilde - 2.0 * rep.E23) / max(1.0, abs(rep.Etilde))
+                worst[name] = max(worst[name], rels[name])
             worst_id = max(worst_id, gap)
         for name in FUNCTIONAL_NAMES:
             checks.append(_check(f"gradient_{spec.family.value}_{name}", worst[name], 1e-5))
         checks.append(_check(f"quartic_identity_{spec.family.value}", worst_id, 1e-10))
     return checks
+
+
+def _conservation_run(task):
+    """Relative H drift and largest spectrum deviation of one third-level
+    run."""
+    os, p, T, dt = task
+    states = evolve(os, p, FlowKind.THIRD_ORDER, T, dt)
+    h0 = energy_report(states[0], p).H
+    drift = abs(energy_report(states[-1], p).H - h0) / max(1.0, abs(h0))
+    return drift, max(spectrum_deviation(state) for state in states)
 
 
 def measure_conservation():
@@ -142,17 +208,10 @@ def measure_conservation():
     grid = Grid(128, _LENGTH)
     p = FlowParams(1.0, 0.0, 0.01)
     dt = auto_dt(p, grid.h, FlowKind.THIRD_ORDER)
-
-    def run(os, T, dt_run):
-        states = evolve(os, p, FlowKind.THIRD_ORDER, T, dt_run)
-        h0 = energy_report(states[0], p).H
-        drift = abs(energy_report(states[-1], p).H - h0) / max(1.0, abs(h0))
-        return drift, max(spectrum_deviation(state) for state in states)
-
     helix = latitude_circle_state(grid, mode=8, height=0.65)
-    drift1, specdev = run(helix, 0.1, dt)
-    drift2, _ = run(helix, 0.1, 0.5 * dt)
-    drift_g, _ = run(random_orbit_state(_U21, grid, 331, 2, 0.2), 0.05, dt)
+    generic = random_orbit_state(_U21, grid, 331, 2, 0.2)
+    runs = [(helix, p, 0.1, dt), (helix, p, 0.1, 0.5 * dt), (generic, p, 0.05, dt)]
+    (drift1, specdev), (drift2, _), (drift_g, _) = _map(_conservation_run, runs)
     return [
         _check("conservation_drift", drift1, 1e-6),
         _check("conservation_spectrum", specdev, 1e-10),
@@ -187,15 +246,29 @@ def random_spin_field(geometry: Geometry, grid: Grid, seed: int = 0) -> SpinFiel
     return SpinField(g, grid, s)
 
 
+def _reduction_gaps(task):
+    """Gap between the matrix and vector forms of one geometry, at the
+    level of the right-hand sides and along a trajectory."""
+    gi, geometry, p_traj = task
+    seed = 431 + 17 * gi
+    # The pointwise identity holds at any resolution; a coarser grid keeps
+    # the 1/h^4 roundoff of the fourth-derivative stencil well under tolerance.
+    sf_rhs = random_spin_field(geometry, Grid(64, _LENGTH), seed)
+    p_rhs = FlowParams(0.9, 0.35, 0.07)
+    vec = spin_rhs(sf_rhs, p_rhs)
+    os = s_to_phi(sf_rhs)
+    w = third_order_generator(os, p_rhs)
+    phidot = bracket(os.phi.values, w.values)
+    rhs_gap = float(np.max(np.abs(phi_to_s_values(geometry, phidot) - vec)))
+    grid = Grid(128, _LENGTH)
+    dt = auto_dt(p_traj, grid.h, FlowKind.THIRD_ORDER)
+    sf = random_spin_field(geometry, grid, seed)
+    return rhs_gap, cross_check_matrix_vs_vector(sf, p_traj, FlowKind.THIRD_ORDER, 0.05, dt)
+
+
 def measure_reductions():
     """Conjugacy of the matrix and vector forms, first at the level of the
     right-hand sides, then along full trajectories."""
-    checks = []
-    grid = Grid(128, _LENGTH)
-    # The pointwise identity holds at any resolution; a coarser grid keeps
-    # the 1/h^4 roundoff of the fourth-derivative stencil well under tolerance.
-    rhs_grid = Grid(64, _LENGTH)
-    p_rhs = FlowParams(0.9, 0.35, 0.07)
     # Split-signature tangent planes turn half the dispersive modes into
     # growing ones, so the trajectory leg there needs a small alpha to keep
     # the amplification of grid-scale noise bounded over the run.
@@ -204,37 +277,36 @@ def measure_reductions():
         Geometry.HYPERBOLIC: FlowParams(1.0, 0.0, 0.05),
         Geometry.DE_SITTER: FlowParams(0.1, 0.0, 0.02),
     }
-    for gi, geometry in enumerate(Geometry):
-        seed = 431 + 17 * gi
-        sf_rhs = random_spin_field(geometry, rhs_grid, seed)
-        vec = spin_rhs(sf_rhs, p_rhs)
-        os = s_to_phi(sf_rhs)
-        w = third_order_generator(os, p_rhs)
-        phidot = bracket(os.phi.values, w.values)
-        matrix_vec = phi_to_s_values(geometry, phidot)
-        rhs_gap = float(np.max(np.abs(matrix_vec - vec)))
+    tasks = [(gi, geometry, traj_params[geometry]) for gi, geometry in enumerate(Geometry)]
+    checks = []
+    for geometry, (rhs_gap, traj_gap) in zip(Geometry, _map(_reduction_gaps, tasks)):
         checks.append(_check(f"reduction_rhs_{geometry.value}", rhs_gap, 1e-10))
-        p_traj = traj_params[geometry]
-        dt = auto_dt(p_traj, grid.h, FlowKind.THIRD_ORDER)
-        sf = random_spin_field(geometry, grid, seed)
-        traj_gap = cross_check_matrix_vs_vector(sf, p_traj, FlowKind.THIRD_ORDER, 0.05, dt)
         checks.append(_check(f"reduction_trajectory_{geometry.value}", traj_gap, 1e-6))
     return checks
 
 
-def _gauge_gap(points, p):
+def _gauge_side(task):
+    """|q| at t = 0.05 on one side of the gauge comparison on one grid; the
+    step is half the stability bound, as gauge.frame_potential_gaps asks."""
+    side, points, p = task
     grid = Grid(points, _LENGTH)
     ps0 = random_smooth_potential(_U21, grid, seed=521, modes=3, amplitude=0.3)
     dt = auto_dt(p, grid.h, FlowKind.THIRD_ORDER)
-    (gap,) = frame_potential_gaps(ps0, p, FlowKind.THIRD_ORDER, [0.05], dt)
-    return float(np.max(gap[grid.interior]))
+    (invariant,) = side(ps0, p, FlowKind.THIRD_ORDER, [0.05], dt)
+    return invariant
 
 
 def measure_gauge_compare():
     """Same data driven through the frame flow plus gauge fixing and
     through the potential equation directly; interior comparison of |q|."""
     p = FlowParams(1.0, 0.0, 0.02)
-    coarse, fine = _gauge_gap(_COARSE, p), _gauge_gap(_FINE, p)
+    grids = (_COARSE, _FINE)
+    tasks = [(side, n, p) for n in grids for side in (_frame_invariants, _potential_invariants)]
+    sides = _map(_gauge_side, tasks)
+    coarse, fine = (
+        float(np.max(np.abs(frame - direct)[Grid(n, _LENGTH).interior]))
+        for n, frame, direct in zip(grids, sides[0::2], sides[1::2])
+    )
     return _refined("gauge_compare_gap", "gauge_compare_order", coarse, fine, 1e-4, 2.0)
 
 

@@ -358,6 +358,16 @@ def test_potential_side_commands_need_full_stencils(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["simulate", "gauge-compare"])
+def test_non_string_generator_is_a_config_error(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    override = 'initial_data={"generator": [1]}'
+    assert main([command, "--config", str(cfg), "--out", str(out), "--override", override]) == 2
+    assert "config error: initial_data:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("output_times", [[0.0, 0.001], []])
 @pytest.mark.parametrize("command", ["simulate", "gauge-compare", "reduce"])
 def test_output_times_must_end_at_the_end_of_the_run(tmp_path, capsys, command, output_times):

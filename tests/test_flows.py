@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -754,3 +755,20 @@ def test_gcr_of_a_zero_right_hand_side_is_zero():
     x = flows._gcr(apply, lambda v: v, np.zeros_like(b), 0.0)
     assert products == [0]
     assert x.shape == b.shape and not np.any(x)
+
+
+@pytest.mark.parametrize(
+    "error_type, detail", [(FlowBlowupError, "off its cone"), (NewtonError, 3.5e-12)]
+)
+def test_step_errors_survive_pickling(u2, error_type, detail):
+    # a suite worker hands its error to the parent through pickle
+    os = _state(u2, Grid(16, TWO_PI))
+    err = error_type(os, 7, 0.25, detail)
+    err.step_index += 2  # a march adds the steps of its earlier segments
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is error_type
+    assert (back.step_index, back.time) == (9, 0.25)
+    assert getattr(back, "what" if error_type is FlowBlowupError else "residual") == detail
+    assert str(back) == str(err)
+    assert back.last_state.time == os.time
+    assert np.array_equal(back.last_state.phi.values, os.phi.values)

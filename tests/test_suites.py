@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import inspect
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import grassflow
+from grassflow.flows import FlowBlowupError
 from grassflow.reductions import Geometry
-from grassflow.suites import SUITES, random_spin_field, run_suite
+from grassflow.suites import SUITES, _map, random_spin_field, run_suite
 import conftest
 
 
@@ -58,3 +66,48 @@ def test_random_spin_field_lands_on_quadrics():
         assert quadric_defect(g, sf.s) < 1e-12
         if g is Geometry.HYPERBOLIC:
             assert np.all(sf.s[:, 2] > 0)
+
+
+def _blow_up(index):
+    raise FlowBlowupError(None, index, 0.5, "off its cone")
+
+
+def _hung(signum, frame):
+    raise TimeoutError("the worker's error never reached the parent")
+
+
+def test_map_keeps_the_order_of_its_items():
+    assert _map(str, range(25)) == [str(i) for i in range(25)]
+    assert multiprocessing.active_children() == []
+
+
+def test_map_raises_a_workers_typed_error():
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(FlowBlowupError) as err:
+            _map(_blow_up, [3, 4])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert err.value.step_index in (3, 4)
+    assert str(err.value) == f"off its cone after step {err.value.step_index} (t=0.5)"
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_reports_do_not_depend_on_the_cpus(monkeypatch):
+    every = json.dumps(run_suite("reductions"), sort_keys=True)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert json.dumps(run_suite("reductions"), sort_keys=True) == every
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # a pool is only started by the suites that use one
+    code = "import sys, grassflow.cli; print('multiprocessing' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(grassflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
