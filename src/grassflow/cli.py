@@ -58,7 +58,11 @@ OBSERVABLE_COLUMNS = (
 class ConfigError(ValueError):
     def __init__(self, messages):
         self.messages = list(messages)
-        super().__init__("; ".join(self.messages))
+        # the list goes to args, from which pickle rebuilds the error
+        super().__init__(self.messages)
+
+    def __str__(self):
+        return "; ".join(self.messages)
 
 
 @dataclass
@@ -108,6 +112,26 @@ def apply_overrides(cfg: dict, pairs: list) -> dict:
             node = nxt
         node[parts[-1]] = value
     return cfg
+
+
+def _number(value):
+    """value as a float if JSON gave it as a number, else None.  A boolean
+    is not a number here, though Python counts it as an int."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            return math.inf if value > 0 else -math.inf
+    return None
+
+
+def _numbers(value):
+    """value as a list of floats if JSON gave it as an array of numbers,
+    else None."""
+    if not isinstance(value, list):
+        return None
+    values = [_number(v) for v in value]
+    return None if None in values else values
 
 
 def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
@@ -174,46 +198,44 @@ def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
 
     T = get("T")
     if T is not None:
-        try:
-            T = float(T)
-            if not math.isfinite(T):
-                errors.append("T: must be finite")
-            elif T < 0:
-                errors.append("T: must be nonnegative")
-        except (TypeError, ValueError):
+        T = _number(T)
+        if T is None:
             errors.append("T: must be a number")
+        elif not math.isfinite(T):
+            errors.append("T: must be finite")
+        elif T < 0:
+            errors.append("T: must be nonnegative")
 
     dt_raw = get("dt")
     if dt_raw is not None and dt_raw != "auto":
-        try:
-            dt_raw = float(dt_raw)
-            if not math.isfinite(dt_raw):
-                errors.append("dt: must be finite")
-            elif dt_raw <= 0:
-                errors.append("dt: must be positive or 'auto'")
-        except (TypeError, ValueError):
+        dt_raw = _number(dt_raw)
+        if dt_raw is None:
             errors.append("dt: must be a number or 'auto'")
+        elif not math.isfinite(dt_raw):
+            errors.append("dt: must be finite")
+        elif dt_raw <= 0:
+            errors.append("dt: must be positive or 'auto'")
 
     output_times = get("output_times", required=False)
     if output_times is not None:
-        try:
-            output_times = [float(t) for t in output_times]
-        except (TypeError, ValueError):
+        output_times = _numbers(output_times)
+        if output_times is None:
             errors.append("output_times: must be a list of numbers")
-            output_times = None
 
     # the seed a generator draws from: --seed, else the one the config
-    # gives as seed or initial_data.seed, which must agree
+    # gives as seed or initial_data.seed, which must agree; a boolean is
+    # not an integer here, though Python counts it as one
     seed = get("seed", required=False)
     drawn = initial.get("seed") if isinstance(initial, dict) else None
-    if seed is not None and drawn is not None and seed != drawn:
+    given = [s for s in (seed, drawn) if s is not None]
+    if any(isinstance(s, bool) or not isinstance(s, int) for s in given):
+        errors.append("seed: must be an integer")
+    elif len(given) == 2 and seed != drawn:
         errors.append(f"seed: {seed!r} differs from initial_data.seed {drawn!r}")
     if seed_override is not None:
         seed = seed_override
     elif seed is None:
         seed = 0 if drawn is None else drawn
-    if not isinstance(seed, int):
-        errors.append("seed: must be an integer")
 
     if errors:
         raise ConfigError(errors)
@@ -441,11 +463,9 @@ def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
 
 def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
     _check_commutator_command(rc, "curvature-residual")
-    lambdas = rc.raw.get("lambdas", [0.5, 1.0, 2.0])
-    try:
-        lambdas = [float(v) for v in lambdas]
-    except (TypeError, ValueError):
-        raise ConfigError(["lambdas: must be a list of numbers"]) from None
+    lambdas = _numbers(rc.raw.get("lambdas", [0.5, 1.0, 2.0]))
+    if lambdas is None:
+        raise ConfigError(["lambdas: must be a list of numbers"])
     if not all(math.isfinite(v) for v in lambdas):
         raise ConfigError(["lambdas: must be finite"])
     state = build_state(rc)

@@ -63,28 +63,24 @@ _NO_ERROR_ORDER = 99.0
 def _map(fn, items):
     """[fn(x) for x in items], in order, computed on a pool of forked
     workers, one per item up to the CPUs this process may run on.  It runs
-    serially when that is one worker or the platform cannot fork.  The pool
-    is joined before the results return, and a worker's exception is raised
-    here.  fn and the items must pickle, so fn is a module-level function."""
-    import multiprocessing  # imported here: at the top it costs every CLI start ~9 ms
+    serially when that is one worker or the platform cannot fork.  Every
+    worker is joined before the call returns.  A worker's exception is
+    raised here as its own type; a worker that dies, or whose result or
+    error cannot be sent back, ends the call with
+    concurrent.futures.process.BrokenProcessPool.  fn and the items must
+    pickle, so fn is a module-level function."""
+    # imported here: at the top they would cost every CLI start ~30 ms
+    import multiprocessing
     import os
+    from concurrent.futures import ProcessPoolExecutor
 
     items = list(items)
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
     workers = min(len(items), len(cpus))
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        results = pool.map(fn, items, chunksize=1)
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        pool.join()
-    return results
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items))
 
 
 def _check(name, residual, tolerance, lower_is_better=True):

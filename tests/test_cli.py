@@ -101,8 +101,8 @@ def test_non_finite_config_values_exit_two(tmp_path, capsys, command, override):
 @pytest.mark.parametrize(
     "override, message",
     [("T=NaN", "T: must be finite"), ("T=Infinity", "T: must be finite"),
-     ("dt=NaN", "dt: must be finite")],
-    ids=["T_nan", "T_inf", "dt_nan"],
+     ("dt=NaN", "dt: must be finite"), ("T=1" + "0" * 400, "T: must be finite")],
+    ids=["T_nan", "T_inf", "dt_nan", "T_integer_beyond_floats"],
 )
 def test_non_finite_T_and_dt_are_named_where_parsed(tmp_path, capsys, override, message):
     cfg = _write_config(tmp_path / "c.json")
@@ -365,6 +365,34 @@ def test_non_string_generator_is_a_config_error(tmp_path, capsys, command):
     override = 'initial_data={"generator": [1]}'
     assert main([command, "--config", str(cfg), "--out", str(out), "--override", override]) == 2
     assert "config error: initial_data:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("curvature-residual", ["T=2e-5", "output_times=[0,1e-5,2e-5]", 'lambdas="12"'],
+         "lambdas: must be a list of numbers"),
+        ("curvature-residual", ["T=2e-5", "output_times=[0,1e-5,2e-5]", "lambdas=[1,true]"],
+         "lambdas: must be a list of numbers"),
+        ("simulate", ["T=0", 'output_times="0"'], "output_times: must be a list of numbers"),
+        ("simulate", ["seed=true", "initial_data.seed=true"], "seed: must be an integer"),
+        ("simulate", ["seed=1", "initial_data.seed=true"], "seed: must be an integer"),
+        ("simulate", ["T=true"], "T: must be a number"),
+        ("simulate", ["dt=true"], "dt: must be a number or 'auto'"),
+    ],
+    ids=["lambdas_string", "lambdas_boolean", "output_times_string", "seeds_boolean",
+         "initial_data_seed_boolean", "T_boolean", "dt_boolean"],
+)
+def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, command, overrides, message):
+    cfg = _write_config(tmp_path / "c.json", flow="third_order",
+                        initial_data={"generator": "random_smooth", "modes": 2})
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    for override in overrides:
+        argv += ["--override", override]
+    assert main(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err.splitlines()
     assert not os.path.exists(out)
 
 

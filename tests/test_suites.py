@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import importlib
 import inspect
 import json
 import multiprocessing
 import os
+import pickle
+import pkgutil
 import signal
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import grassflow
-from grassflow.flows import FlowBlowupError
+from grassflow.cli import ConfigError
+from grassflow.flows import FlowBlowupError, NewtonError, StabilityError
+from grassflow.gauge import GaugeError
+from grassflow.orbit import SpectralError
 from grassflow.reductions import Geometry
 from grassflow.suites import SUITES, _map, random_spin_field, run_suite
 import conftest
@@ -72,6 +79,18 @@ def _blow_up(index):
     raise FlowBlowupError(None, index, 0.5, "off its cone")
 
 
+class _OneWayError(Exception):
+    # its arguments are not in args, so it pickles but cannot be unpickled
+    def __init__(self, a, b):
+        super().__init__()
+
+
+def _one_way(index):
+    if index == 1:
+        raise _OneWayError(index, 2)
+    return index
+
+
 def _hung(signum, frame):
     raise TimeoutError("the worker's error never reached the parent")
 
@@ -95,6 +114,50 @@ def test_map_raises_a_workers_typed_error():
     assert multiprocessing.active_children() == []
 
 
+def test_map_fails_when_a_workers_error_cannot_come_back():
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            _map(_one_way, range(6))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def _errors_grassflow_defines():
+    found = set()
+    for info in pkgutil.iter_modules(grassflow.__path__):
+        module = importlib.import_module(f"grassflow.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                found.add(obj)
+    return found
+
+
+def test_every_grassflow_error_survives_pickling():
+    # a suite worker hands its error to the parent through pickle
+    errors = [
+        (ConfigError(["T: must be a number", "seed: must be an integer"]),
+         {"messages": ["T: must be a number", "seed: must be an integer"]}),
+        (StabilityError("dt=1e-3 exceeds the stability bound"), {}),
+        (FlowBlowupError(None, 7, 0.25, "off its cone"),
+         {"last_state": None, "step_index": 7, "time": 0.25, "what": "off its cone"}),
+        (NewtonError(None, 7, 0.25, 3.5e-12),
+         {"last_state": None, "step_index": 7, "time": 0.25, "residual": 3.5e-12}),
+        (GaugeError("frame is not block diagonal"), {}),
+        (SpectralError("eigenvalues too close"), {}),
+    ]
+    assert {type(err) for err, _ in errors} == _errors_grassflow_defines()
+    for err, attributes in errors:
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert str(back) == str(err)
+        assert {name: getattr(back, name) for name in attributes} == attributes
+
+
 def test_suite_reports_do_not_depend_on_the_cpus(monkeypatch):
     every = json.dumps(run_suite("reductions"), sort_keys=True)
     assert multiprocessing.active_children() == []
@@ -104,7 +167,10 @@ def test_suite_reports_do_not_depend_on_the_cpus(monkeypatch):
 
 def test_importing_the_cli_leaves_multiprocessing_out():
     # a pool is only started by the suites that use one
-    code = "import sys, grassflow.cli; print('multiprocessing' in sys.modules)"
+    code = (
+        "import sys, grassflow.cli; "
+        "print(any(m in sys.modules for m in ('multiprocessing', 'concurrent.futures')))"
+    )
     src = os.path.dirname(os.path.dirname(grassflow.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
