@@ -15,7 +15,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -34,25 +34,14 @@ from .flows import (
     evolve,
     step_count,
 )
-from .functionals import FlowParams, energy_report
+from .functionals import EnergyReport, FlowParams, energy_report
 from .gauge import GaugeError, curvature_residual, frame_potential_gaps
 from .initial_data import draws_seed, make_initial_potential, make_initial_state
 from .orbit import OrbitState, SpectralError, spectrum_deviation
 from .reductions import matrix_and_vector_spins, spec_geometry
 from .suites import SUITES, run_suite
 
-OBSERVABLE_COLUMNS = (
-    "t",
-    "E",
-    "E21",
-    "E22",
-    "E23",
-    "E2",
-    "Etilde",
-    "H",
-    "spectrum_dev",
-    "m_residual",
-)
+OBSERVABLE_COLUMNS = ("t", *(f.name for f in fields(EnergyReport)), "spectrum_dev", "m_residual")
 
 
 class ConfigError(ValueError):
@@ -140,41 +129,34 @@ def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
     def get(path, required=True, default=None):
         node = cfg
         for part in path.split("."):
-            if not isinstance(node, dict) or part not in node:
+            if not isinstance(node, dict) or node.get(part) is None:  # null is missing too
                 if required:
                     errors.append(f"missing field '{path}'")
                 return default
             node = node[part]
         return node
 
+    def build(section, make, *keys):
+        # make(*values) of the JSON numbers section.key, or None with each fault noted
+        values = [get(f"{section}.{key}") for key in keys]
+        wrong = [key for key, v in zip(keys, values) if v is not None and _number(v) is None]
+        errors.extend(f"{section}.{key}: must be a number" for key in wrong)
+        if wrong or None in values:
+            return None
+        try:
+            return make(*values)
+        except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: int(inf)
+            errors.append(f"{section}: {exc}")
+            return None
+
     family = get("algebra.family")
-    n = get("algebra.n")
-    k = get("algebra.k")
-    spec = None
-    if family is not None and n is not None and k is not None:
-        try:
-            spec = AlgebraSpec(Family(family), n, k)
-        except (ValueError, TypeError) as exc:
-            errors.append(f"algebra: {exc}")
 
-    npts = get("grid.N")
-    length = get("grid.L")
-    grid = None
-    if npts is not None and length is not None:
-        try:
-            grid = Grid(npts, length)
-        except (ValueError, TypeError) as exc:
-            errors.append(f"grid: {exc}")
+    def algebra(n, k):
+        return None if family is None else AlgebraSpec(Family(family), n, k)
 
-    alpha = get("params.alpha")
-    beta = get("params.beta")
-    gamma = get("params.gamma")
-    params = None
-    if alpha is not None and beta is not None and gamma is not None:
-        try:
-            params = FlowParams(alpha, beta, gamma)
-        except (ValueError, TypeError) as exc:
-            errors.append(f"params: {exc}")
+    spec = build("algebra", algebra, "n", "k")
+    grid = build("grid", Grid, "N", "L")
+    params = build("params", FlowParams, "alpha", "beta", "gamma")
 
     kind = None
     flow = get("flow")
@@ -377,19 +359,9 @@ def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
             _write_json(
                 os.path.join(out_dir, f"snapshot_{index:04d}.json"), current.to_json_dict()
             )
-            rep = energy_report(current, rc.params)
-            row = (
-                target,
-                rep.E,
-                rep.E21,
-                rep.E22,
-                rep.E23,
-                rep.E2,
-                rep.Etilde,
-                rep.H,
-                spectrum_deviation(current),
-                membership_residual(current.spec, current.phi.values),
-            )
+            energies = astuple(energy_report(current, rc.params))
+            m_residual = membership_residual(current.spec, current.phi.values)
+            row = (target, *energies, spectrum_deviation(current), m_residual)
             with open(csv_path, "a" if index else "w") as csv:
                 if not index:
                     csv.write(",".join(OBSERVABLE_COLUMNS) + "\n")

@@ -31,6 +31,7 @@ StabilityError.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import enum
 import functools
 import math
@@ -393,10 +394,12 @@ def step(os: OrbitState, p: FlowParams, kind: FlowKind, dt: float) -> OrbitState
     """Advance one time step; a frame rides along.  A step within the
     explicit bound is an RKMK4 step, a longer one a midpoint step where the
     flow has a midpoint symbol and a StabilityError elsewhere.  A midpoint
-    step raises NewtonError when its solve misses its tolerance, and
-    FlowBlowupError on a non-finite value or a singular Cayley factor."""
+    step raises NewtonError when its solve misses its tolerance.  Either
+    raises FlowBlowupError, with os and step index 1, on a non-finite phi,
+    frame or midpoint residual, or on a singular Cayley factor."""
     bound, gen, symbol = _flow(os.spec, os.phi.grid, p, kind)
     frame0 = None if os.frame is None else os.frame.values
+    residual = 0.0  # an RKMK step solves nothing
     if symbol is None or dt <= bound * (1.0 + STEP_SLACK):
         _check_stability(bound, dt)
         phi1, frame1 = _rkmk_step(gen, os.phi.values, frame0, dt)
@@ -408,8 +411,8 @@ def step(os: OrbitState, p: FlowParams, kind: FlowKind, dt: float) -> OrbitState
             raise FlowBlowupError(os, 1, os.time + dt) from None
         if tol < residual < math.inf:  # missed; a non-finite residual is a blow-up
             raise NewtonError(os, 1, os.time + dt, residual)
-        if not all(np.all(np.isfinite(a)) for a in (phi1, frame1, residual) if a is not None):
-            raise FlowBlowupError(os, 1, os.time + dt)
+    if not all(np.all(np.isfinite(a)) for a in (phi1, frame1, residual) if a is not None):
+        raise FlowBlowupError(os, 1, os.time + dt)
     frame_field = None if frame1 is None else MatrixField(os.phi.grid, frame1)
     return OrbitState(os.spec, MatrixField(os.phi.grid, phi1), os.time + dt, frame_field)
 
@@ -443,33 +446,28 @@ def step_count(t: float, target: float, dt: float) -> int:
     return max(0, math.ceil((target - t) / dt - STEP_SLACK))
 
 
-def _march(state, t0: float, output_times, dt: float, advance, arrays):
-    """Carry state from time t0 onto each output time in turn, yielding
-    (target, state) on arrival.
+def _march(state, output_times, dt: float, advance):
+    """Carry state from its own time onto each output time in turn,
+    yielding it stamped with that time exactly on arrival, and go on from
+    the stamped state.
 
-    A segment from t to target takes step_count(t, target, dt) steps of
-    advance(state, h).  Raises FlowBlowupError, with the last finite state
-    and the index of the failing step, when any of arrays(new_state) is not
-    finite; a NewtonError or FlowBlowupError raised by advance gets the
-    steps before it added to its step_index.
-    """
-    t, step_index = t0, 0
+    A segment from state.time to target takes step_count(state.time,
+    target, dt) steps of advance(state, h), which returns a finite state at
+    state.time + h or raises FlowBlowupError or NewtonError with step index
+    1; the march adds the steps before it to that index."""
+    step_index = 0
     for target in output_times:
-        count = step_count(t, target, dt)
+        count = step_count(state.time, target, dt)
         for i in range(count):
-            h = dt if i < count - 1 else target - t
+            h = dt if i < count - 1 else target - state.time
             try:
-                new = advance(state, h)
+                state = advance(state, h)
             except (NewtonError, FlowBlowupError) as exc:
                 exc.step_index += step_index
                 raise
             step_index += 1
-            t += h
-            if not all(np.all(np.isfinite(a)) for a in arrays(new)):
-                raise FlowBlowupError(state, step_index, t)
-            state = new
-        t = target
-        yield target, state
+        state = dataclasses.replace(state, time=target)
+        yield state
 
 
 def evolve(
@@ -492,12 +490,7 @@ def evolve(
     flow = _flow(os.spec, os.phi.grid, p, kind)
     if flow.symbol is None:
         _check_stability(flow.bound, dt)
-
-    def advance(state, h):
-        return step(state, p, kind, h)
-
-    arrivals = _march(os, os.time, times, dt, advance, lambda state: (state.phi.values,))
-    return [OrbitState(s.spec, s.phi, target, s.frame) for target, s in arrivals]
+    return list(_march(os, times, dt, lambda state, h: step(state, p, kind, h)))
 
 
 def sym_pohlmeyer_curve(os: OrbitState) -> MatrixField:

@@ -17,7 +17,16 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Family, _orbit_square, bracket, decompose, frobenius
 from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
-from .flows import FlowKind, _check_stability, _flow, _flow_params, _march, _output_times, evolve
+from .flows import (
+    FlowBlowupError,
+    FlowKind,
+    _check_stability,
+    _flow,
+    _flow_params,
+    _march,
+    _output_times,
+    evolve,
+)
 from .functionals import FlowParams
 from .orbit import (
     FramedState,
@@ -126,7 +135,7 @@ def state_from_potential(ps: PotentialState) -> OrbitState:
     if not np.all(np.isfinite(potential.values)):
         raise ValueError("potential is not finite")
     fs = frame_from_potential(ps.spec, potential, time=ps.time)
-    defect = frame_closure_defect(ps.spec, fs)
+    defect = frame_closure_defect(fs)
     if not defect <= _CLOSURE_TOL:
         raise ValueError(
             f"potential carries holonomy: frame closure defect {defect:.3e} "
@@ -281,10 +290,11 @@ def evolve_potential(
         k4q, k4r = rhs(q + dt_step * k3q, r + dt_step * k3r)
         q = q + (dt_step / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
         r = r + (dt_step / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(r))):
+            raise FlowBlowupError(state, 1, state.time + dt_step)
         return PotentialState(spec, state.grid, q, r, state.time + dt_step)
 
-    arrivals = _march(ps, ps.time, times, dt, advance, lambda state: (state.q, state.r))
-    return [PotentialState(spec, s.grid, s.q, s.r, target) for target, s in arrivals]
+    return list(_march(ps, times, dt, advance))
 
 
 def _gauge_invariant(ps: PotentialState) -> np.ndarray:

@@ -157,7 +157,7 @@ def frame_from_potential(
     return FramedState(spec, MatrixField(potential.grid, e), potential, time)
 
 
-def frame_closure_defect(spec: AlgebraSpec, fs: FramedState) -> float:
+def frame_closure_defect(fs: FramedState) -> float:
     """Norm of the mismatch between the frame continued one full period
     and its starting value.  Nonzero closure means the potential carries
     holonomy and the frame samples do not represent a periodic field."""

@@ -229,8 +229,8 @@ def matrix_and_vector_spins(
         except ValueError as exc:
             raise FlowBlowupError(sf, 1, sf.time + h, str(exc)) from None
 
-    vector_side = _march(phi_to_s(os), os.time, times, dt, advance, lambda sf: (sf.s,))
-    return [(phi_to_s(state).s, sf.s) for state, (_, sf) in zip(matrix_side, vector_side)]
+    vector_side = _march(phi_to_s(os), times, dt, advance)
+    return [(phi_to_s(state).s, sf.s) for state, sf in zip(matrix_side, vector_side)]
 
 
 def cross_check_matrix_vs_vector(

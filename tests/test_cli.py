@@ -52,6 +52,7 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     assert manifest["resolved"]["dt"] > 0
     header = _read(tmp_path / "a" / "observables.csv").decode().splitlines()[0]
     assert header == ",".join(OBSERVABLE_COLUMNS)
+    assert header == "t,E,E21,E22,E23,E2,Etilde,H,spectrum_dev,m_residual"
 
 
 def test_simulate_zero_duration(tmp_path):
@@ -96,6 +97,29 @@ def test_non_finite_config_values_exit_two(tmp_path, capsys, command, override):
     assert rc == 2
     assert "must be finite" in capsys.readouterr().err
     assert not os.path.exists(out / "manifest.json")
+
+
+@pytest.mark.parametrize("field", ["algebra.family", "algebra.n", "grid.N", "params.alpha",
+                                   "flow", "initial_data", "T", "dt"])
+def test_null_required_field_is_missing(tmp_path, capsys, field):
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--override", f"{field}=null"]) == 2
+    assert capsys.readouterr().err == f"config error: missing field '{field}'\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("override", ["grid.N=Infinity", "grid.N=1e400", "algebra.n=Infinity"])
+def test_infinite_sizes_are_config_errors(tmp_path, capsys, override):
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--override", override]) == 2
+    section = override.split(".")[0]
+    assert capsys.readouterr().err == (
+        f"config error: {section}: cannot convert float infinity to integer\n"
+    )
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(
@@ -380,9 +404,15 @@ def test_non_string_generator_is_a_config_error(tmp_path, capsys, command):
         ("simulate", ["seed=1", "initial_data.seed=true"], "seed: must be an integer"),
         ("simulate", ["T=true"], "T: must be a number"),
         ("simulate", ["dt=true"], "dt: must be a number or 'auto'"),
+        ("simulate", ["algebra.k=true"], "algebra.k: must be a number"),
+        ("simulate", ["grid.L=true"], "grid.L: must be a number"),
+        ("simulate", ['grid.N="128"'], "grid.N: must be a number"),
+        ("simulate", ["params.alpha=true"], "params.alpha: must be a number"),
+        ("simulate", ['params.beta="0.1"'], "params.beta: must be a number"),
     ],
     ids=["lambdas_string", "lambdas_boolean", "output_times_string", "seeds_boolean",
-         "initial_data_seed_boolean", "T_boolean", "dt_boolean"],
+         "initial_data_seed_boolean", "T_boolean", "dt_boolean", "algebra_k_boolean",
+         "grid_L_boolean", "grid_N_string", "params_alpha_boolean", "params_beta_string"],
 )
 def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, command, overrides, message):
     cfg = _write_config(tmp_path / "c.json", flow="third_order",

@@ -702,6 +702,23 @@ def test_non_finite_midpoint_step_is_a_blowup(u2, monkeypatch, fault):
     assert err.value.last_state is os
 
 
+def test_non_finite_rkmk_step_is_a_blowup(u2, monkeypatch):
+    # a step within the bound is checked as a midpoint step is: step raises,
+    # rather than return a non-finite state
+    real = flows._flow
+    monkeypatch.setattr(
+        flows, "_flow", lambda *args: real(*args)._replace(generator=_nan_generator)
+    )
+    grid = Grid(32, TWO_PI)
+    os = _state(u2, grid)
+    dt = 0.5 * stability_bound(PARAMS, grid.h)
+    with np.errstate(all="ignore"), pytest.raises(FlowBlowupError) as err:
+        step(os, PARAMS, FlowKind.THIRD_ORDER, dt)
+    assert err.value.last_state is os
+    assert err.value.step_index == 1
+    assert err.value.time == os.time + dt
+
+
 def _small_system(size=12, seed=7):
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))

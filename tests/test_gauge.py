@@ -210,9 +210,12 @@ def test_potential_blowup_carries_last_state_and_step_index(u2):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FlowBlowupError) as err:
             evolve_potential(ps, FlowParams(50.0, 0.0, 0.0), 10.0, 0.5)
-    assert err.value.step_index >= 1
+    # the first step of 0.5 is finite, the second is not
+    assert err.value.step_index == 2
+    assert err.value.time == 1.0
     last = err.value.last_state
     assert isinstance(last, PotentialState)
+    assert last.time == 0.5
     assert np.all(np.isfinite(last.q)) and np.all(np.isfinite(last.r))
 
 

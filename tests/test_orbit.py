@@ -78,14 +78,14 @@ def test_closure_defect_small_for_zero_mean_separable(grid64):
     for spec in all_specs():
         ps = random_smooth_potential(spec, grid64, seed=2)
         fs = frame_from_potential(spec, ps.assemble())
-        assert frame_closure_defect(spec, fs) < 1e-8
+        assert frame_closure_defect(fs) < 1e-8
 
 
 def test_closure_defect_flags_holonomy(u2, grid64):
     q = np.full((grid64.num_points, 1, 1), 0.3, dtype=complex)
     ps = PotentialState.from_q(u2, grid64, q)
     fs = frame_from_potential(u2, ps.assemble())
-    assert frame_closure_defect(u2, fs) > 0.1
+    assert frame_closure_defect(fs) > 0.1
     with pytest.raises(ValueError):
         state_from_potential(ps)
 
@@ -176,7 +176,7 @@ def test_batched_frame_march_matches_per_cell_march():
         want = _per_cell_march(np.matmul, pv, eye, h, cells)
         assert np.max(np.abs(fs.frame.values - want)) < 1e-13, spec.family
         last = _per_cell_march(np.matmul, pv, want[-1], h, [grid.num_points - 1])[-1]
-        assert abs(frame_closure_defect(spec, fs) - frobenius(last - want[0])) < 1e-13
+        assert abs(frame_closure_defect(fs) - frobenius(last - want[0])) < 1e-13
 
         raw = exp_map(random_tangent_field(spec, grid, seed=4, amplitude=0.2))
         fixed = gauge_fix_frame(spec, MatrixField(grid, raw))
