@@ -9,15 +9,25 @@ family keeps exactly-zero imaginary parts through every operation here.
 The exponential is a truncated Taylor series whose degree is chosen from the
 argument's 1-norm so that the truncation error stays below 2**-53, with
 scaling and squaring for norms above 1.143; exp(a) and exp(-a) are E + O and
-E - O, from one split of the series into its even and odd parts.  Products
-of 2x2 matrices, the common case, are formed from gathers on the flat
-(..., 4) view rather than dispatched to matmul.
+E - O, from one split of the series into its even and odd parts.
+
+This module decides how batched small-matrix algebra is computed, and every
+other module goes through its four kernels rather than calling `@` or
+np.linalg.inv, solve or eigvals on a field: _matmul (a left-to-right product
+of any number of factors), _solve, _inv and _eigvals.  The matrix shape
+picks the path.  2x2 matrices, the common case, take closed forms: products
+from gathers on the flat (..., 4) view, inverses from the adjugate over the
+determinant and solves as inverse times right-hand side, eigenvalues from
+the quadratic formula.  Every other shape goes to matmul and LAPACK.  A
+singular 2x2 matrix gives non-finite values rather than LinAlgError, for the
+caller's finiteness check to catch.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -92,11 +102,16 @@ def _orbit_square(spec: AlgebraSpec) -> float:
     return (spec.block_scale ** 2).real
 
 
+def _signs(spec: AlgebraSpec) -> np.ndarray:
+    """The diagonal of the signature: k entries +1, then n - k entries -1."""
+    d = np.full(spec.n, -1.0)
+    d[: spec.k] = 1.0
+    return d
+
+
 def signature_matrix(spec: AlgebraSpec) -> np.ndarray:
     """diag(I_k, -I_{n-k}), the signature of the block split."""
-    d = np.full(spec.n, -1.0, dtype=np.complex128)
-    d[: spec.k] = 1.0
-    return np.diag(d)
+    return np.diag(_signs(spec).astype(np.complex128))
 
 
 def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -136,11 +151,23 @@ def membership_residual(spec: AlgebraSpec, a: np.ndarray) -> float:
     if spec.family is Family.COMPACT_UNITARY:
         d = ah + a
     elif spec.family is Family.NONCOMPACT_UNITARY:
-        j = signature_matrix(spec)
-        d = ah @ j + j @ a
+        s = _signs(spec)  # a* J + J a, J scaling columns and rows by signs
+        d = ah * s + s[:, None] * a
     else:
         d = np.imag(a)
     return frobenius(d)
+
+
+def _project(spec: AlgebraSpec, a: np.ndarray) -> np.ndarray:
+    """Nearest member of the family in the Frobenius norm: (a - a*) / 2
+    compact, (a - J a* J) / 2 noncompact, Re a split."""
+    ah = np.conj(np.swapaxes(a, -1, -2))
+    if spec.family is Family.COMPACT_UNITARY:
+        return 0.5 * (a - ah)
+    if spec.family is Family.NONCOMPACT_UNITARY:
+        s = _signs(spec)
+        return 0.5 * (a - np.outer(s, s) * ah)
+    return np.real(a).astype(np.complex128)
 
 
 def decompose(spec: AlgebraSpec, a: np.ndarray) -> LieDecomposition:
@@ -168,24 +195,68 @@ _TAYLOR_COEFFS = tuple(1.0 / math.factorial(k) for k in range(len(_TAYLOR_THETA)
 
 # Positions, in the row-major (..., 4) view of a 2x2 matrix, of: the diagonal
 # entry of each column (b00, b11, b00, b11), the entries with the columns
-# swapped (a01, a00, a11, a10), and the off-diagonal entry of each column
-# (b10, b01, b10, b01).
+# swapped (a01, a00, a11, a10), the off-diagonal entry of each column
+# (b10, b01, b10, b01), and the entries of the adjugate up to the signs
+# _ADJ_SIGN (a11, -a01, -a10, a00).
 _DIAG = np.array([0, 3, 0, 3])
 _SWAP = np.array([1, 0, 3, 2])
 _ANTI = np.array([2, 1, 2, 1])
+_ADJ = np.array([3, 1, 2, 0])
+_ADJ_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched a @ b.  Equal-shape batches of 2x2 matrices are formed on the
-    (..., 4) view as a * diag(b) + swapcols(a) * antidiag(b), three gathers
-    and two contiguous products, which avoids matmul's per-matrix overhead;
-    every other shape uses matmul."""
-    if a.shape == b.shape and a.shape[-2:] == (2, 2):
-        flat = a.shape[:-2] + (4,)
-        a4, b4 = a.reshape(flat), b.reshape(flat)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched a @ b, broadcast over leading axes.  Two 2x2 operands are
+    formed on the (..., 4) view as a * diag(b) + swapcols(a) * antidiag(b),
+    three gathers and two contiguous products, which avoids matmul's
+    per-matrix overhead; every other shape uses matmul."""
+    sa, sb = a.shape, b.shape
+    if sa[-2:] == (2, 2) == sb[-2:]:
+        a4, b4 = a.reshape(sa[:-2] + (4,)), b.reshape(sb[:-2] + (4,))
         prod = a4 * b4.take(_DIAG, axis=-1) + a4.take(_SWAP, axis=-1) * b4.take(_ANTI, axis=-1)
-        return prod.reshape(a.shape)
+        return prod.reshape(sa if sa == sb else prod.shape[:-1] + (2, 2))
     return a @ b
+
+
+def _matmul(*factors: np.ndarray) -> np.ndarray:
+    """Batched product of the factors, multiplied left to right, so that
+    _matmul(a, b, c) is (a @ b) @ c; each pair is formed by _product."""
+    return functools.reduce(_product, factors)
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """Batched inverse: the adjugate over the determinant for 2x2, which is
+    non-finite where a is singular, and np.linalg.inv otherwise."""
+    if a.shape[-2:] == (2, 2):
+        a4 = a.reshape(a.shape[:-2] + (4,))
+        det = a4[..., 0] * a4[..., 3] - a4[..., 1] * a4[..., 2]
+        return (a4.take(_ADJ, axis=-1) * _ADJ_SIGN / det[..., None]).reshape(a.shape)
+    return np.linalg.inv(a)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched a^-1 b for matrices b: _inv(a) b for 2x2, non-finite where a
+    is singular, and np.linalg.solve otherwise.  For n > 2 the LAPACK solve
+    is kept because it is faster than an inverse and a product: on a 2-vCPU
+    host, at n = 4 and 256 points, the Cayley pair of a midpoint step takes
+    0.67 ms by two solves and 0.91 ms by two inverses and two products."""
+    if a.shape[-2:] == (2, 2):
+        return _matmul(_inv(a), b)
+    return np.linalg.solve(a, b)
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """Batched eigenvalues.  For 2x2 they are t +- sqrt(d^2 + bc), with t
+    half the trace and d half the difference of the diagonal entries, as
+    complex numbers, non-finite for a non-finite matrix; otherwise
+    np.linalg.eigvals, which raises LinAlgError on non-finite input."""
+    if a.shape[-2:] == (2, 2):
+        a4 = np.asarray(a, dtype=np.complex128).reshape(a.shape[:-2] + (4,))
+        t = 0.5 * (a4[..., 0] + a4[..., 3])
+        d = 0.5 * (a4[..., 0] - a4[..., 3])
+        root = np.sqrt(d * d + a4[..., 1] * a4[..., 2])
+        return np.stack((t + root, t - root), axis=-1)
+    return np.linalg.eigvals(a)
 
 
 def _polynomial(powers: list, coeffs) -> np.ndarray:

@@ -22,10 +22,10 @@ to a fixed T grow like N^4.  A step of the leading- or third-order flow on
 the complex families that is longer than that bound is an isospectral
 midpoint step instead, an implicit second-order scheme with no step bound:
 a Newton-Krylov solve for the midpoint, then a conjugation by a Cayley
-factor, which keeps the spectrum to roundoff whether or not the solve
-converged.  A solve that misses its tolerance raises NewtonError; the step
-never retries.  Elsewhere a step longer than the bound is refused with a
-StabilityError.
+factor built from a W projected onto the algebra, which keeps the spectrum
+and the family to roundoff whether or not the solve converged.  A solve
+that misses its tolerance raises NewtonError; the step never retries.
+Elsewhere a step longer than the bound is refused with a StabilityError.
 """
 
 from __future__ import annotations
@@ -38,7 +38,16 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Family, _exp_pair, _matmul, _orbit_square, bracket
+from .algebra import (
+    AlgebraSpec,
+    Family,
+    _exp_pair,
+    _matmul,
+    _orbit_square,
+    _project,
+    _solve,
+    bracket,
+)
 from .fields import (
     _STENCILS,
     Grid,
@@ -201,7 +210,7 @@ def _generator(spec: AlgebraSpec, h: float, p: FlowParams):
             w += c * (shifted(padded, pad, off) + shifted(padded, pad, -off))
         if cube_coeff != 0.0:
             phix = d1(padded, pad)
-            cube = _matmul(_matmul(phix, phix), phix)
+            cube = _matmul(phix, phix, phix)
             w += cube_coeff * d1(_wrap_pad(cube, pad1), pad1)
         return w
 
@@ -217,7 +226,7 @@ def third_order_generator(os: OrbitState, p: FlowParams) -> MatrixField:
 
 def _conjugate(g: np.ndarray, ginv: np.ndarray, phi: np.ndarray) -> np.ndarray:
     # exp(-sigma) phi exp(sigma) with g, ginv = exp(sigma), exp(-sigma)
-    return _matmul(_matmul(ginv, phi), g)
+    return _matmul(ginv, phi, g)
 
 
 def _rkmk_step(gen, phi0: np.ndarray, frame0: np.ndarray | None, dt: float):
@@ -282,22 +291,24 @@ def _gcr(apply, precond, b: np.ndarray, tol: float) -> np.ndarray:
     return x
 
 
-def _isomp_step(gen, symbol, c2: float, phi0: np.ndarray, frame0, dt: float):
+def _isomp_step(gen, symbol, spec: AlgebraSpec, phi0: np.ndarray, frame0, dt: float):
     """One step of the isospectral midpoint (Modin and Viviani, FoCM 2020)
     for phi_t = [phi, gen(phi)].  With a = dt / 2 and W = gen(X), Newton
     solves (I + a W) X (I - a W) = phi0 for the midpoint X, each update by
     GCR on finite-difference Jacobian products (Knoll and Keyes, JCP
-    2004).  The step conjugates by the Cayley factor
-    C = (I + a W)^-1 (I - a W): phi1 = C phi0 C^-1, frame1 = frame0 C^-1,
-    so phi1 is isospectral to phi0 however far Newton got.
+    2004).  The step projects a W onto the algebra of spec and conjugates
+    by the Cayley factor C = (I + a W)^-1 (I - a W): phi1 = C phi0 C^-1,
+    frame1 = frame0 C^-1, so phi1 is isospectral to phi0, and stays in the
+    family, however far Newton got.
 
     Returns (phi1, frame1, residual, tol) from the last iterate, residual
     being the max-abs residual of the midpoint equation and tol its stop
-    test; the caller judges them.  Raises LinAlgError when a Cayley factor
-    is singular.  symbol is the FFT symbol of the linear part L of gen, and
-    c2 the orbit's c^2.
+    test; the caller judges them.  A singular Cayley factor makes phi1
+    non-finite for n = 2 and raises LinAlgError otherwise.  symbol is the
+    FFT symbol of the linear part L of gen.
     """
     a = 0.5 * dt
+    c2 = _orbit_square(spec)
     tol = (NEWTON_TOL + np.finfo(float).eps * a * np.max(np.abs(symbol))) * np.max(np.abs(phi0))
 
     def residual(x):
@@ -315,7 +326,7 @@ def _isomp_step(gen, symbol, c2: float, phi0: np.ndarray, frame0, dt: float):
     lsym = symbol[:, None, None]
 
     def precond(v):
-        tangent = 0.5 * (v - _matmul(_matmul(phi0, v), phi0) / c2)
+        tangent = 0.5 * (v - _matmul(phi0, v, phi0) / c2)
         vh = np.fft.fft(tangent, axis=0) * damp
         lv = np.fft.ifft(lsym * vh, axis=0)
         return v - tangent + np.fft.ifft(vh, axis=0) + a * bracket(phi0, lv)
@@ -337,10 +348,13 @@ def _isomp_step(gen, symbol, c2: float, phi0: np.ndarray, frame0, dt: float):
         x = x0 + _gcr(jacobian, precond, -r0, KRYLOV_TOL * np.linalg.norm(r0))
         r, aw = residual(x)
         err = float(np.max(np.abs(r)))
+    # a W is in the algebra only to within the solve's error, which a W
+    # amplifies at large N; projected, the Cayley factor is in the group
+    aw = _project(spec, aw)
     eye = np.eye(phi0.shape[-1])
-    c = np.linalg.solve(eye + aw, eye - aw)
-    cinv = np.linalg.solve(eye - aw, eye + aw)
-    phi1 = _matmul(_matmul(c, phi0), cinv)
+    c = _solve(eye + aw, eye - aw)
+    cinv = _solve(eye - aw, eye + aw)
+    phi1 = _matmul(c, phi0, cinv)
     frame1 = None if frame0 is None else _matmul(frame0, cinv)
     return phi1, frame1, err, tol
 
@@ -396,23 +410,28 @@ def step(os: OrbitState, p: FlowParams, kind: FlowKind, dt: float) -> OrbitState
     flow has a midpoint symbol and a StabilityError elsewhere.  A midpoint
     step raises NewtonError when its solve misses its tolerance.  Either
     raises FlowBlowupError, with os and step index 1, on a non-finite phi,
-    frame or midpoint residual, or on a singular Cayley factor."""
+    frame or midpoint residual, or on a singular Cayley factor; the
+    arithmetic that made the non-finite values warns of nothing."""
     bound, gen, symbol = _flow(os.spec, os.phi.grid, p, kind)
     frame0 = None if os.frame is None else os.frame.values
-    residual = 0.0  # an RKMK step solves nothing
-    if symbol is None or dt <= bound * (1.0 + STEP_SLACK):
+    residual, tol = 0.0, math.inf  # an RKMK step solves nothing
+    explicit = symbol is None or dt <= bound * (1.0 + STEP_SLACK)
+    if explicit:
         _check_stability(bound, dt)
-        phi1, frame1 = _rkmk_step(gen, os.phi.values, frame0, dt)
-    else:
-        c2 = _orbit_square(os.spec)
-        try:
-            phi1, frame1, residual, tol = _isomp_step(gen, symbol, c2, os.phi.values, frame0, dt)
-        except np.linalg.LinAlgError:
-            raise FlowBlowupError(os, 1, os.time + dt) from None
-        if tol < residual < math.inf:  # missed; a non-finite residual is a blow-up
-            raise NewtonError(os, 1, os.time + dt, residual)
+    with np.errstate(all="ignore"):
+        if explicit:
+            phi1, frame1 = _rkmk_step(gen, os.phi.values, frame0, dt)
+        else:
+            try:
+                phi1, frame1, residual, tol = _isomp_step(
+                    gen, symbol, os.spec, os.phi.values, frame0, dt
+                )
+            except np.linalg.LinAlgError:  # a singular Cayley factor, n > 2
+                raise FlowBlowupError(os, 1, os.time + dt) from None
     if not all(np.all(np.isfinite(a)) for a in (phi1, frame1, residual) if a is not None):
         raise FlowBlowupError(os, 1, os.time + dt)
+    if residual > tol:
+        raise NewtonError(os, 1, os.time + dt, residual)
     frame_field = None if frame1 is None else MatrixField(os.phi.grid, frame1)
     return OrbitState(os.spec, MatrixField(os.phi.grid, phi1), os.time + dt, frame_field)
 
@@ -515,6 +534,6 @@ def curve_flow_rhs(os: OrbitState, p: FlowParams) -> MatrixField:
     coeff = 4.0 * p.gamma - 2.0 * p.beta
     if coeff != 0.0:
         phiinv = phi / _orbit_square(os.spec)  # phi^2 = c^2 I on the orbit
-        chain = phix @ phiinv @ phix @ phiinv @ phix
+        chain = _matmul(phix, phiinv, phix, phiinv, phix)
         out += coeff * bracket(phi, chain)
     return MatrixField(os.phi.grid, out)

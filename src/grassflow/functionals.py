@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Family, _exp_pair, _orbit_square, bracket, inner, trace_product
+from .algebra import Family, _exp_pair, _matmul, _orbit_square, bracket, inner, trace_product
 from .fields import MatrixField, periodic_diff
 from .orbit import OrbitState
 
@@ -54,14 +54,14 @@ def energy_report(os: OrbitState, p: FlowParams) -> EnergyReport:
     phix = periodic_diff(phi, 1, h)
     phixx = periodic_diff(phi, 2, h)
     phiinv = phi / _orbit_square(spec)  # phi^2 = c^2 I on the orbit
-    chain = phix @ phiinv @ phix
+    chain = _matmul(phix, phiinv, phix)
     e = 0.5 * _total(h, inner(spec, phix, phix))
     e21 = 0.5 * _total(h, inner(spec, phixx, phixx))
     e22 = _total(h, inner(spec, phixx, chain))
     e23 = 0.5 * _total(h, inner(spec, chain, chain))
     e2 = e21 - e22 + e23
-    r = phix @ phiinv
-    r2 = r @ r
+    r = _matmul(phix, phiinv)
+    r2 = _matmul(r, r)
     quart = np.real(trace_product(r2, r2))
     sign = -1.0 if spec.family is Family.NONCOMPACT_UNITARY else 1.0
     etilde = 0.25 * sign * _total(h, quart)
@@ -76,7 +76,7 @@ def tension(os: OrbitState) -> MatrixField:
     phix = periodic_diff(phi, 1, h)
     phixx = periodic_diff(phi, 2, h)
     phiinv = phi / _orbit_square(os.spec)  # phi^2 = c^2 I on the orbit
-    return MatrixField(os.phi.grid, -(phixx - phix @ phiinv @ phix))
+    return MatrixField(os.phi.grid, -(phixx - _matmul(phix, phiinv, phix)))
 
 
 def functional_gradient(os: OrbitState, name: str) -> MatrixField:
@@ -95,16 +95,16 @@ def functional_gradient(os: OrbitState, name: str) -> MatrixField:
     c2 = _orbit_square(spec)
     phiinv = phi / c2  # phi^2 = c^2 I on the orbit
     s22 = -4.0 * c2
-    chain = phiinv @ phix @ phiinv @ phix @ phiinv @ phix @ phiinv
+    chain = _matmul(phiinv, phix, phiinv, phix, phiinv, phix, phiinv)
     if name == "E22":
         return MatrixField(os.phi.grid, s22 * periodic_diff(chain, 1, h))
     if name == "E23":
         return MatrixField(os.phi.grid, 0.5 * s22 * periodic_diff(chain, 1, h))
     # Etilde
     if spec.family is Family.COMPACT_UNITARY:
-        r = phix @ phiinv
-        r3 = r @ r @ r
-        grad = phiinv @ (periodic_diff(r3, 1, h) + r3 @ r)
+        r = _matmul(phix, phiinv)
+        r3 = _matmul(r, r, r)
+        grad = _matmul(phiinv, periodic_diff(r3, 1, h) + _matmul(r3, r))
         return MatrixField(os.phi.grid, grad)
     return MatrixField(os.phi.grid, s22 * periodic_diff(chain, 1, h))
 
@@ -135,8 +135,8 @@ def fd_gradient_check(os: OrbitState, name: str, xi: MatrixField) -> tuple[float
     delta = bracket(phi, xiv)
     analytic = float(h * np.sum(inner(spec, grad, delta)))
     g, ginv = _exp_pair(_FD_EPS * xiv)
-    phi_plus = ginv @ phi @ g
-    phi_minus = g @ phi @ ginv
+    phi_plus = _matmul(ginv, phi, g)
+    phi_minus = _matmul(g, phi, ginv)
     f_plus = functional_value(OrbitState(spec, MatrixField(grid, phi_plus)), name)
     f_minus = functional_value(OrbitState(spec, MatrixField(grid, phi_minus)), name)
     numeric = (f_plus - f_minus) / (2.0 * _FD_EPS)

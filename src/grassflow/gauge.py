@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Family, _orbit_square, bracket, decompose, frobenius
+from .algebra import AlgebraSpec, Family, _matmul, _orbit_square, bracket, decompose, frobenius
 from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
 from .flows import (
     FlowBlowupError,
@@ -156,8 +156,8 @@ def connection(os: OrbitState, p: FlowParams, lam: float) -> tuple[np.ndarray, n
     phix = periodic_diff(phi, 1, h)
     phixx = periodic_diff(phi, 2, h)
     phixxx = periodic_diff(phi, 3, h)
-    phix2 = phix @ phix
-    cube = phix2 @ phix
+    phix2 = _matmul(phix, phix)
+    cube = _matmul(phix2, phix)
     lam = float(lam)
     sgn = -4.0 * _orbit_square(os.spec)
     a_x = lam * phi
@@ -165,7 +165,7 @@ def connection(os: OrbitState, p: FlowParams, lam: float) -> tuple[np.ndarray, n
     a_t = (
         -(lam ** 4) * p.beta * phi
         - (sgn * lam ** 3) * p.beta * bracket(phi, phix)
-        + (lam ** 2) * (-sgn * p.alpha * phi + p.beta * (sgn * phixx - 6.0 * phix2 @ phi))
+        + (lam ** 2) * (-sgn * p.alpha * phi + p.beta * (sgn * phixx - 6.0 * _matmul(phix2, phi)))
         + lam * (bracket(phi, inner_w) - p.beta * bracket(phix, phixx))
     )
     return a_x, a_t
@@ -176,7 +176,7 @@ def curvature_target(os: OrbitState, p: FlowParams, lam: float) -> MatrixField:
     h = os.phi.grid.h
     phix = periodic_diff(os.phi.values, 1, h)
     coeff = -2.0 * (lam ** 2) * (8.0 * p.gamma + p.beta)
-    return MatrixField(os.phi.grid, coeff * (phix @ phix @ phix))
+    return MatrixField(os.phi.grid, coeff * _matmul(phix, phix, phix))
 
 
 def curvature_residual(states, p: FlowParams, lam: float) -> list[tuple[float, float]]:
@@ -215,28 +215,28 @@ def _collected_block(q, r, h, alpha, beta, cnl):
     qx = periodic_diff(q, 1, h)
     rx = periodic_diff(r, 1, h)
     qxx = periodic_diff(q, 2, h)
-    rq = r @ q
-    qr = q @ r
-    out = alpha * (-qxx + 2.0 * (q @ rq))
+    rq = _matmul(r, q)
+    qr = _matmul(q, r)
+    out = alpha * (-qxx + 2.0 * _matmul(q, rq))
     if beta != 0.0:
         rxx = periodic_diff(r, 2, h)
         qxxxx = periodic_diff(q, 4, h)
         out = out + beta * (
             qxxxx
-            - 4.0 * (qxx @ rq)
-            - 2.0 * (q @ rxx @ q)
-            - 4.0 * (qr @ qxx)
-            - 2.0 * (qx @ rx @ q)
-            - 6.0 * (qx @ r @ qx)
-            - 2.0 * (q @ rx @ qx)
-            + 6.0 * (q @ rq @ rq)
+            - 4.0 * _matmul(qxx, rq)
+            - 2.0 * _matmul(q, rxx, q)
+            - 4.0 * _matmul(qr, qxx)
+            - 2.0 * _matmul(qx, rx, q)
+            - 6.0 * _matmul(qx, r, qx)
+            - 2.0 * _matmul(q, rx, qx)
+            + 6.0 * _matmul(q, rq, rq)
         )
     if cnl != 0.0:
-        qrq = q @ rq
-        n1 = cumulative_trapezoid(q @ periodic_diff(rq, 1, h) @ r, h)
-        n2 = cumulative_trapezoid(r @ periodic_diff(qr, 1, h) @ q, h)
+        qrq = _matmul(q, rq)
+        n1 = cumulative_trapezoid(_matmul(q, periodic_diff(rq, 1, h), r), h)
+        n2 = cumulative_trapezoid(_matmul(r, periodic_diff(qr, 1, h), q), h)
         out = out - cnl * (
-            -periodic_diff(qrq, 2, h) + 2.0 * (qrq @ rq) + q @ n2 + n1 @ q
+            -periodic_diff(qrq, 2, h) + 2.0 * _matmul(qrq, rq) + _matmul(q, n2) + _matmul(n1, q)
         )
     return out
 
@@ -284,12 +284,14 @@ def evolve_potential(
 
     def advance(state, dt_step):
         q, r = state.q, state.r
-        k1q, k1r = rhs(q, r)
-        k2q, k2r = rhs(q + 0.5 * dt_step * k1q, r + 0.5 * dt_step * k1r)
-        k3q, k3r = rhs(q + 0.5 * dt_step * k2q, r + 0.5 * dt_step * k2r)
-        k4q, k4r = rhs(q + dt_step * k3q, r + dt_step * k3r)
-        q = q + (dt_step / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        r = r + (dt_step / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        # a non-finite result raises FlowBlowupError below, without warnings
+        with np.errstate(all="ignore"):
+            k1q, k1r = rhs(q, r)
+            k2q, k2r = rhs(q + 0.5 * dt_step * k1q, r + 0.5 * dt_step * k1r)
+            k3q, k3r = rhs(q + 0.5 * dt_step * k2q, r + 0.5 * dt_step * k2r)
+            k4q, k4r = rhs(q + dt_step * k3q, r + dt_step * k3r)
+            q = q + (dt_step / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            r = r + (dt_step / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(r))):
             raise FlowBlowupError(state, 1, state.time + dt_step)
         return PotentialState(spec, state.grid, q, r, state.time + dt_step)
@@ -355,13 +357,13 @@ def akns4_rhs(q: np.ndarray, h: float) -> np.ndarray:
     qxxxx = periodic_diff(q, 4, h)
     return 1j * (
         qxxxx
-        + 4.0 * (qxx @ qs @ q)
-        + 2.0 * (q @ qsxx @ q)
-        + 4.0 * (q @ qs @ qxx)
-        + 2.0 * (qx @ qsx @ q)
-        + 6.0 * (qx @ qs @ qx)
-        + 2.0 * (q @ qsx @ qx)
-        + 6.0 * (q @ qs @ q @ qs @ q)
+        + 4.0 * _matmul(qxx, qs, q)
+        + 2.0 * _matmul(q, qsxx, q)
+        + 4.0 * _matmul(q, qs, qxx)
+        + 2.0 * _matmul(qx, qsx, q)
+        + 6.0 * _matmul(qx, qs, qx)
+        + 2.0 * _matmul(q, qsx, qx)
+        + 6.0 * _matmul(q, qs, q, qs, q)
     )
 
 
@@ -372,6 +374,6 @@ def matrix_kdv_rhs(q: np.ndarray, h: float) -> np.ndarray:
     qx = periodic_diff(q, 1, h)
     return (
         periodic_diff(q, 3, h)
-        - 2.0 * periodic_diff(q @ q @ q, 1, h)
+        - 2.0 * periodic_diff(_matmul(q, q, q), 1, h)
         - bracket(q, bracket(q, qx))
     )

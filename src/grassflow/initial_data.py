@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Family, exp_map, signature_matrix
+from .algebra import AlgebraSpec, Family, _project, exp_map
 from .fields import Grid, MatrixField
 from .gauge import PotentialState, state_from_potential
 from .orbit import FramedState, OrbitState, gauge_fix_frame, orbit_from_frame
@@ -185,19 +185,11 @@ def random_tangent_field(
     n = spec.n
     cos_c, sin_c = _spectral_coeffs(rng, modes, n, n, spec.family.is_unitary)
 
-    def project(values):
-        if spec.family is Family.COMPACT_UNITARY:
-            return 0.5 * (values - values.conj().swapaxes(-1, -2))
-        if spec.family is Family.NONCOMPACT_UNITARY:
-            j = signature_matrix(spec)
-            return 0.5 * (values - j @ values.conj().swapaxes(-1, -2) @ j)
-        return values.astype(np.complex128)
-
-    ref = project(_trig_sum(_reference_x(grid.length), grid.length, cos_c, sin_c))
+    ref = _project(spec, _trig_sum(_reference_x(grid.length), grid.length, cos_c, sin_c))
     peak = float(np.max(np.abs(ref)))
     if peak == 0.0:
         raise ValueError("degenerate spectral draw")
-    raw = project(_trig_sum(grid.x, grid.length, cos_c, sin_c))
+    raw = _project(spec, _trig_sum(grid.x, grid.length, cos_c, sin_c))
     return (amplitude / peak) * raw
 
 

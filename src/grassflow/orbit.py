@@ -18,6 +18,8 @@ import numpy as np
 
 from .algebra import (
     AlgebraSpec,
+    _eigvals,
+    _inv,
     _matmul,
     _orbit_square,
     bracket,
@@ -91,7 +93,7 @@ class FramedState:
 
 def conjugate_base(spec: AlgebraSpec, frame_values: np.ndarray) -> np.ndarray:
     """Orbit field of a frame, F^-1 s F, for every family."""
-    return np.linalg.inv(frame_values) @ sigma3(spec) @ frame_values
+    return _matmul(_inv(frame_values), sigma3(spec), frame_values)
 
 
 def orbit_from_frame(fs: FramedState) -> OrbitState:
@@ -139,7 +141,7 @@ def _rk4_path(a: np.ndarray, start: np.ndarray, h: float, cells) -> np.ndarray:
         shift *= 2
     out = np.empty((len(cells) + 1,) + start.shape, dtype=np.complex128)
     out[0] = start
-    out[1:] = prod @ start
+    out[1:] = _matmul(prod, start)
     return out
 
 
@@ -179,15 +181,15 @@ def gauge_fix_frame(spec: AlgebraSpec, raw_frame: MatrixField, time: float = 0.0
     ev = raw_frame.values
     h = raw_frame.grid.h
     npts = raw_frame.grid.num_points
-    conn = periodic_diff(ev, 1, h) @ np.linalg.inv(ev)
+    conn = _matmul(periodic_diff(ev, 1, h), _inv(ev))
     k_part, m_part = decompose(spec, conn)
     # the rotation D solves D_x = -D K, so that (D F)_x = D M D^-1 (D F);
     # its transpose solves the left-multiplied D^T_x = -K^T D^T
     eye = np.eye(spec.n, dtype=np.complex128)
     d_t = _rk4_path(-np.swapaxes(k_part, -1, -2), eye, h, range(npts - 1))
     d = np.swapaxes(d_t, -1, -2)
-    new_e = d @ ev
-    new_p = d @ m_part @ np.linalg.inv(d)
+    new_e = _matmul(d, ev)
+    new_p = _matmul(d, m_part, _inv(d))
     grid = raw_frame.grid
     return FramedState(spec, MatrixField(grid, new_e), MatrixField(grid, new_p), time)
 
@@ -203,27 +205,29 @@ def verify_identities(fs: FramedState) -> dict:
     sig = sigma3(spec)
     ev = fs.frame.values
     pv = fs.potential.values
-    einv = np.linalg.inv(ev)
-    phi = einv @ sig @ ev
+    einv = _inv(ev)
+    phi = _matmul(einv, sig, ev)
     phix = periodic_diff(phi, 1, h)
-    phiinv = np.linalg.inv(phi)
-    conj_p = einv @ pv @ ev
-    r = phix @ phiinv
+    phiinv = _inv(phi)
+    conj_p = _matmul(einv, pv, ev)
+    r = _matmul(phix, phiinv)
     return {
         "involution": frobenius(phiinv - phi / c2),
-        "tangent": frobenius(phix - einv @ bracket(sig, pv) @ ev),
+        "tangent": frobenius(phix - _matmul(einv, bracket(sig, pv), ev)),
         "translate_left": frobenius(r + 2.0 * conj_p),
-        "translate_right": frobenius(phiinv @ phix - 2.0 * conj_p),
+        "translate_right": frobenius(_matmul(phiinv, phix) - 2.0 * conj_p),
         "compatibility": frobenius(bracket(phi, phix) + 2.0 * c2 * r),
-        "square": frobenius(phix @ phix + c2 * r @ r),
+        "square": frobenius(_matmul(phix, phix) + c2 * _matmul(r, r)),
     }
 
 
 def _sorted_eigenvalues(spec: AlgebraSpec, values: np.ndarray) -> np.ndarray:
     try:
-        w = np.linalg.eigvals(values)
+        w = _eigvals(values)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigenvalue solve failed: {exc}") from exc
+    if not np.all(np.isfinite(w)):
+        raise SpectralError("eigenvalues are not finite")
     key = -w.imag if spec.family.is_unitary else -w.real
     order = np.argsort(key, axis=-1, kind="stable")
     return np.take_along_axis(w, order, axis=-1)

@@ -189,7 +189,8 @@ def renormalize(geometry: Geometry, s: np.ndarray) -> np.ndarray:
 
 def spin_step(sf: SpinField, p: FlowParams, dt: float) -> SpinField:
     """One classical step of the vector flow with per-stage projection.
-    Raises ValueError when a stage leaves the cone of the quadric."""
+    Raises ValueError when a stage leaves the cone of the quadric or is not
+    finite; the arithmetic that made it so warns of nothing."""
     g = sf.geometry
     grid = sf.grid
 
@@ -197,15 +198,16 @@ def spin_step(sf: SpinField, p: FlowParams, dt: float) -> SpinField:
         return spin_rhs(SpinField(g, grid, values), p)
 
     s = sf.s
-    k1 = rhs(s)
-    s2 = renormalize(g, s + 0.5 * dt * k1)
-    k2 = rhs(s2)
-    s3 = renormalize(g, s + 0.5 * dt * k2)
-    k3 = rhs(s3)
-    s4 = renormalize(g, s + dt * k3)
-    k4 = rhs(s4)
-    out = renormalize(g, s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    return SpinField(g, grid, out, sf.time + dt)
+    with np.errstate(all="ignore"):
+        k1 = rhs(s)
+        s2 = renormalize(g, s + 0.5 * dt * k1)
+        k2 = rhs(s2)
+        s3 = renormalize(g, s + 0.5 * dt * k2)
+        k3 = rhs(s3)
+        s4 = renormalize(g, s + dt * k3)
+        k4 = rhs(s4)
+        out = renormalize(g, s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        return SpinField(g, grid, out, sf.time + dt)
 
 
 def matrix_and_vector_spins(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +10,11 @@ import pytest
 
 from grassflow.algebra import (
     _TAYLOR_THETA,
+    _eigvals,
     _exp_pair,
+    _inv,
     _matmul,
+    _solve,
     AlgebraSpec,
     Family,
     bracket,
@@ -224,3 +229,76 @@ def test_two_by_two_gather_product_is_bit_equal_to_outer_products():
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         outer = a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
         np.testing.assert_array_equal(_matmul(a, b), outer)
+
+
+# Accepted error of a kernel against numpy, relative to the largest entry of
+# numpy's result: products, solves and inverses of well-conditioned matrices
+# take a handful of float64 operations per entry; eigenvalues of random
+# (non-normal) matrices also carry their condition numbers.
+_KERNEL_RTOL = 2.0 ** 8 * np.finfo(float).eps
+_EIGVALS_RTOL = 2.0 ** 12 * np.finfo(float).eps
+
+
+def _draw(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _assert_matches(got, want, rtol):
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(64, 2, 2)] * 4,  # left to right, 2x2 gathers
+        [(64, 2, 2), (2, 2), (64, 2, 2)],  # a constant 2x2 broadcast
+        [(3, 1, 2, 2), (5, 2, 2)],  # batch axes broadcast
+        [(64, 1, 1)] * 3,  # inner dimension 1
+        [(64, 2, 1), (64, 1, 2), (64, 2, 1)],
+        [(8, 3, 3)] * 3,  # matmul
+        [(8, 4, 4), (4, 4), (8, 4, 4)],
+    ],
+)
+def test_matmul_matches_numpy(shapes):
+    rng = np.random.default_rng(11)
+    factors = [_draw(rng, *shape) for shape in shapes]
+    _assert_matches(_matmul(*factors), functools.reduce(np.matmul, factors), _KERNEL_RTOL)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_solve_and_inverse_match_numpy(n):
+    rng = np.random.default_rng(12)
+    # 4 I plus a perturbation of 2-norm about 1: condition number below 2
+    a = 4.0 * np.eye(n) + _draw(rng, 64, n, n) / (2 * n)
+    b = _draw(rng, 64, n, n)
+    _assert_matches(_solve(a, b), np.linalg.solve(a, b), _KERNEL_RTOL)
+    _assert_matches(_inv(a), np.linalg.inv(a), _KERNEL_RTOL)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eigenvalues_match_numpy(n):
+    rng = np.random.default_rng(13)
+    a = _draw(rng, 64, n, n)
+    got = np.sort(_eigvals(a), axis=-1)
+    want = np.sort(np.linalg.eigvals(a), axis=-1)
+    _assert_matches(got, want, _EIGVALS_RTOL)
+
+
+def test_singular_two_by_two_is_non_finite_without_warning():
+    # no LinAlgError: the caller's finiteness check reports it, and under
+    # its errstate nothing warns
+    a = np.array([[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]]], dtype=np.complex128)
+    b = _draw(np.random.default_rng(14), 2, 2, 2)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solved, inverse = _solve(a, b), _inv(a)
+        eig = _eigvals(np.full((2, 2, 2), np.nan, dtype=np.complex128))
+    assert not np.any(np.isfinite(solved))
+    assert not np.any(np.isfinite(inverse))
+    assert not np.any(np.isfinite(eig))
+    # larger matrices keep LAPACK's error
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve(np.zeros((3, 3)), np.eye(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        _inv(np.zeros((3, 3)))

@@ -304,6 +304,17 @@ def test_blowup_aborts_with_step_index(tmp_path):
         0.05 * (manifest["abort"]["step_index"] - 1))
 
 
+def test_blowup_reports_one_line_and_no_numpy_warnings(tmp_path, capsys):
+    # the last step's overflow and invalid values are the FlowBlowupError,
+    # not RuntimeWarnings that name a source line of the installed package
+    cfg = _blowup_config(tmp_path / "c.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert caught == []
+    assert capsys.readouterr().err == "aborted: non-finite field after step 5 (t=0.25)\n"
+
+
 @pytest.mark.parametrize("output_times", [None, [0.0, 0.1, 2.5], [0.0, 0.2, 0.3, 2.5]])
 def test_blowup_step_index_counts_from_the_start_of_the_run(tmp_path, output_times):
     updates = {} if output_times is None else {"output_times": output_times}

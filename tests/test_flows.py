@@ -666,6 +666,22 @@ def test_midpoint_converges_at_1024_points(u2):
     assert np.max(np.abs(fine.phi.values - coarse.phi.values)) <= 1e-10
 
 
+@pytest.mark.parametrize("family", [Family.COMPACT_UNITARY, Family.NONCOMPACT_UNITARY])
+def test_midpoint_keeps_the_family_at_1024_points(family):
+    # the midpoint X is in the algebra only to within the solve's error, and
+    # a W = (dt / 2) W(X) amplifies that like N^4; unprojected, the Cayley
+    # factor left the group and the membership residual here reached 2e-11
+    # on u(2) and 4e-11 on u(1,1)
+    spec = AlgebraSpec(family, 2, 1)
+    grid = Grid(1024, TWO_PI)
+    data = {"generator": "random_smooth", "seed": 3, "modes": 2, "amplitude": 0.3}
+    os = make_initial_state(spec, grid, data)
+    T = 8 * 4e-5
+    states = evolve(os, PARAMS, FlowKind.THIRD_ORDER, T, 4e-5, output_times=[T / 2, T])
+    assert max(membership_residual(spec, s.phi.values) for s in states) <= 1e-13
+    assert max(spectrum_deviation(s) for s in states) <= 1e-13
+
+
 def _nan_generator(phi):
     return np.full_like(phi, np.nan)
 
@@ -698,6 +714,30 @@ def test_non_finite_midpoint_step_is_a_blowup(u2, monkeypatch, fault):
     assert np.all(np.isfinite(err.value.last_state.phi.values))
     with pytest.raises(FlowBlowupError) as err:
         step(os, PARAMS, FlowKind.THIRD_ORDER, dt)
+    assert err.value.step_index == 1
+    assert err.value.last_state is os
+
+
+def test_singular_two_by_two_cayley_factor_is_a_blowup(monkeypatch):
+    # on u(1,1), a W = [[0, 1], [1, 0]] is in the algebra and I + a W is
+    # exactly singular: the closed-form solve gives non-finite values, which
+    # step reports as a blow-up, warning of nothing
+    spec = AlgebraSpec(Family.NONCOMPACT_UNITARY, 2, 1)
+    grid = Grid(32, TWO_PI)
+    os = _state(spec, grid)
+    dt = 2.0 ** -10  # a = dt / 2 and 1 / a are exact
+    assert dt > stability_bound(PARAMS, grid.h)
+    singular = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128) / (0.5 * dt)
+
+    def generator(phi):
+        return np.broadcast_to(singular, phi.shape).copy()
+
+    real = flows._flow
+    monkeypatch.setattr(flows, "_flow", lambda *args: real(*args)._replace(generator=generator))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlowBlowupError) as err:
+            step(os, PARAMS, FlowKind.THIRD_ORDER, dt)
     assert err.value.step_index == 1
     assert err.value.last_state is os
 

@@ -16,6 +16,7 @@ from grassflow.initial_data import (
 from grassflow.orbit import (
     FramedState,
     OrbitState,
+    SpectralError,
     conjugate_base,
     frame_closure_defect,
     frame_from_potential,
@@ -138,6 +139,15 @@ def test_spectrum_deviation_detects_off_orbit_fields(u2, grid64):
     assert spectrum_deviation(os) < 1e-13
     bent = MatrixField(grid64, os.phi.values + 1e-3 * 1j * np.eye(2))
     assert spectrum_deviation(OrbitState(u2, bent)) > 1e-4
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_spectrum_of_a_nan_field_is_a_spectral_error(grid64, n):
+    # closed-form eigenvalues at n = 2 and LAPACK's at n = 4 fail alike
+    spec = AlgebraSpec(Family.COMPACT_UNITARY, n, 1)
+    nan = MatrixField(grid64, np.full((grid64.num_points, n, n), np.nan))
+    with pytest.raises(SpectralError):
+        spectrum_deviation(OrbitState(spec, nan))
 
 
 def test_orbit_state_json_roundtrip(u2, grid64):
