@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import AlgebraSpec, Family, membership_residual
-from .fields import MIN_POINTS, Grid
+from .fields import MIN_POINTS, Grid, _Base64Text
 from .flows import (
     DERIVATIVE_ORDER,
     FlowBlowupError,
@@ -272,10 +272,46 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _hold_payloads(node):
+    """node with every base64 payload of MatrixField.to_json_dict as ASCII
+    bytes, which the JSON encoder hands to its default hook unscanned."""
+    if isinstance(node, _Base64Text):
+        return node.encode("ascii")
+    if isinstance(node, dict):
+        return {key: _hold_payloads(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_hold_payloads(value) for value in node]
+    return node
+
+
 def _write_json(path: str, obj) -> None:
-    """Write obj as JSON indented by two with sorted keys, and a newline."""
-    with open(path, "w") as f:
-        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write obj as JSON indented by two with sorted keys, and a newline, in
+    one binary write: the bytes of json.dumps(obj, indent=2, sort_keys=True).
+    The base64 payloads of snapshot fields are spliced into the encoded rest
+    rather than scanned by the encoder; every other string is encoded."""
+    held = _hold_payloads(obj)
+    payloads, marker = [], "#"
+
+    def hold(payload):
+        if not isinstance(payload, bytes):
+            raise TypeError(f"{type(payload).__name__} is not JSON serializable")
+        payloads.append(payload)
+        return marker
+
+    while True:
+        payloads.clear()
+        text = json.dumps(held, indent=2, sort_keys=True, default=hold)
+        parts = text.encode("ascii").split(f'"{marker}"'.encode("ascii"))
+        if len(parts) == len(payloads) + 1:
+            break
+        # a string of obj holds the marker; one longer than every string cannot
+        marker += "#"
+    pieces = [parts[0]]
+    for payload, part in zip(payloads, parts[1:]):
+        pieces += (b'"', payload, b'"', part)
+    pieces.append(b"\n")
+    with open(path, "wb") as f:
+        f.write(b"".join(pieces))
 
 
 def _write_csv(path: str, header, rows) -> None:

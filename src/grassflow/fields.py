@@ -76,6 +76,14 @@ def _complex_from_base64(text: str, num_points: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").reshape(num_points, n, n)
 
 
+class _Base64Text(str):
+    """The base64 text of a MatrixField's values, as to_json_dict gives it.
+    A JSON writer may copy it into its output as is: base64 needs no escape
+    in a JSON string."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class MatrixField:
     """One square matrix per grid node, stored as a read-only (N, n, n) array."""
@@ -101,7 +109,8 @@ class MatrixField:
         little-endian complex128 ("<c16"), row major, shape (N, n, n), so it
         reads back bit for bit."""
         raw = self.values.astype("<c16", copy=False).tobytes()
-        return {"grid": self.grid.to_json_dict(), "values": base64.b64encode(raw).decode("ascii")}
+        text = _Base64Text(base64.b64encode(raw), "ascii")
+        return {"grid": self.grid.to_json_dict(), "values": text}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MatrixField":

@@ -54,13 +54,13 @@ def energy_report(os: OrbitState, p: FlowParams) -> EnergyReport:
     phix = periodic_diff(phi, 1, h)
     phixx = periodic_diff(phi, 2, h)
     phiinv = phi / _orbit_square(spec)  # phi^2 = c^2 I on the orbit
-    chain = _matmul(phix, phiinv, phix)
+    r = _matmul(phix, phiinv)
+    chain = _matmul(r, phix)  # phix phiinv phix
     e = 0.5 * _total(h, inner(spec, phix, phix))
     e21 = 0.5 * _total(h, inner(spec, phixx, phixx))
     e22 = _total(h, inner(spec, phixx, chain))
     e23 = 0.5 * _total(h, inner(spec, chain, chain))
     e2 = e21 - e22 + e23
-    r = _matmul(phix, phiinv)
     r2 = _matmul(r, r)
     quart = np.real(trace_product(r2, r2))
     sign = -1.0 if spec.family is Family.NONCOMPACT_UNITARY else 1.0

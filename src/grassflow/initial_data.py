@@ -256,12 +256,15 @@ _GENERATORS = {
 _POTENTIAL_GENERATORS = ("gaussian_bump", "plane_wave", "random_smooth", "two_bump")
 
 GENERATOR_NAMES = tuple(sorted(_GENERATORS))
+# the builders that take a seed; a tuple, so an unhashable name is simply absent
+_SEEDED_NAMES = tuple(
+    name for name in GENERATOR_NAMES if "seed" in inspect.signature(_GENERATORS[name]).parameters
+)
 
 
 def draws_seed(config: dict) -> bool:
     """Whether the generator that config names draws from a seed."""
-    name = config.get("generator")
-    return name in GENERATOR_NAMES and "seed" in inspect.signature(_GENERATORS[name]).parameters
+    return config.get("generator") in _SEEDED_NAMES
 
 
 def _generate(spec: AlgebraSpec, grid: Grid, config: dict, seed: int | None):

@@ -92,8 +92,9 @@ class FramedState:
 
 
 def conjugate_base(spec: AlgebraSpec, frame_values: np.ndarray) -> np.ndarray:
-    """Orbit field of a frame, F^-1 s F, for every family."""
-    return _matmul(_inv(frame_values), sigma3(spec), frame_values)
+    """Orbit field of a frame, F^-1 s F, for every family.  The base point s
+    is diagonal, so F^-1 s scales the columns of F^-1."""
+    return _matmul(_inv(frame_values) * np.diagonal(sigma3(spec)), frame_values)
 
 
 def orbit_from_frame(fs: FramedState) -> OrbitState:
@@ -101,47 +102,46 @@ def orbit_from_frame(fs: FramedState) -> OrbitState:
     return OrbitState(fs.spec, MatrixField(fs.frame.grid, phi), fs.time, fs.frame)
 
 
-def _midpoints(values: np.ndarray) -> np.ndarray:
-    """Cubic interpolation at half nodes, periodic in the index."""
-    return (
-        -np.roll(values, 1, axis=0)
-        + 9.0 * values
-        + 9.0 * np.roll(values, -1, axis=0)
-        - np.roll(values, -2, axis=0)
-    ) / 16.0
+def _running_products(m: np.ndarray) -> np.ndarray:
+    """The running products m[j] ... m[0], later factors on the left, by
+    recursive pairing (Blelloch's work-efficient scan): the products of
+    neighbouring pairs, their running products by recursion, and one more
+    product for each even entry.  About 2 len(m) products in 2 log2 len(m)
+    batched rounds, where doubling takes about len(m) log2 len(m)."""
+    if len(m) < 2:
+        return m
+    out = np.empty_like(m)
+    out[0] = m[0]
+    out[1::2] = _running_products(_matmul(m[1::2], m[:-1:2]))
+    out[2::2] = _matmul(m[2::2], out[1:-1:2])
+    return out
 
 
-def _rk4_path(a: np.ndarray, start: np.ndarray, h: float, cells) -> np.ndarray:
-    """March the linear equation m' = a(x) m across the given cells of the
-    periodic grid by the classic fourth-order one-step method.  Cell j runs
-    from node j to node j + 1 (wrapping); a at its half node comes from
-    cubic interpolation.  Returns start followed by the value after each
-    cell.
+def _rk4_path(a: np.ndarray, h: float, cells) -> np.ndarray:
+    """March the linear equation m' = a(x) m from the identity across the
+    given cells of the periodic grid by the classic fourth-order one-step
+    method.  Cell j runs from node j to node j + 1 (wrapping); a at its half
+    node comes from cubic interpolation of the four nearest nodes.  Returns
+    the identity followed by the value after each cell.
 
     The equation is linear, so one step across cell j is m -> Phi_j m with
     Phi_j the step applied to the identity: the propagators of all cells
-    are formed in one batch, and the march takes their prefix products
-    Phi_j ... Phi_0 by doubling, in about log2(cells) batched rounds.
+    are formed in one batch, and the march is their running products
+    Phi_j ... Phi_0.
     """
     cells = np.asarray(cells, dtype=np.intp)
+    nodes = a.shape[0]
     a0 = a[cells]
-    am = _midpoints(a)[cells]
-    a1 = a[(cells + 1) % a.shape[0]]
-    eye = np.eye(start.shape[-1], dtype=np.complex128)
+    a1 = a[(cells + 1) % nodes]
+    am = (-a[(cells - 1) % nodes] + 9.0 * a0 + 9.0 * a1 - a[(cells + 2) % nodes]) / 16.0
+    eye = np.eye(a.shape[-1], dtype=np.complex128)
     k1 = a0
     k2 = _matmul(am, eye + 0.5 * h * k1)
     k3 = _matmul(am, eye + 0.5 * h * k2)
     k4 = _matmul(a1, eye + h * k3)
-    prod = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # after the round with shift s, entry j is the product of the (up to 2s)
-    # propagators of cells j - 2s + 1 .. j, later cells on the left
-    shift = 1
-    while shift < len(prod):
-        prod[shift:] = _matmul(prod[shift:], prod[:-shift])
-        shift *= 2
-    out = np.empty((len(cells) + 1,) + start.shape, dtype=np.complex128)
-    out[0] = start
-    out[1:] = _matmul(prod, start)
+    out = np.empty((len(cells) + 1,) + eye.shape, dtype=np.complex128)
+    out[0] = eye
+    out[1:] = _running_products(eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return out
 
 
@@ -154,8 +154,7 @@ def frame_from_potential(
     half nodes comes from cubic interpolation.
     """
     npts = potential.grid.num_points
-    start = np.eye(spec.n, dtype=np.complex128)
-    e = _rk4_path(potential.values, start, potential.grid.h, range(npts - 1))
+    e = _rk4_path(potential.values, potential.grid.h, range(npts - 1))
     return FramedState(spec, MatrixField(potential.grid, e), potential, time)
 
 
@@ -165,8 +164,8 @@ def frame_closure_defect(fs: FramedState) -> float:
     holonomy and the frame samples do not represent a periodic field."""
     # one more cell from the last node back to x = L
     last = fs.potential.grid.num_points - 1
-    e_end = _rk4_path(fs.potential.values, fs.frame.values[-1], fs.potential.grid.h, [last])[-1]
-    return frobenius(e_end - fs.frame.values[0])
+    step = _rk4_path(fs.potential.values, fs.potential.grid.h, [last])[-1]
+    return frobenius(_matmul(step, fs.frame.values[-1]) - fs.frame.values[0])
 
 
 def gauge_fix_frame(spec: AlgebraSpec, raw_frame: MatrixField, time: float = 0.0) -> FramedState:
@@ -185,8 +184,7 @@ def gauge_fix_frame(spec: AlgebraSpec, raw_frame: MatrixField, time: float = 0.0
     k_part, m_part = decompose(spec, conn)
     # the rotation D solves D_x = -D K, so that (D F)_x = D M D^-1 (D F);
     # its transpose solves the left-multiplied D^T_x = -K^T D^T
-    eye = np.eye(spec.n, dtype=np.complex128)
-    d_t = _rk4_path(-np.swapaxes(k_part, -1, -2), eye, h, range(npts - 1))
+    d_t = _rk4_path(-np.swapaxes(k_part, -1, -2), h, range(npts - 1))
     d = np.swapaxes(d_t, -1, -2)
     new_e = _matmul(d, ev)
     new_p = _matmul(d, m_part, _inv(d))
@@ -229,6 +227,10 @@ def _sorted_eigenvalues(spec: AlgebraSpec, values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise SpectralError("eigenvalues are not finite")
     key = -w.imag if spec.family.is_unitary else -w.real
+    if w.shape[-1] == 2:
+        # the order of a stable sort of two keys: swap only if the second is smaller
+        swap = key[..., 1] < key[..., 0]
+        return np.where(swap[..., None], w[..., ::-1], w)
     order = np.argsort(key, axis=-1, kind="stable")
     return np.take_along_axis(w, order, axis=-1)
 

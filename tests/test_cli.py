@@ -658,6 +658,41 @@ def test_json_writer_writes_json_dumps_text(tmp_path):
     assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("family, n, k, framed", [
+    ("compact_u", 2, 1, True), ("compact_u", 2, 1, False), ("noncompact_u", 4, 2, True),
+], ids=["n2-frame", "n2-no-frame", "n4-k2-frame"])
+def test_json_writer_splices_snapshot_payloads_byte_for_byte(tmp_path, family, n, k, framed):
+    grid = Grid(256, 2 * np.pi)
+    rng = np.random.default_rng(n + framed)
+    shape = (grid.num_points, n, n)
+    fields_ = [MatrixField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+               for _ in range(2)]
+    state = OrbitState(AlgebraSpec(Family(family), n, k), fields_[0], 2.5e-8,
+                       fields_[1] if framed else None)
+    obj = state.to_json_dict()
+    path = tmp_path / "snapshot.json"
+    cli._write_json(str(path), obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_json_writer_encodes_config_strings_in_a_manifest(tmp_path):
+    # strings of a config are encoded, never spliced, even under a key named
+    # values or when they hold the writer's splice marker; a field payload
+    # beside them is still spliced in its place
+    config = {
+        "values": 'a "quoted" \\ back\\slash, "#" and #',
+        "initial_data": {"values": "#", "#": ['x"#', "\u00e9t\u00e9 \u65e5\u672c \U0001f600"]},
+        "note": "tab\tnew\nline",
+    }
+    manifest = {"config": config, "resolved": {"dt": 1e-8, "seed": None}, "status": "running"}
+    manifest["field"] = MatrixField(Grid(4, 1.0), np.full((4, 2, 2), 0.5 - 2j)).to_json_dict()
+    path = tmp_path / "manifest.json"
+    cli._write_json(str(path), manifest)
+    assert path.read_bytes() == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    with open(path) as f:
+        assert json.load(f) == manifest
+
+
 def _old_format(snapshot: dict) -> dict:
     """snapshot with its fields' values as the nested [re, im] lists that
     snapshots were once written with."""

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from grassflow.algebra import AlgebraSpec, Family, sigma3
-from grassflow.fields import Grid, MatrixField
+from grassflow.algebra import AlgebraSpec, Family, _matmul, _orbit_square, inner, sigma3
+from grassflow.fields import Grid, MatrixField, periodic_diff
 from grassflow.functionals import (
     FUNCTIONAL_NAMES,
     FlowParams,
@@ -66,6 +66,20 @@ def test_report_combines_functionals(u2, grid64):
     assert rep.H == pytest.approx(
         p.alpha * rep.E + p.beta * rep.E2 + p.gamma * rep.Etilde, rel=1e-12
     )
+
+
+def test_report_chain_is_bit_identical_to_the_three_factor_product(grid64):
+    # energy_report forms phix phiinv phix as (phix phiinv) phix from the r it
+    # also needs, which is the order _matmul multiplies three factors in
+    spec = AlgebraSpec(Family.NONCOMPACT_UNITARY, 4, 2)
+    os = random_orbit_state(spec, grid64, seed=29, amplitude=0.25)
+    h = grid64.h
+    phix = periodic_diff(os.phi.values, 1, h)
+    phixx = periodic_diff(os.phi.values, 2, h)
+    chain = _matmul(phix, os.phi.values / _orbit_square(spec), phix)
+    rep = energy_report(os, FlowParams(0.8, 0.3, -0.05))
+    assert rep.E22 == float(h * np.sum(inner(spec, phixx, chain)))
+    assert rep.E23 == 0.5 * float(h * np.sum(inner(spec, chain, chain)))
 
 
 def test_quartic_functional_is_twice_its_partner_on_orbit(grid64):

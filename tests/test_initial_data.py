@@ -8,6 +8,7 @@ from grassflow.fields import Grid
 from grassflow.gauge import PotentialState
 from grassflow.initial_data import (
     GENERATOR_NAMES,
+    draws_seed,
     gaussian_bump_potential,
     latitude_circle_state,
     make_initial_potential,
@@ -39,6 +40,14 @@ def test_generator_names_frozen():
         "random_smooth",
         "two_bump",
     )
+
+
+def test_draws_seed_names_the_seeded_generators():
+    for name in GENERATOR_NAMES:
+        assert draws_seed({"generator": name}) is (name in ("random_frame", "random_smooth"))
+    assert draws_seed({"generator": "no_such_generator"}) is False
+    assert draws_seed({"generator": ["random_smooth"]}) is False  # unhashable, and not a name
+    assert draws_seed({}) is False
 
 
 def test_potential_profiles_have_zero_mean():

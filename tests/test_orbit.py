@@ -3,7 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from grassflow.algebra import AlgebraSpec, Family, decompose, exp_map, frobenius, sigma3
+from grassflow.algebra import (
+    AlgebraSpec,
+    Family,
+    _eigvals,
+    decompose,
+    exp_map,
+    frobenius,
+    sigma3,
+)
 from grassflow.fields import Grid, MatrixField, periodic_diff
 from grassflow.gauge import PotentialState
 from grassflow.initial_data import (
@@ -17,6 +25,8 @@ from grassflow.orbit import (
     FramedState,
     OrbitState,
     SpectralError,
+    _rk4_path,
+    _sorted_eigenvalues,
     conjugate_base,
     frame_closure_defect,
     frame_from_potential,
@@ -150,6 +160,23 @@ def test_spectrum_of_a_nan_field_is_a_spectral_error(grid64, n):
         spectrum_deviation(OrbitState(spec, nan))
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_two_by_two_eigenvalue_order_is_a_stable_sort(family):
+    spec = AlgebraSpec(family, 2, 1)
+    rng = np.random.default_rng(8)
+    shape = (64, 2, 2)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # distinct eigenvalues that tie on the sort key, in both orders, and a double one
+    tied = (0.5 + 0.25j, -0.5 + 0.25j) if family.is_unitary else (0.25 + 0.5j, 0.25 - 0.5j)
+    for j, pair in enumerate((tied, tied[::-1], (0.1 + 0.1j, 0.1 + 0.1j))):
+        values[j] = np.diag(pair)
+    w = _eigvals(values)
+    key = -w.imag if family.is_unitary else -w.real
+    assert np.array_equal(key[:3, 0], key[:3, 1]) and w[0, 0] != w[0, 1]
+    want = np.take_along_axis(w, np.argsort(key, axis=-1, kind="stable"), axis=-1)
+    assert np.array_equal(_sorted_eigenvalues(spec, values), want)
+
+
 def test_orbit_state_json_roundtrip(u2, grid64):
     os = random_orbit_state(u2, grid64, seed=17)
     back = OrbitState.from_json_dict(os.to_json_dict())
@@ -193,3 +220,16 @@ def test_batched_frame_march_matches_per_cell_march():
         k_part, _ = decompose(spec, periodic_diff(raw, 1, h) @ np.linalg.inv(raw))
         d = _per_cell_march(lambda kv, m: -(m @ kv), k_part, eye, h, cells)
         assert np.max(np.abs(fixed.frame.values - d @ raw)) < 1e-13, spec.family
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 127, 255, 2047])
+def test_rk4_path_matches_per_cell_march(n, count):
+    rng = np.random.default_rng(10 * count + n)
+    shape = (count + 1, n, n)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # anti-Hermitian, so the march stays near unitary and 1e-13 is roundoff
+    a = z - np.conj(np.swapaxes(z, -1, -2))
+    h = TWO_PI / 2048
+    want = _per_cell_march(np.matmul, a, np.eye(n, dtype=complex), h, range(count))
+    assert np.max(np.abs(_rk4_path(a, h, range(count)) - want)) < 1e-13
