@@ -20,7 +20,6 @@ from .algebra import (
     inner,
     membership_residual,
     sigma3,
-    signature_matrix,
     trace_product,
 )
 from .fields import (

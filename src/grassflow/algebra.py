@@ -109,11 +109,6 @@ def _signs(spec: AlgebraSpec) -> np.ndarray:
     return d
 
 
-def signature_matrix(spec: AlgebraSpec) -> np.ndarray:
-    """diag(I_k, -I_{n-k}), the signature of the block split."""
-    return np.diag(_signs(spec).astype(np.complex128))
-
-
 def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Commutator ab - ba, batched over leading axes."""
     return _matmul(a, b) - _matmul(b, a)

@@ -123,8 +123,24 @@ def _numbers(value):
     return None if None in values else values
 
 
+# The fields that a run or a command reads: a section's keys, or None for a
+# field read whole.  Any other field is a config error rather than ignored;
+# the options in initial_data are its builder's to check.
+_FIELDS = {
+    "algebra": ("family", "n", "k"),
+    "grid": ("N", "L"),
+    "params": ("alpha", "beta", "gamma"),
+    **dict.fromkeys(("flow", "initial_data", "T", "dt", "output_times", "seed", "lambdas")),
+}
+
+
 def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
     errors = []
+    for key, value in cfg.items():
+        if key not in _FIELDS:
+            errors.append(f"unknown field '{key}'")
+        elif _FIELDS[key] is not None and isinstance(value, dict):
+            errors.extend(f"unknown field '{key}.{sub}'" for sub in value if sub not in _FIELDS[key])
 
     def get(path, required=True, default=None):
         node = cfg

@@ -2,8 +2,11 @@
 
 Random draws are seeded and resolution independent: only spectral
 coefficients are drawn, never grid samples, so refining the grid samples
-the same underlying function.  Amplitude arguments rescale fields against
-a fixed fine reference grid for the same reason.
+the same underlying function.  For the same reason the amplitude of a
+bump, a random profile or a tangent field is its peak modulus on one fixed
+2048-point reference grid, which one normalizer sets for all three.  A
+spectral draw is evaluated as one product of a cos/sin table with its
+coefficients.
 """
 
 from __future__ import annotations
@@ -25,35 +28,37 @@ def _reference_x(length: float) -> np.ndarray:
     return np.linspace(0.0, length, _REFERENCE_POINTS, endpoint=False)
 
 
-def _trig_sum(x, length, cos_c, sin_c):
-    wave = 2.0 * np.pi / length
-    out = np.zeros((x.shape[0],) + cos_c.shape[1:], dtype=cos_c.dtype)
-    for m in range(1, cos_c.shape[0] + 1):
-        out += np.cos(m * wave * x)[:, None, None] * cos_c[m - 1]
-        out += np.sin(m * wave * x)[:, None, None] * sin_c[m - 1]
-    return out
+def _peak_normalized(env_of, grid, amplitude):
+    """env_of on grid, scaled so that its peak modulus on the reference grid
+    is amplitude: the same function of x at every resolution."""
+    peak = float(np.max(np.abs(env_of(_reference_x(grid.length)))))
+    if peak == 0.0:
+        raise ValueError("degenerate envelope")
+    return (amplitude / peak) * env_of(grid.x)
+
+
+def _trig_sum(x, length, coeffs):
+    """sum over m of cos(m w x) coeffs[0, m-1] + sin(m w x) coeffs[1, m-1],
+    w = 2 pi / L, as one product of the (2 modes, points) cos/sin table,
+    transposed, with the coefficients as a (2 modes, rows cols) matrix."""
+    modes = coeffs.shape[1]
+    phase = np.outer(np.arange(1, modes + 1) * (2.0 * np.pi / length), x)
+    table = np.concatenate((np.cos(phase), np.sin(phase)))
+    flat = coeffs.reshape(2 * modes, -1)
+    # complex coefficients as pairs of real columns, so the product is real
+    values = table.T @ flat.view(np.float64)
+    return values.view(coeffs.dtype).reshape(x.shape + coeffs.shape[2:])
 
 
 def _spectral_coeffs(rng, modes, rows, cols, complex_valued):
+    """The cos and sin coefficients of a draw, shape (2, modes, rows, cols)."""
     # weight ~ m^-4 keeps high stencil derivatives of the samples small
-    shape = (modes, rows, cols)
-    cos_c = rng.standard_normal(shape)
-    sin_c = rng.standard_normal(shape)
+    shape = (2, modes, rows, cols)
+    coeffs = rng.standard_normal(shape)
     if complex_valued:
-        cos_c = cos_c + 1j * rng.standard_normal(shape)
-        sin_c = sin_c + 1j * rng.standard_normal(shape)
+        coeffs = coeffs + 1j * rng.standard_normal(shape)
     weights = np.array([1.0 / m**4 for m in range(1, modes + 1)])
-    cos_c = cos_c * weights[:, None, None]
-    sin_c = sin_c * weights[:, None, None]
-    return cos_c, sin_c
-
-
-def _amplitude_scale(length, cos_c, sin_c, amplitude):
-    ref = _trig_sum(_reference_x(length), length, cos_c, sin_c)
-    peak = float(np.max(np.abs(ref)))
-    if peak == 0.0:
-        raise ValueError("degenerate spectral draw")
-    return amplitude / peak
+    return coeffs * weights[:, None, None]
 
 
 def _fixed_direction(rng, rows, cols, complex_valued):
@@ -80,9 +85,8 @@ def random_smooth_potential(
     """
     rng = np.random.default_rng(seed)
     rows, cols = spec.k, spec.n - spec.k
-    cos_c, sin_c = _spectral_coeffs(rng, modes, 1, 1, False)
-    scale = _amplitude_scale(grid.length, cos_c, sin_c, 1.0)
-    profile = scale * _trig_sum(grid.x, grid.length, cos_c, sin_c)[:, 0, 0]
+    coeffs = _spectral_coeffs(rng, modes, 1, 1, False)
+    profile = _peak_normalized(lambda x: _trig_sum(x, grid.length, coeffs)[:, 0, 0], grid, 1.0)
     qdir = _fixed_direction(rng, rows, cols, spec.family.is_unitary)
     q = amplitude * profile[:, None, None] * qdir
     if spec.family.is_unitary:
@@ -111,13 +115,6 @@ def _leading_entry_potential(spec: AlgebraSpec, grid: Grid, env: np.ndarray) -> 
     return PotentialState(spec, grid, q, r)
 
 
-def _peak_normalized(env_of, length, amplitude):
-    peak = float(np.max(np.abs(env_of(_reference_x(length)))))
-    if peak == 0.0:
-        raise ValueError("degenerate envelope")
-    return lambda x: (amplitude / peak) * env_of(x)
-
-
 def gaussian_bump_potential(
     spec: AlgebraSpec,
     grid: Grid,
@@ -130,10 +127,8 @@ def gaussian_bump_potential(
     length = grid.length
     width = length / 10.0 if width is None else float(width)
     center = length / 2.0 if center is None else float(center)
-    env = _peak_normalized(
-        lambda x: _periodized_bump(x, length, center, width), length, amplitude
-    )
-    return _leading_entry_potential(spec, grid, env(grid.x))
+    env = _peak_normalized(lambda x: _periodized_bump(x, length, center, width), grid, amplitude)
+    return _leading_entry_potential(spec, grid, env)
 
 
 def two_bump_potential(
@@ -153,10 +148,10 @@ def two_bump_potential(
     env = _peak_normalized(
         lambda x: _periodized_bump(x, length, c1, width)
         + 0.7 * _periodized_bump(x, length, c2, width),
-        length,
+        grid,
         amplitude,
     )
-    return _leading_entry_potential(spec, grid, env(grid.x))
+    return _leading_entry_potential(spec, grid, env)
 
 
 def plane_wave_potential(
@@ -182,15 +177,11 @@ def random_tangent_field(
     """Smooth periodic field of algebra elements, peak entry at the stated
     amplitude.  Used both as frame generators and as variation directions."""
     rng = np.random.default_rng(seed)
-    n = spec.n
-    cos_c, sin_c = _spectral_coeffs(rng, modes, n, n, spec.family.is_unitary)
-
-    ref = _project(spec, _trig_sum(_reference_x(grid.length), grid.length, cos_c, sin_c))
-    peak = float(np.max(np.abs(ref)))
-    if peak == 0.0:
-        raise ValueError("degenerate spectral draw")
-    raw = _project(spec, _trig_sum(grid.x, grid.length, cos_c, sin_c))
-    return (amplitude / peak) * raw
+    coeffs = _spectral_coeffs(rng, modes, spec.n, spec.n, spec.family.is_unitary)
+    # the projection is real-linear and the cos/sin weights are real, so
+    # projecting the coefficients projects every sample
+    coeffs = _project(spec, coeffs)
+    return _peak_normalized(lambda x: _trig_sum(x, grid.length, coeffs), grid, amplitude)
 
 
 def random_frame_state(

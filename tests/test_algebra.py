@@ -24,7 +24,6 @@ from grassflow.algebra import (
     inner,
     membership_residual,
     sigma3,
-    signature_matrix,
     trace_product,
 )
 
@@ -47,10 +46,6 @@ def test_base_point_split_family():
     spec = AlgebraSpec(Family.PARA_REAL, 3, 1)
     expected = 0.5 * np.diag([1.0, -1.0, -1.0])
     assert np.allclose(sigma3(spec), expected, atol=1e-15)
-
-
-def test_signature_matrix(u31):
-    assert np.allclose(signature_matrix(u31), np.diag([1.0, -1.0, -1.0]))
 
 
 def test_base_point_squares_to_quarter_identity():
@@ -98,7 +93,7 @@ def test_membership_residual_split_family(para2):
 
 
 def test_membership_residual_signature_family(u31):
-    j = signature_matrix(u31)
+    j = np.diag([1.0, -1.0, -1.0])  # diag(I_k, -I_{n-k}) for k = 1, n = 3
     rng = np.random.default_rng(2)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     a = 0.5 * (m - j @ m.conj().T @ j)

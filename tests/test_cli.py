@@ -168,6 +168,39 @@ def test_bad_override_exits_two(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "gauge-compare", "reduce", "curvature-residual"])
+@pytest.mark.parametrize("override, path", [
+    ("grid.n=256", "grid.n"),
+    ("params.gama=0.1", "params.gama"),
+    ("dT=2e-5", "dT"),
+    ("algebra.K=1", "algebra.K"),
+    ('{"a":1}=2', '{"a":1}'),
+])
+def test_unknown_field_exits_two(tmp_path, capsys, command, override, path):
+    # a field the run never reads would otherwise be ignored, yet recorded in the manifest
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--override", override]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: unknown field '{path}'"]
+    assert not os.path.exists(out)
+
+
+def test_every_unknown_field_is_named_and_initial_data_options_reach_the_builder(
+    tmp_path, capsys
+):
+    cfg = _write_config(tmp_path / "c.json", comment="x", grid={"N": 32, "L": 1.0, "n": 256})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: unknown field 'grid.n'", "config error: unknown field 'comment'"]
+    cfg = _write_config(tmp_path / "c.json")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--override", "initial_data.bogus=1"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: initial_data: bad options for generator 'plane_wave'")
+    assert not os.path.exists(out)
+
+
 def test_seed_flag_changes_the_draw(tmp_path):
     cfg = _write_config(tmp_path / "c.json",
                         initial_data={"generator": "random_smooth", "modes": 2})

@@ -3,11 +3,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from grassflow.algebra import AlgebraSpec, Family, exp_map, membership_residual, sigma3
+from grassflow.algebra import (
+    AlgebraSpec,
+    Family,
+    _project,
+    exp_map,
+    membership_residual,
+    sigma3,
+)
 from grassflow.fields import Grid
 from grassflow.gauge import PotentialState
 from grassflow.initial_data import (
     GENERATOR_NAMES,
+    _fixed_direction,
+    _reference_x,
+    _spectral_coeffs,
     draws_seed,
     gaussian_bump_potential,
     latitude_circle_state,
@@ -149,6 +159,81 @@ def test_random_tangent_field_stays_in_algebra():
         # sampled maximum sits at or just below the requested amplitude
         peak = np.max(np.abs(xi))
         assert 0.27 < peak <= 0.3 * (1.0 + 1e-12)
+
+
+def _per_mode_sum(x, length, cos_c, sin_c):
+    # the per-mode loop that the one-product evaluator replaced, kept as its oracle
+    wave = 2.0 * np.pi / length
+    out = np.zeros((x.shape[0],) + cos_c.shape[1:], dtype=cos_c.dtype)
+    for m in range(1, cos_c.shape[0] + 1):
+        out += np.cos(m * wave * x)[:, None, None] * cos_c[m - 1]
+        out += np.sin(m * wave * x)[:, None, None] * sin_c[m - 1]
+    return out
+
+
+def _per_mode_tangent_field(spec, grid, seed, modes, amplitude):
+    # projects and normalizes the summed field rather than the coefficients
+    rng = np.random.default_rng(seed)
+    cos_c, sin_c = _spectral_coeffs(rng, modes, spec.n, spec.n, spec.family.is_unitary)
+    ref = _project(spec, _per_mode_sum(_reference_x(grid.length), grid.length, cos_c, sin_c))
+    raw = _project(spec, _per_mode_sum(grid.x, grid.length, cos_c, sin_c))
+    return (amplitude / np.max(np.abs(ref))) * raw
+
+
+def _per_mode_smooth_potential(spec, grid, seed, modes, amplitude):
+    rng = np.random.default_rng(seed)
+    cos_c, sin_c = _spectral_coeffs(rng, modes, 1, 1, False)
+    ref = _per_mode_sum(_reference_x(grid.length), grid.length, cos_c, sin_c)
+    profile = _per_mode_sum(grid.x, grid.length, cos_c, sin_c)[:, 0, 0] / np.max(np.abs(ref))
+    qdir = _fixed_direction(rng, spec.k, spec.n - spec.k, spec.family.is_unitary)
+    q = amplitude * profile[:, None, None] * qdir
+    if spec.family.is_unitary:
+        return q, PotentialState.from_q(spec, grid, q).r
+    rdir = _fixed_direction(rng, spec.n - spec.k, spec.k, False)
+    return q, amplitude * profile[:, None, None] * rdir
+
+
+@pytest.mark.parametrize("points", [16, 128, 2048])
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", list(Family))
+def test_draws_match_the_per_mode_loop(family, n, modes, points):
+    # the two evaluators sum in different orders, so they agree to roundoff
+    # of the peak, not bit for bit
+    grid = Grid(points, TWO_PI)
+    eps = np.finfo(float).eps
+    for k in range(1, n):
+        spec = AlgebraSpec(family, n, k)
+        for seed in (0, 5):
+            xi = random_tangent_field(spec, grid, seed=seed, modes=modes, amplitude=0.2)
+            want = _per_mode_tangent_field(spec, grid, seed, modes, 0.2)
+            np.testing.assert_allclose(xi, want, rtol=0, atol=8 * eps * 0.2)
+            ps = random_smooth_potential(spec, grid, seed=seed, modes=modes, amplitude=0.3)
+            want_q, want_r = _per_mode_smooth_potential(spec, grid, seed, modes, 0.3)
+            np.testing.assert_allclose(ps.q, want_q, rtol=0, atol=8 * eps * 0.3)
+            np.testing.assert_allclose(ps.r, want_r, rtol=0, atol=8 * eps * 0.3)
+
+
+@pytest.mark.parametrize("spec", all_specs() + [
+    AlgebraSpec(Family.COMPACT_UNITARY, 4, 2),
+    AlgebraSpec(Family.NONCOMPACT_UNITARY, 4, 2),
+    AlgebraSpec(Family.PARA_REAL, 3, 1),
+], ids=lambda spec: f"{spec.family.value}-{spec.n}-{spec.k}")
+def test_draw_peaks_on_the_reference_grid_are_the_amplitude(spec):
+    # a grid of the reference size samples the points the peak is taken on
+    grid = Grid(2048, TWO_PI)
+    np.testing.assert_array_equal(grid.x, _reference_x(grid.length))
+    amplitude = 0.4
+    ulp = np.spacing(amplitude)
+    for seed in (0, 1, 2):
+        for build in (random_smooth_potential, random_tangent_field):
+            draw = build(spec, grid, seed=seed, amplitude=amplitude)
+            blocks = (draw.q, draw.r) if build is random_smooth_potential else (draw,)
+            for block in blocks:
+                assert abs(np.max(np.abs(block)) - amplitude) <= 4 * ulp, (build.__name__, seed)
+    for build in (gaussian_bump_potential, two_bump_potential, plane_wave_potential):
+        peak = np.max(np.abs(build(spec, grid, amplitude=amplitude).q))
+        assert abs(peak - amplitude) <= 4 * ulp, build.__name__
 
 
 def test_latitude_circle_validation(grid64):
