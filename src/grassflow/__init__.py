@@ -83,7 +83,6 @@ from .orbit import (
     FramedState,
     OrbitState,
     SpectralError,
-    frame_closure_defect,
     frame_from_potential,
     gauge_fix_frame,
     orbit_from_frame,

@@ -65,6 +65,7 @@ class RunConfig:
     dt_raw: object
     output_times: list | None
     seed: int | None
+    lambdas: list | None
     raw: dict
 
 
@@ -123,24 +124,28 @@ def _numbers(value):
     return None if None in values else values
 
 
-# The fields that a run or a command reads: a section's keys, or None for a
-# field read whole.  Any other field is a config error rather than ignored;
-# the options in initial_data are its builder's to check.
+# The fields that every run reads: a section's keys, or None for a field
+# read whole.  curvature-residual reads lambdas as well.  Any other field is
+# a config error rather than ignored; the options in initial_data are its
+# builder's to check.
 _FIELDS = {
     "algebra": ("family", "n", "k"),
     "grid": ("N", "L"),
     "params": ("alpha", "beta", "gamma"),
-    **dict.fromkeys(("flow", "initial_data", "T", "dt", "output_times", "seed", "lambdas")),
+    **dict.fromkeys(("flow", "initial_data", "T", "dt", "output_times", "seed")),
 }
 
 
-def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
+def parse_run_config(
+    cfg: dict, seed_override: int | None = None, command: str = "simulate"
+) -> RunConfig:
+    known = dict(_FIELDS, lambdas=None) if command == "curvature-residual" else _FIELDS
     errors = []
     for key, value in cfg.items():
-        if key not in _FIELDS:
+        if key not in known:
             errors.append(f"unknown field '{key}'")
-        elif _FIELDS[key] is not None and isinstance(value, dict):
-            errors.extend(f"unknown field '{key}.{sub}'" for sub in value if sub not in _FIELDS[key])
+        elif known[key] is not None and isinstance(value, dict):
+            errors.extend(f"unknown field '{key}.{sub}'" for sub in value if sub not in known[key])
 
     def get(path, required=True, default=None):
         node = cfg
@@ -235,6 +240,14 @@ def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
     elif seed is None:
         seed = 0 if drawn is None else drawn
 
+    lambdas = None
+    if "lambdas" in known:
+        lambdas = _numbers(get("lambdas", required=False, default=[0.5, 1.0, 2.0]))
+        if lambdas is None:
+            errors.append("lambdas: must be a list of numbers")
+        elif not all(math.isfinite(v) for v in lambdas):
+            errors.append("lambdas: must be finite")
+
     if errors:
         raise ConfigError(errors)
     initial = dict(initial)
@@ -242,7 +255,9 @@ def parse_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
         initial.pop("seed", None)
     if not draws_seed(initial):
         seed = None  # nothing is drawn, so the run records no seed
-    return RunConfig(spec, grid, params, kind, initial, T, dt_raw, output_times, seed, cfg)
+    return RunConfig(
+        spec, grid, params, kind, initial, T, dt_raw, output_times, seed, lambdas, cfg
+    )
 
 
 def build_state(rc: RunConfig) -> OrbitState:
@@ -487,11 +502,6 @@ def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
 
 def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
     _check_commutator_command(rc, "curvature-residual")
-    lambdas = _numbers(rc.raw.get("lambdas", [0.5, 1.0, 2.0]))
-    if lambdas is None:
-        raise ConfigError(["lambdas: must be a list of numbers"])
-    if not all(math.isfinite(v) for v in lambdas):
-        raise ConfigError(["lambdas: must be finite"])
     state = build_state(rc)
     dt = resolve_dt(rc)
     t0 = state.time
@@ -507,12 +517,12 @@ def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
     def body():
         states = evolve(state, rc.params, rc.kind, times[-1] - t0, dt, output_times=times)
         rows = []
-        for lam in lambdas:
+        for lam in rc.lambdas:
             for t, res in curvature_residual(states, physics, lam):
                 rows.append((t, lam, res))
         _write_csv(os.path.join(out_dir, "curvature.csv"), ("t", "lam", "residual"), rows)
 
-    resolved = {"dt": dt, "output_times": times, "seed": rc.seed, "lambdas": lambdas}
+    resolved = {"dt": dt, "output_times": times, "seed": rc.seed, "lambdas": rc.lambdas}
     return _run(rc, out_dir, resolved, body)
 
 
@@ -549,7 +559,8 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return cmd_verify(args.out, args.suite)
     try:
-        rc = parse_run_config(apply_overrides(load_config(args.config), args.override), args.seed)
+        cfg = apply_overrides(load_config(args.config), args.override)
+        rc = parse_run_config(cfg, args.seed, args.command)
         if args.command == "simulate":
             return cmd_simulate(rc, args.out)
         if args.command == "gauge-compare":

@@ -5,8 +5,10 @@ parameter; along solutions of the third-level flow its curvature collapses
 to a single cubic term, which curvature_residual measures from trajectory
 snapshots.  gauge_transform rewrites a gauge-fixed framed state as a pair
 of rectangular blocks (q, r), and potential_rhs evolves the pair directly;
-frame_potential_gaps compares the two routes for the gauge-compare command,
-and the verification suite runs the same two sides apart.
+state_from_potential goes back by one frame march, which also gives the
+closure defect it checks.  frame_potential_gaps compares the two routes for
+the gauge-compare command, and the verification suite runs the same two
+sides apart.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .functionals import FlowParams
 from .orbit import (
     FramedState,
     OrbitState,
-    frame_closure_defect,
     frame_from_potential,
     gauge_fix_frame,
     orbit_from_frame,
@@ -125,7 +126,7 @@ _CLOSURE_TOL = 1e-2
 
 
 def state_from_potential(ps: PotentialState) -> OrbitState:
-    """Integrate the frame across the grid and conjugate the base point.
+    """Integrate the frame once around the period and conjugate the base point.
 
     The resulting samples only represent a periodic field when the frame
     closes up over one period, so a closure defect above _CLOSURE_TOL is
@@ -134,8 +135,7 @@ def state_from_potential(ps: PotentialState) -> OrbitState:
     potential = ps.assemble()
     if not np.all(np.isfinite(potential.values)):
         raise ValueError("potential is not finite")
-    fs = frame_from_potential(ps.spec, potential, time=ps.time)
-    defect = frame_closure_defect(fs)
+    fs, defect = frame_from_potential(ps.spec, potential, time=ps.time)
     if not defect <= _CLOSURE_TOL:
         raise ValueError(
             f"potential carries holonomy: frame closure defect {defect:.3e} "

@@ -6,7 +6,8 @@ equation F_x = P F, and a flow moves the frame on the right.  Potentials P
 are block-off-diagonal.  The families differ only in the square of the
 base point, s^2 = c^2 I with c^2 = -1/4 for the complex families and +1/4
 for the split family.  Flows move phi by conjugation, so nothing here
-projects back onto the orbit.
+projects back onto the orbit.  A frame equation is marched once around the
+period, so the frame at the nodes and its closure at x = L come from one pass.
 """
 
 from __future__ import annotations
@@ -117,55 +118,41 @@ def _running_products(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_path(a: np.ndarray, h: float, cells) -> np.ndarray:
-    """March the linear equation m' = a(x) m from the identity across the
-    given cells of the periodic grid by the classic fourth-order one-step
-    method.  Cell j runs from node j to node j + 1 (wrapping); a at its half
-    node comes from cubic interpolation of the four nearest nodes.  Returns
-    the identity followed by the value after each cell.
+def _rk4_path(a: np.ndarray, h: float) -> np.ndarray:
+    """March the linear equation m' = a(x) m from the identity once around
+    the periodic grid by the classic fourth-order one-step method.  Cell j
+    runs from node j to node j + 1 (wrapping); a at its half node comes
+    from cubic interpolation of the four nearest nodes.  Returns the N + 1
+    values from the identity at x = 0 to the value at x = L.
 
     The equation is linear, so one step across cell j is m -> Phi_j m with
     Phi_j the step applied to the identity: the propagators of all cells
     are formed in one batch, and the march is their running products
     Phi_j ... Phi_0.
     """
-    cells = np.asarray(cells, dtype=np.intp)
-    nodes = a.shape[0]
-    a0 = a[cells]
-    a1 = a[(cells + 1) % nodes]
-    am = (-a[(cells - 1) % nodes] + 9.0 * a0 + 9.0 * a1 - a[(cells + 2) % nodes]) / 16.0
+    a1 = np.roll(a, -1, axis=0)
+    am = (-np.roll(a, 1, axis=0) + 9.0 * a + 9.0 * a1 - np.roll(a, -2, axis=0)) / 16.0
     eye = np.eye(a.shape[-1], dtype=np.complex128)
-    k1 = a0
-    k2 = _matmul(am, eye + 0.5 * h * k1)
+    k2 = _matmul(am, eye + 0.5 * h * a)
     k3 = _matmul(am, eye + 0.5 * h * k2)
     k4 = _matmul(a1, eye + h * k3)
-    out = np.empty((len(cells) + 1,) + eye.shape, dtype=np.complex128)
+    out = np.empty((len(a) + 1,) + eye.shape, dtype=np.complex128)
     out[0] = eye
-    out[1:] = _running_products(eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    out[1:] = _running_products(eye + (h / 6.0) * (a + 2.0 * k2 + 2.0 * k3 + k4))
     return out
 
 
 def frame_from_potential(
     spec: AlgebraSpec, potential: MatrixField, time: float = 0.0
-) -> FramedState:
-    """March the frame equation F_x = P F across the grid from the identity.
-
-    Classic fourth-order one-step integration per cell; the potential at
-    half nodes comes from cubic interpolation.
+) -> tuple[FramedState, float]:
+    """March the frame equation F_x = P F once around the period from the
+    identity.  Returns the frame at the grid nodes and its closure defect
+    ||F(L) - I||: nonzero closure means the potential carries holonomy and
+    the frame samples do not represent a periodic field.
     """
-    npts = potential.grid.num_points
-    e = _rk4_path(potential.values, potential.grid.h, range(npts - 1))
-    return FramedState(spec, MatrixField(potential.grid, e), potential, time)
-
-
-def frame_closure_defect(fs: FramedState) -> float:
-    """Norm of the mismatch between the frame continued one full period
-    and its starting value.  Nonzero closure means the potential carries
-    holonomy and the frame samples do not represent a periodic field."""
-    # one more cell from the last node back to x = L
-    last = fs.potential.grid.num_points - 1
-    step = _rk4_path(fs.potential.values, fs.potential.grid.h, [last])[-1]
-    return frobenius(_matmul(step, fs.frame.values[-1]) - fs.frame.values[0])
+    path = _rk4_path(potential.values, potential.grid.h)
+    fs = FramedState(spec, MatrixField(potential.grid, path[:-1]), potential, time)
+    return fs, frobenius(path[-1] - path[0])
 
 
 def gauge_fix_frame(spec: AlgebraSpec, raw_frame: MatrixField, time: float = 0.0) -> FramedState:
@@ -179,12 +166,11 @@ def gauge_fix_frame(spec: AlgebraSpec, raw_frame: MatrixField, time: float = 0.0
     """
     ev = raw_frame.values
     h = raw_frame.grid.h
-    npts = raw_frame.grid.num_points
     conn = _matmul(periodic_diff(ev, 1, h), _inv(ev))
     k_part, m_part = decompose(spec, conn)
     # the rotation D solves D_x = -D K, so that (D F)_x = D M D^-1 (D F);
     # its transpose solves the left-multiplied D^T_x = -K^T D^T
-    d_t = _rk4_path(-np.swapaxes(k_part, -1, -2), h, range(npts - 1))
+    d_t = _rk4_path(-np.swapaxes(k_part, -1, -2), h)[:-1]
     d = np.swapaxes(d_t, -1, -2)
     new_e = _matmul(d, ev)
     new_p = _matmul(d, m_part, _inv(d))

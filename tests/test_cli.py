@@ -185,6 +185,28 @@ def test_unknown_field_exits_two(tmp_path, capsys, command, override, path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["simulate", "gauge-compare", "reduce"])
+def test_lambdas_is_unknown_outside_curvature_residual(tmp_path, capsys, command):
+    # only curvature-residual reads the spectral parameters
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg), "--out", str(out), "--override", "lambdas=[7]"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: unknown field 'lambdas'\n"
+    assert not os.path.exists(out)
+
+
+def test_lambdas_faults_are_reported_with_the_others(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    assert main(["curvature-residual", "--config", str(cfg), "--out", str(out),
+                 "--override", "T=true", "--override", "lambdas=[NaN]"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: T: must be a number", "config error: lambdas: must be finite"
+    ]
+    assert not os.path.exists(out)
+
+
 def test_every_unknown_field_is_named_and_initial_data_options_reach_the_builder(
     tmp_path, capsys
 ):

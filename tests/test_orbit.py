@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import grassflow.orbit as orbit
 from grassflow.algebra import (
     AlgebraSpec,
     Family,
@@ -26,9 +27,9 @@ from grassflow.orbit import (
     OrbitState,
     SpectralError,
     _rk4_path,
+    _running_products,
     _sorted_eigenvalues,
     conjugate_base,
-    frame_closure_defect,
     frame_from_potential,
     gauge_fix_frame,
     orbit_from_frame,
@@ -67,7 +68,7 @@ def _commuting_frame_rate(spec, direction):
     for npts in (32, 64):
         grid = Grid(npts, TWO_PI)
         pv = np.cos(grid.x)[:, None, None] * direction
-        fs = frame_from_potential(spec, MatrixField(grid, pv))
+        fs, _ = frame_from_potential(spec, MatrixField(grid, pv))
         exact = exp_map(np.sin(grid.x)[:, None, None] * direction)
         errors.append(np.max(np.abs(fs.frame.values - exact)))
     return np.log2(errors[0] / errors[1])
@@ -88,15 +89,15 @@ def test_frame_integration_right_convention_split_family(para2):
 def test_closure_defect_small_for_zero_mean_separable(grid64):
     for spec in all_specs():
         ps = random_smooth_potential(spec, grid64, seed=2)
-        fs = frame_from_potential(spec, ps.assemble())
-        assert frame_closure_defect(fs) < 1e-8
+        _, defect = frame_from_potential(spec, ps.assemble())
+        assert defect < 1e-8
 
 
 def test_closure_defect_flags_holonomy(u2, grid64):
     q = np.full((grid64.num_points, 1, 1), 0.3, dtype=complex)
     ps = PotentialState.from_q(u2, grid64, q)
-    fs = frame_from_potential(u2, ps.assemble())
-    assert frame_closure_defect(fs) > 0.1
+    _, defect = frame_from_potential(u2, ps.assemble())
+    assert defect > 0.1
     with pytest.raises(ValueError):
         state_from_potential(ps)
 
@@ -118,7 +119,7 @@ def test_gauge_fix_preserves_base_point_field(grid64):
 def test_structural_identities_hold_for_random_frames(grid128):
     # gauge-fixed random frames, and frames marched from a potential
     for spec in all_specs():
-        marched = frame_from_potential(
+        marched, _ = frame_from_potential(
             spec, random_smooth_potential(spec, grid128, seed=9, amplitude=0.15).assemble()
         )
         for fs in (random_frame_state(spec, grid128, seed=9, amplitude=0.15), marched):
@@ -204,32 +205,61 @@ def _per_cell_march(rhs, a, start, h, cells):
 
 
 def test_batched_frame_march_matches_per_cell_march():
+    # the reference marches the whole period too: F(0), ..., F(L)
     grid = Grid(256, TWO_PI)
-    h, cells = grid.h, range(grid.num_points - 1)
+    h, cells = grid.h, range(grid.num_points)
     for spec in all_specs():
         eye = np.eye(spec.n, dtype=complex)
         pv = random_smooth_potential(spec, grid, seed=4, amplitude=0.3).assemble().values
-        fs = frame_from_potential(spec, MatrixField(grid, pv))
+        fs, defect = frame_from_potential(spec, MatrixField(grid, pv))
         want = _per_cell_march(np.matmul, pv, eye, h, cells)
-        assert np.max(np.abs(fs.frame.values - want)) < 1e-13, spec.family
-        last = _per_cell_march(np.matmul, pv, want[-1], h, [grid.num_points - 1])[-1]
-        assert abs(frame_closure_defect(fs) - frobenius(last - want[0])) < 1e-13
+        assert np.max(np.abs(fs.frame.values - want[:-1])) < 1e-13, spec.family
+        assert abs(defect - frobenius(want[-1] - want[0])) < 1e-13
 
         raw = exp_map(random_tangent_field(spec, grid, seed=4, amplitude=0.2))
         fixed = gauge_fix_frame(spec, MatrixField(grid, raw))
         k_part, _ = decompose(spec, periodic_diff(raw, 1, h) @ np.linalg.inv(raw))
-        d = _per_cell_march(lambda kv, m: -(m @ kv), k_part, eye, h, cells)
+        d = _per_cell_march(lambda kv, m: -(m @ kv), k_part, eye, h, cells)[:-1]
         assert np.max(np.abs(fixed.frame.values - d @ raw)) < 1e-13, spec.family
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("count", [1, 2, 3, 5, 127, 255, 2047])
-def test_rk4_path_matches_per_cell_march(n, count):
-    rng = np.random.default_rng(10 * count + n)
-    shape = (count + 1, n, n)
+@pytest.mark.parametrize("period", [1, 2, 3, 5, 127, 255, 2047])
+def test_rk4_path_matches_per_cell_march(n, period):
+    rng = np.random.default_rng(10 * period + n)
+    shape = (period, n, n)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     # anti-Hermitian, so the march stays near unitary and 1e-13 is roundoff
     a = z - np.conj(np.swapaxes(z, -1, -2))
     h = TWO_PI / 2048
-    want = _per_cell_march(np.matmul, a, np.eye(n, dtype=complex), h, range(count))
-    assert np.max(np.abs(_rk4_path(a, h, range(count)) - want)) < 1e-13
+    want = _per_cell_march(np.matmul, a, np.eye(n, dtype=complex), h, range(period))
+    assert np.max(np.abs(_rk4_path(a, h) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_running_products_are_prefix_stable(n):
+    # the frame at the nodes is the prefix of the march to x = L, bit for bit
+    rng = np.random.default_rng(n)
+    shape = (300, n, n)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    full = _running_products(m)
+    for j in range(len(m) + 1):
+        assert np.array_equal(_running_products(m[:j]), full[:j]), j
+
+
+def test_frame_and_its_closure_come_from_one_march(monkeypatch, grid64):
+    calls = []
+
+    def counted(a, h):
+        calls.append(len(a))
+        return _rk4_path(a, h)
+
+    monkeypatch.setattr(orbit, "_rk4_path", counted)
+    for spec in all_specs():
+        calls.clear()
+        state_from_potential(random_smooth_potential(spec, grid64, seed=5))
+        assert calls == [grid64.num_points], spec.family
+        calls.clear()
+        raw = exp_map(random_tangent_field(spec, grid64, seed=5, amplitude=0.2))
+        gauge_fix_frame(spec, MatrixField(grid64, raw))
+        assert calls == [grid64.num_points], spec.family
