@@ -82,11 +82,9 @@ from .initial_data import (
 from .orbit import (
     FramedState,
     OrbitState,
-    SpectralError,
     frame_from_potential,
     gauge_fix_frame,
     orbit_from_frame,
-    reference_spectrum,
     spectrum_deviation,
     verify_identities,
 )

@@ -12,15 +12,14 @@ scaling and squaring for norms above 1.143; exp(a) and exp(-a) are E + O and
 E - O, from one split of the series into its even and odd parts.
 
 This module decides how batched small-matrix algebra is computed, and every
-other module goes through its four kernels rather than calling `@` or
-np.linalg.inv, solve or eigvals on a field: _matmul (a left-to-right product
-of any number of factors), _solve, _inv and _eigvals.  The matrix shape
-picks the path.  2x2 matrices, the common case, take closed forms: products
-from gathers on the flat (..., 4) view, inverses from the adjugate over the
-determinant and solves as inverse times right-hand side, eigenvalues from
-the quadratic formula.  Every other shape goes to matmul and LAPACK.  A
-singular 2x2 matrix gives non-finite values rather than LinAlgError, for the
-caller's finiteness check to catch.
+other module goes through its three kernels rather than calling `@` or
+np.linalg.inv or solve on a field: _matmul (a left-to-right product of any
+number of factors), _solve and _inv.  The matrix shape picks the path.  2x2
+matrices, the common case, take closed forms: products from gathers on the
+flat (..., 4) view, inverses from the adjugate over the determinant and
+solves as inverse times right-hand side.  Every other shape goes to matmul
+and LAPACK.  A singular 2x2 matrix gives non-finite values rather than
+LinAlgError, for the caller's finiteness check to catch.
 """
 
 from __future__ import annotations
@@ -238,20 +237,6 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-2:] == (2, 2):
         return _matmul(_inv(a), b)
     return np.linalg.solve(a, b)
-
-
-def _eigvals(a: np.ndarray) -> np.ndarray:
-    """Batched eigenvalues.  For 2x2 they are t +- sqrt(d^2 + bc), with t
-    half the trace and d half the difference of the diagonal entries, as
-    complex numbers, non-finite for a non-finite matrix; otherwise
-    np.linalg.eigvals, which raises LinAlgError on non-finite input."""
-    if a.shape[-2:] == (2, 2):
-        a4 = np.asarray(a, dtype=np.complex128).reshape(a.shape[:-2] + (4,))
-        t = 0.5 * (a4[..., 0] + a4[..., 3])
-        d = 0.5 * (a4[..., 0] - a4[..., 3])
-        root = np.sqrt(d * d + a4[..., 1] * a4[..., 2])
-        return np.stack((t + root, t - root), axis=-1)
-    return np.linalg.eigvals(a)
 
 
 def _polynomial(powers: list, coeffs) -> np.ndarray:

@@ -37,7 +37,7 @@ from .flows import (
 from .functionals import EnergyReport, FlowParams, energy_report
 from .gauge import GaugeError, curvature_residual, frame_potential_gaps
 from .initial_data import draws_seed, make_initial_potential, make_initial_state
-from .orbit import OrbitState, SpectralError, spectrum_deviation
+from .orbit import OrbitState, spectrum_deviation
 from .reductions import matrix_and_vector_spins, spec_geometry
 from .suites import SUITES, run_suite
 
@@ -275,6 +275,9 @@ def build_state(rc: RunConfig) -> OrbitState:
             or state.phi.grid.length != rc.grid.length
         ):
             raise ConfigError(["initial_data.snapshot: grid does not match the config"])
+        for field in (state.phi, state.frame):
+            if field is not None and not np.all(np.isfinite(field.values)):
+                raise ConfigError(["initial_data.snapshot: values must be finite"])
         return state
     try:
         return make_initial_state(rc.spec, rc.grid, rc.initial_data, rc.seed)
@@ -382,7 +385,7 @@ def _abort(manifest, out_dir, exc) -> int:
 # Errors of a failed step, which carry its index and the last good state.
 _STEP_ERRORS = (FlowBlowupError, NewtonError)
 # Errors that abort a run once its manifest is written.
-_RUN_ERRORS = (*_STEP_ERRORS, StabilityError, SpectralError, GaugeError, ValueError)
+_RUN_ERRORS = (*_STEP_ERRORS, StabilityError, GaugeError, ValueError)
 
 
 def _run(rc: RunConfig, out_dir: str, resolved: dict, body) -> int:

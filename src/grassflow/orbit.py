@@ -19,7 +19,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraSpec,
-    _eigvals,
     _inv,
     _matmul,
     _orbit_square,
@@ -29,10 +28,6 @@ from .algebra import (
     sigma3,
 )
 from .fields import MatrixField, periodic_diff
-
-
-class SpectralError(RuntimeError):
-    """Eigenvalue machinery failed or is too ill conditioned to trust."""
 
 
 @dataclass(frozen=True)
@@ -205,29 +200,20 @@ def verify_identities(fs: FramedState) -> dict:
     }
 
 
-def _sorted_eigenvalues(spec: AlgebraSpec, values: np.ndarray) -> np.ndarray:
-    try:
-        w = _eigvals(values)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigenvalue solve failed: {exc}") from exc
-    if not np.all(np.isfinite(w)):
-        raise SpectralError("eigenvalues are not finite")
-    key = -w.imag if spec.family.is_unitary else -w.real
-    if w.shape[-1] == 2:
-        # the order of a stable sort of two keys: swap only if the second is smaller
-        swap = key[..., 1] < key[..., 0]
-        return np.where(swap[..., None], w[..., ::-1], w)
-    order = np.argsort(key, axis=-1, kind="stable")
-    return np.take_along_axis(w, order, axis=-1)
-
-
-def reference_spectrum(spec: AlgebraSpec) -> np.ndarray:
-    """Eigenvalue multiset of the base point, sorted the same way."""
-    return np.diagonal(sigma3(spec))
-
-
 def spectrum_deviation(os: OrbitState) -> float:
-    """Largest distance between the sorted eigenvalues of any phi_j and the
-    base-point multiset."""
-    w = _sorted_eigenvalues(os.spec, os.phi.values)
-    return float(np.max(np.abs(w - reference_spectrum(os.spec))))
+    """Distance of phi from the orbit of the base point s: the largest over
+    the points of max(||phi^2 - c^2 I||_F, |tr phi - tr s|), non-finite
+    where phi is.
+
+    If phi v = lambda v, then (lambda - c)(lambda + c) v = R v with
+    R = phi^2 - c^2 I, so |lambda - c| |lambda + c| <= ||R||_F.  Near c the
+    second factor is about |2c| = 1, and near -c the first: to first order
+    each eigenvalue lies within ||R||_F of c or -c, and the trace fixes how
+    many lie at each, so the value bounds the eigenvalues' distance from
+    those of s.  It also sees a phi with exactly the spectrum of s that is
+    not diagonalizable, which the eigenvalues cannot.
+    """
+    spec, phi = os.spec, os.phi.values
+    square = _matmul(phi, phi) - _orbit_square(spec) * np.eye(spec.n)
+    trace_gap = np.abs(np.einsum("...ii->...", phi) - np.trace(sigma3(spec)))
+    return float(np.max(np.maximum(np.linalg.norm(square, axis=(-2, -1)), trace_gap)))

@@ -796,10 +796,16 @@ def _resume_from(tmp_path, snapshot: dict):
     return rc, out
 
 
+def _filled_values(fill):
+    """base64 values of a 32-point 2x2 field whose every entry is fill."""
+    return base64.b64encode(np.full((32, 2, 2), fill, dtype="<c16").tobytes()).decode()
+
+
 @pytest.mark.parametrize("frame", [
     MatrixField(Grid(64, 2 * np.pi), np.broadcast_to(np.eye(2), (64, 2, 2))),
     MatrixField(Grid(32, 2 * np.pi), np.ones((32, 1, 1))),
-], ids=["grid", "matrix-size"])
+    MatrixField(Grid(32, 2 * np.pi), np.full((32, 2, 2), np.nan)),
+], ids=["grid", "matrix-size", "NaN"])
 def test_snapshot_frame_unlike_phi_exits_two(tmp_path, capsys, frame):
     cfg = _write_config(tmp_path / "c.json")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "first")]) == 0
@@ -816,8 +822,12 @@ def test_snapshot_frame_unlike_phi_exits_two(tmp_path, capsys, frame):
     ("values", base64.b64encode(bytes(16 * 32 * 3)).decode()),
     ("values", None),
     ("values", {"re": 1.0}),
+    ("values", _filled_values(np.nan)),
+    ("values", _filled_values(np.inf)),
+    ("values", _filled_values(-np.inf)),
     ("grid", None),
-], ids=["not-base64", "n-squared-3", "null", "object", "null-grid"])
+], ids=["not-base64", "n-squared-3", "null", "object", "NaN", "Infinity", "-Infinity",
+        "null-grid"])
 def test_malformed_snapshot_fields_exit_two(tmp_path, capsys, key, value):
     cfg = _write_config(tmp_path / "c.json")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "first")]) == 0

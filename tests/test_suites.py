@@ -19,7 +19,6 @@ import grassflow
 from grassflow.cli import ConfigError
 from grassflow.flows import FlowBlowupError, NewtonError, StabilityError
 from grassflow.gauge import GaugeError
-from grassflow.orbit import SpectralError
 from grassflow.reductions import Geometry
 from grassflow.suites import SUITES, _map, random_spin_field, run_suite
 import conftest
@@ -148,7 +147,6 @@ def test_every_grassflow_error_survives_pickling():
         (NewtonError(None, 7, 0.25, 3.5e-12),
          {"last_state": None, "step_index": 7, "time": 0.25, "residual": 3.5e-12}),
         (GaugeError("frame is not block diagonal"), {}),
-        (SpectralError("eigenvalues too close"), {}),
     ]
     assert {type(err) for err, _ in errors} == _errors_grassflow_defines()
     for err, attributes in errors:
