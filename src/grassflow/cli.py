@@ -139,6 +139,8 @@ _FIELDS = {
 def parse_run_config(
     cfg: dict, seed_override: int | None = None, command: str = "simulate"
 ) -> RunConfig:
+    """The run that cfg describes for command; every fault that needs neither
+    a file nor the initial state is raised, all together, as one ConfigError."""
     known = dict(_FIELDS, lambdas=None) if command == "curvature-residual" else _FIELDS
     errors = []
     for key, value in cfg.items():
@@ -176,6 +178,11 @@ def parse_run_config(
         return None if family is None else AlgebraSpec(Family(family), n, k)
 
     spec = build("algebra", algebra, "n", "k")
+    if command == "reduce" and spec is not None:
+        try:
+            spec_geometry(spec)
+        except ValueError as exc:
+            errors.append(f"algebra: {exc}")
     grid = build("grid", Grid, "N", "L")
     params = build("params", FlowParams, "alpha", "beta", "gamma")
 
@@ -187,17 +194,29 @@ def parse_run_config(
         except ValueError:
             errors.append(f"flow: {flow!r} is not one of {[m.value for m in FlowKind]}")
 
-    if grid is not None and kind is not None:
-        need = MIN_POINTS[DERIVATIVE_ORDER[kind]]
+    # gauge-compare, reduce and curvature-residual cover the leading and
+    # third orders, whose potential, vector and connection sides they
+    # integrate with derivatives up to the fourth whatever the flow
+    compares = command in ("gauge-compare", "reduce", "curvature-residual")
+    if compares and kind is FlowKind.SECOND_ORDER:
+        errors.append(f"flow: {command} covers leading_order and third_order")
+    if grid is not None and (compares or kind is not None):
+        need = MIN_POINTS[4 if compares else DERIVATIVE_ORDER[kind]]
         if grid.num_points < need:
-            errors.append(f"grid.N: the {kind.value} flow needs at least {need} points")
+            who = command if compares else f"the {kind.value} flow"
+            errors.append(f"grid.N: {who} needs at least {need} points")
 
     initial = get("initial_data")
     if initial is not None and not isinstance(initial, dict):
         errors.append("initial_data: must be an object")
         initial = None
-    if isinstance(initial, dict) and "generator" not in initial and "snapshot" not in initial:
-        errors.append("initial_data: needs either 'generator' or 'snapshot'")
+    if isinstance(initial, dict):
+        if "generator" not in initial and "snapshot" not in initial:
+            errors.append("initial_data: needs either 'generator' or 'snapshot'")
+        elif command == "gauge-compare" and "snapshot" in initial:
+            errors.append(
+                "initial_data: gauge-compare starts from a potential generator, not a snapshot"
+            )
 
     T = get("T")
     if T is not None:
@@ -218,12 +237,17 @@ def parse_run_config(
             errors.append("dt: must be finite")
         elif dt_raw <= 0:
             errors.append("dt: must be positive or 'auto'")
+    elif dt_raw == "auto" and None not in (grid, params, kind):
+        if not math.isfinite(auto_dt(params, grid.h, kind)):
+            errors.append("dt: these params have no stability bound; give dt as a number")
 
     output_times = get("output_times", required=False)
     if output_times is not None:
         output_times = _numbers(output_times)
         if output_times is None:
             errors.append("output_times: must be a list of numbers")
+        elif command == "curvature-residual" and len(output_times) < 3:
+            errors.append("output_times: curvature residuals need at least three snapshots")
 
     # the seed a generator draws from: --seed, else the one the config
     # gives as seed or initial_data.seed, which must agree; a boolean is
@@ -287,10 +311,7 @@ def build_state(rc: RunConfig) -> OrbitState:
 
 def resolve_dt(rc: RunConfig) -> float:
     if rc.dt_raw == "auto":
-        dt = auto_dt(rc.params, rc.grid.h, rc.kind)
-        if not np.isfinite(dt):
-            raise ConfigError(["dt: these params have no stability bound; give dt as a number"])
-        return dt
+        return auto_dt(rc.params, rc.grid.h, rc.kind)
     return float(rc.dt_raw)
 
 
@@ -349,8 +370,11 @@ def _write_json(path: str, obj) -> None:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
+    """Write header and rows as a new CSV, or append rows if header is None,
+    which spares a rewrite its truncation: a flush on ext4."""
+    with open(path, "a" if header is None else "w") as f:
+        if header is not None:
+            f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -432,10 +456,7 @@ def cmd_simulate(rc: RunConfig, out_dir: str) -> int:
             energies = astuple(energy_report(current, rc.params))
             m_residual = membership_residual(current.spec, current.phi.values)
             row = (target, *energies, spectrum_deviation(current), m_residual)
-            with open(csv_path, "a" if index else "w") as csv:
-                if not index:
-                    csv.write(",".join(OBSERVABLE_COLUMNS) + "\n")
-                csv.write(",".join(_fmt(v) for v in row) + "\n")
+            _write_csv(csv_path, None if index else OBSERVABLE_COLUMNS, [row])
 
     return _run(rc, out_dir, {"dt": dt, "output_times": times, "seed": rc.seed}, body)
 
@@ -450,18 +471,7 @@ def cmd_verify(out_dir: str | None, suite: str) -> int:
     return 0 if report["pass"] else 1
 
 
-def _check_commutator_command(rc: RunConfig, command: str) -> None:
-    """gauge-compare, reduce and curvature-residual cover the leading and
-    third orders, whose potential, vector and connection sides they integrate
-    with derivatives up to the fourth whatever the flow."""
-    if rc.kind is FlowKind.SECOND_ORDER:
-        raise ConfigError([f"flow: {command} covers leading_order and third_order"])
-    if rc.grid.num_points < MIN_POINTS[4]:
-        raise ConfigError([f"grid.N: {command} needs at least {MIN_POINTS[4]} points"])
-
-
 def cmd_gauge_compare(rc: RunConfig, out_dir: str) -> int:
-    _check_commutator_command(rc, "gauge-compare")
     try:
         ps0 = make_initial_potential(rc.spec, rc.grid, rc.initial_data, rc.seed)
     except ValueError as exc:
@@ -481,11 +491,7 @@ def cmd_gauge_compare(rc: RunConfig, out_dir: str) -> int:
 
 
 def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
-    try:
-        geometry = spec_geometry(rc.spec)
-    except ValueError as exc:
-        raise ConfigError([f"algebra: {exc}"]) from None
-    _check_commutator_command(rc, "reduce")
+    geometry = spec_geometry(rc.spec)
     state = build_state(rc)
     dt = resolve_dt(rc)
     times = _resolve_output_times(state.time, rc.T, dt, rc.output_times)
@@ -504,13 +510,10 @@ def cmd_reduce(rc: RunConfig, out_dir: str) -> int:
 
 
 def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
-    _check_commutator_command(rc, "curvature-residual")
     state = build_state(rc)
     dt = resolve_dt(rc)
     t0 = state.time
     if rc.output_times is not None:
-        if len(rc.output_times) < 3:
-            raise ConfigError(["output_times: curvature residuals need at least three snapshots"])
         times = _resolve_output_times(t0, rc.output_times[-1] - t0, dt, rc.output_times)
     else:
         times = [t0 + dt, t0 + 2.0 * dt, t0 + 3.0 * dt]

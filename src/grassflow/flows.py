@@ -88,7 +88,7 @@ DERIVATIVE_ORDER = {
 
 
 class StabilityError(RuntimeError):
-    """Requested step size exceeds the advisory stability bound."""
+    """Requested step exceeds the explicit bound where no midpoint step applies."""
 
 
 class FlowBlowupError(RuntimeError):
@@ -133,7 +133,7 @@ class NewtonError(RuntimeError):
 
 
 def stability_bound(p: FlowParams, h: float, kind: FlowKind = FlowKind.THIRD_ORDER) -> float:
-    """Advisory step-size bound for the explicit integrators."""
+    """Step-size bound for the explicit integrators."""
     kind = FlowKind(kind)
     if kind is FlowKind.SECOND_ORDER:
         return 0.2 * h ** 3 / THIRD_DERIV_GAIN
@@ -399,8 +399,9 @@ def _flow(spec: AlgebraSpec, grid: Grid, p: FlowParams, kind: FlowKind) -> _Flow
 
 
 def _check_stability(bound: float, dt: float):
-    # the march may cut a last step a few ulps longer than dt
-    if dt > bound * (1.0 + STEP_SLACK):
+    # the march may cut a last step a few ulps longer than dt; a NaN dt is
+    # outside the bound too
+    if not dt <= bound * (1.0 + STEP_SLACK):
         raise StabilityError(f"dt={dt:.3e} exceeds the stability bound {bound:.3e}")
 
 
@@ -415,9 +416,9 @@ def step(os: OrbitState, p: FlowParams, kind: FlowKind, dt: float) -> OrbitState
     bound, gen, symbol = _flow(os.spec, os.phi.grid, p, kind)
     frame0 = None if os.frame is None else os.frame.values
     residual, tol = 0.0, math.inf  # an RKMK step solves nothing
-    explicit = symbol is None or dt <= bound * (1.0 + STEP_SLACK)
-    if explicit:
+    if symbol is None:
         _check_stability(bound, dt)
+    explicit = dt <= bound * (1.0 + STEP_SLACK)
     with np.errstate(all="ignore"):
         if explicit:
             phi1, frame1 = _rkmk_step(gen, os.phi.values, frame0, dt)

@@ -34,6 +34,7 @@ from .gauge import (
     potential_rhs,
 )
 from .initial_data import (
+    _trig_sum,
     latitude_circle_state,
     random_frame_state,
     random_orbit_state,
@@ -216,21 +217,14 @@ def measure_conservation():
     ]
 
 
-def _smooth_profiles(rng, x, length, count, modes=2, amplitude=0.4):
-    out = np.zeros((count, x.shape[0]))
-    wave = 2.0 * np.pi / length
-    for i in range(count):
-        for m in range(1, modes + 1):
-            c, s = rng.standard_normal(2) * amplitude / m**2
-            out[i] += c * np.cos(m * wave * x) + s * np.sin(m * wave * x)
-    return out
-
-
 def random_spin_field(geometry: Geometry, grid: Grid, seed: int = 0) -> SpinField:
     """Smooth random field planted exactly on the geometry's quadric."""
-    rng = np.random.default_rng(seed)
+    # three profiles of two modes, drawn in (profile, mode, cos/sin) order,
+    # mode m weighted 0.4 / m^2
+    draw = np.random.default_rng(seed).standard_normal((3, 2, 2))
+    coeffs = draw.T * (0.4 / np.arange(1, 3) ** 2)[:, None]
     g = Geometry(geometry)
-    p = _smooth_profiles(rng, grid.x, grid.length, 3)
+    p = _trig_sum(grid.x, grid.length, coeffs).T
     if g is Geometry.SPHERE:
         v = np.stack([1.5 + p[0], p[1], p[2]], axis=-1)
         s = v / np.linalg.norm(v, axis=-1, keepdims=True)

@@ -448,6 +448,39 @@ def test_potential_side_commands_need_full_stencils(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "command, overrides, messages",
+    [
+        ("reduce", ["algebra.n=3", "flow=second_order", "grid.N=8"],
+         ["algebra: vector reductions need n = 2, k = 1",
+          "flow: reduce covers leading_order and third_order",
+          "grid.N: reduce needs at least 16 points"]),
+        ("curvature-residual", ["grid.N=8", "output_times=[0, 0.002]"],
+         ["grid.N: curvature-residual needs at least 16 points",
+          "output_times: curvature residuals need at least three snapshots"]),
+        ("simulate", ['params={"alpha": 0, "beta": 0, "gamma": 1}', "T=-1"],
+         ["T: must be nonnegative",
+          "dt: these params have no stability bound; give dt as a number"]),
+        ("gauge-compare", ['initial_data={"snapshot": "absent.json"}', "grid.N=8"],
+         ["initial_data: gauge-compare starts from a potential generator, not a snapshot",
+          "grid.N: gauge-compare needs at least 16 points"]),
+    ],
+    ids=["reduce", "curvature_residual", "simulate_auto_dt", "gauge_compare_snapshot"],
+)
+def test_every_fault_of_a_config_is_reported_together(
+    tmp_path, capsys, command, overrides, messages
+):
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    for override in overrides:
+        argv += ["--override", override]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert sorted(lines) == sorted(f"config error: {message}" for message in messages)
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["simulate", "gauge-compare"])
 def test_non_string_generator_is_a_config_error(tmp_path, capsys, command):
     cfg = _write_config(tmp_path / "c.json")

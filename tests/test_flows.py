@@ -124,6 +124,9 @@ def test_step_rejects_unstable_dt():
     with pytest.raises(StabilityError) as err:
         step(os, PARAMS, FlowKind.THIRD_ORDER, 2.0 * bound)
     assert str(err.value) == f"dt={2.0 * bound:.3e} exceeds the stability bound {bound:.3e}"
+    # a NaN step is outside the bound, not a step that blows up
+    with pytest.raises(StabilityError, match="^dt=nan exceeds the stability bound"):
+        step(os, PARAMS, FlowKind.THIRD_ORDER, float("nan"))
 
 
 @pytest.mark.parametrize("kind", list(FlowKind))
