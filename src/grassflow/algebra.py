@@ -9,17 +9,25 @@ family keeps exactly-zero imaginary parts through every operation here.
 The exponential is a truncated Taylor series whose degree is chosen from the
 argument's 1-norm so that the truncation error stays below 2**-53, with
 scaling and squaring for norms above 1.143; exp(a) and exp(-a) are E + O and
-E - O, from one split of the series into its even and odd parts.
+E - O, from one split of the series into its even and odd parts.  For 2x2
+matrices the same series is summed on the entries: with a = t I + b and
+b^2 = d I, exp(+-a) = e^(+-t) (C(d) I +- S(d) b), C and S the even and odd
+parts of the series as polynomials in d.
 
 This module decides how batched small-matrix algebra is computed, and every
-other module goes through its three kernels rather than calling `@` or
+other module goes through its two kernels rather than calling `@` or
 np.linalg.inv or solve on a field: _matmul (a left-to-right product of any
-number of factors), _solve and _inv.  The matrix shape picks the path.  2x2
-matrices, the common case, take closed forms: products from gathers on the
-flat (..., 4) view, inverses from the adjugate over the determinant and
-solves as inverse times right-hand side.  Every other shape goes to matmul
-and LAPACK.  A singular 2x2 matrix gives non-finite values rather than
-LinAlgError, for the caller's finiteness check to catch.
+number of factors) and _inv.  The matrix shape picks the path, and for every
+n <= 4 it is a closed form.  A product with an inner dimension of 1 is a
+broadcast multiply; an n x n product is a sum of n gathered columns times
+gathered rows on the flat (..., n^2) views; an inverse is the adjugate over
+the determinant, its cofactors built from 2x2 minors by gather tables built
+once, on first use.  Large fields of 3x3 and 4x4 matrices are formed in
+blocks of points.  n >= 5 goes to matmul and LAPACK.  A solve is an inverse
+times the right-hand side, and the midpoint step's Cayley factor
+C = (I + aW)^-1 (I - aW) is 2 (I + aW)^-1 - I, its inverse
+2 (I - aW)^-1 - I.  For every n a singular matrix gives non-finite values
+from _inv, never LinAlgError, for the caller's finiteness check to catch.
 """
 
 from __future__ import annotations
@@ -198,17 +206,114 @@ _ANTI = np.array([2, 1, 2, 1])
 _ADJ = np.array([3, 1, 2, 0])
 _ADJ_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
+# Entries of the largest block a 3x3 or 4x4 gather kernel forms in one pass.
+# Where a kernel's temporaries reach about 128 KB they become fresh memory
+# mappings whose pages fault in on first touch, which costs more than the
+# arithmetic: on a 2-vCPU host a 4x4 product over 2048 points took 1.4 ms in
+# one pass and about 0.7 ms in blocks of 256 points written into one output,
+# against 0.9 ms by matmul.
+_BLOCK_ENTRIES = 4096
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched a @ b, broadcast over leading axes.  Two 2x2 operands are
-    formed on the (..., 4) view as a * diag(b) + swapcols(a) * antidiag(b),
-    three gathers and two contiguous products, which avoids matmul's
-    per-matrix overhead; every other shape uses matmul."""
+
+@functools.cache
+def _product_gathers(n: int) -> tuple:
+    """Gathers for a @ b on the row-major (..., n * n) views: (a @ b)[i, j]
+    is sum_t a[i, k] b[k, j] with k = (j + t) % n.  Term 0 is a's own
+    entries times the diagonal entry of each column of b; returns the
+    positions of that diagonal and, for each later term, the positions of
+    its factors in a and in b, and the points of a block.  At n = 2 these
+    are _DIAG, _SWAP and _ANTI."""
+    i, j = np.divmod(np.arange(n * n), n)
+    k = (j + np.arange(n)[:, None]) % n
+    ka, kb = i * n + k, k * n + j
+    return kb[0], tuple(zip(ka[1:], kb[1:])), _BLOCK_ENTRIES // (n * n)
+
+
+@functools.cache
+def _cofactor_gathers(n: int) -> tuple:
+    """Gathers, on the row-major (..., n * n) view, for the adjugate of a
+    3x3 or 4x4 matrix from 2x2 minors m = a[P] a[Q] - a[R] a[S], P, Q, R
+    and S being the rows of the first table.
+
+    n = 3: adj[j, i] is the minor of a without row i and column j, its
+    columns ordered so that it carries the cofactor sign (-1)^(i + j); the
+    minors are the adjugate in row-major order.
+    n = 4: the minors are the six of rows (0, 1) and the six of rows
+    (2, 3).  adj[j, i] is the 3x3 minor of a without row i and column j,
+    expanded along the row r that shares i's pair: with c_t the columns
+    other than j and m_t the minor of the other pair on the columns other
+    than j and c_t, adj[j, i] = (-1)^(i + j) sum_t (-1)^t a[r, c_t] m_t.
+    Row t of the second table holds the positions of a[r, c_t] and row t
+    of the third those of m_t; the fourth is the signs (-1)^(i + j)."""
+    if n == 3:
+        gathers = []
+        for j in range(3):
+            for i in range(3):
+                (r0, r1), (c0, c1) = ([x for x in range(3) if x != y] for y in (i, j))
+                if (i + j) % 2:
+                    c0, c1 = c1, c0
+                gathers.append((r0 * 3 + c0, r1 * 3 + c1, r0 * 3 + c1, r1 * 3 + c0))
+        return (np.array(gathers).T,)
+    pairs = [(c0, c1) for c0 in range(4) for c1 in range(c0 + 1, 4)]
+    minors = [(r0, r1, c0, c1) for r0, r1 in ((0, 1), (2, 3)) for c0, c1 in pairs]
+    entries, terms = [], []
+    for j in range(4):
+        for i in range(4):
+            r = i ^ 1  # the row paired with i
+            others = (0, 1) if i >= 2 else (2, 3)
+            cols = [c for c in range(4) if c != j]
+            entries.append([r * 4 + c for c in cols])
+            terms.append([minors.index(others + tuple(x for x in cols if x != c)) for c in cols])
+    gathers = [(r0 * 4 + c0, r1 * 4 + c1, r0 * 4 + c1, r1 * 4 + c0) for r0, r1, c0, c1 in minors]
+    signs = (-1.0) ** np.add.outer(np.arange(4), np.arange(4)).ravel()
+    return np.array(gathers).T, np.array(entries).T, np.array(terms).T, signs
+
+
+def _block_cuts(*arrays: np.ndarray):
+    """Slices that cut the axis of points into blocks of at most
+    _BLOCK_ENTRIES entries, or None unless every array is an (N, n, n)
+    field on the same N points or an (n, n) constant.  An elementwise
+    kernel gives each point the values that a pass over a few points gives
+    it."""
+    points = {x.shape[0] for x in arrays if x.ndim == 3}
+    if len(points) != 1 or any(x.ndim > 3 for x in arrays):
+        return None
+    count, rows = points.pop(), _BLOCK_ENTRIES // arrays[0].shape[-1] ** 2
+    return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Batched a @ b, broadcast over leading axes.  Two n x n operands with
+    n <= 4 are formed on the flat (..., n * n) views as
+    sum_t a[i, (j + t) % n] b[(j + t) % n, j], each term a gathered column
+    of a times a gathered row of b: 2n - 1 gathers and n contiguous
+    products, without matmul's per-matrix overhead.  2x2 operands, the
+    common case, take it unrolled; a field of 3x3 or 4x4 matrices with more
+    points than a block is formed block by block, each into its rows of
+    one flat output (out, for a block).  An inner dimension of 1 is a
+    broadcast multiply.  Every other shape uses matmul."""
     sa, sb = a.shape, b.shape
     if sa[-2:] == (2, 2) == sb[-2:]:
         a4, b4 = a.reshape(sa[:-2] + (4,)), b.reshape(sb[:-2] + (4,))
         prod = a4 * b4.take(_DIAG, axis=-1) + a4.take(_SWAP, axis=-1) * b4.take(_ANTI, axis=-1)
         return prod.reshape(sa if sa == sb else prod.shape[:-1] + (2, 2))
+    n = sa[-1]
+    if 3 <= n <= 4 and sa[-2] == n and sb[-2:] == (n, n):
+        diag, terms, rows = _product_gathers(n)
+        if out is None and (sa[0] > rows or sb[0] > rows):
+            cuts = _block_cuts(a, b)
+            if cuts is not None:
+                out = np.empty((cuts[-1].stop, n * n), dtype=np.result_type(a, b))
+                for cut in cuts:
+                    _product(a[cut] if a.ndim == 3 else a, b[cut] if b.ndim == 3 else b, out[cut])
+                return out.reshape(-1, n, n)
+        a1, b1 = a.reshape(sa[:-2] + (n * n,)), b.reshape(sb[:-2] + (n * n,))
+        acc = np.multiply(a1, b1.take(diag, axis=-1), out=out)
+        for ia, ib in terms:
+            acc += a1.take(ia, axis=-1) * b1.take(ib, axis=-1)
+        return acc.reshape(sa if sa == sb else acc.shape[:-1] + (n, n))
+    if n == 1 == sb[-2]:
+        return a * b
     return a @ b
 
 
@@ -218,25 +323,57 @@ def _matmul(*factors: np.ndarray) -> np.ndarray:
     return functools.reduce(_product, factors)
 
 
-def _inv(a: np.ndarray) -> np.ndarray:
-    """Batched inverse: the adjugate over the determinant for 2x2, which is
-    non-finite where a is singular, and np.linalg.inv otherwise."""
+def _adjugate(flat: np.ndarray, n: int) -> np.ndarray:
+    """The adjugate of each 3x3 or 4x4 matrix on the row-major (..., n * n)
+    view, by the tables of _cofactor_gathers."""
+    gathers = _cofactor_gathers(n)
+    p, q, r, s = gathers[0]
+    minors = flat.take(p, axis=-1) * flat.take(q, axis=-1)
+    minors -= flat.take(r, axis=-1) * flat.take(s, axis=-1)
+    if n == 3:
+        return minors
+    (e0, e1, e2), (m0, m1, m2), signs = gathers[1:]
+    adj = flat.take(e0, axis=-1) * minors.take(m0, axis=-1)
+    adj -= flat.take(e1, axis=-1) * minors.take(m1, axis=-1)
+    adj += flat.take(e2, axis=-1) * minors.take(m2, axis=-1)
+    adj *= signs
+    return adj
+
+
+def _inv(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Batched inverse.  For n <= 4 it is the adjugate over the
+    determinant, non-finite where a is singular: for 2x2 the adjugate is
+    gathered and signed, for 3x3 and 4x4 it is built by _adjugate and the
+    determinant is the first row of a times its first column, block by
+    block as _product forms a large field.  For n >= 5 it is
+    np.linalg.inv, and all non-finite when a matrix of the batch is
+    singular.  It never raises LinAlgError."""
     if a.shape[-2:] == (2, 2):
         a4 = a.reshape(a.shape[:-2] + (4,))
         det = a4[..., 0] * a4[..., 3] - a4[..., 1] * a4[..., 2]
         return (a4.take(_ADJ, axis=-1) * _ADJ_SIGN / det[..., None]).reshape(a.shape)
-    return np.linalg.inv(a)
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched a^-1 b for matrices b: _inv(a) b for 2x2, non-finite where a
-    is singular, and np.linalg.solve otherwise.  For n > 2 the LAPACK solve
-    is kept because it is faster than an inverse and a product: on a 2-vCPU
-    host, at n = 4 and 256 points, the Cayley pair of a midpoint step takes
-    0.67 ms by two solves and 0.91 ms by two inverses and two products."""
-    if a.shape[-2:] == (2, 2):
-        return _matmul(_inv(a), b)
-    return np.linalg.solve(a, b)
+    n = a.shape[-1]
+    if 3 <= n <= 4:
+        if out is None and a.size > _BLOCK_ENTRIES:
+            cuts = _block_cuts(a)
+            if cuts is not None:
+                out = np.empty((cuts[-1].stop, n * n), dtype=np.result_type(a, 1.0))
+                for cut in cuts:
+                    _inv(a[cut], out[cut])
+                return out.reshape(a.shape)
+        flat = a.reshape(a.shape[:-2] + (n * n,))
+        adj = _adjugate(flat, n)
+        det = flat[..., 0] * adj[..., 0]
+        for k in range(1, n):
+            det += flat[..., k] * adj[..., k * n]
+        inverse = np.multiply(adj, (1.0 / det)[..., None], out=adj if out is None else out)
+        return inverse.reshape(a.shape)
+    if n == 1:
+        return 1.0 / a
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # raised for the whole batch
+        return np.full(a.shape, np.nan, dtype=np.result_type(a.dtype, np.float64))
 
 
 def _polynomial(powers: list, coeffs) -> np.ndarray:
@@ -262,28 +399,91 @@ def _polynomial(powers: list, coeffs) -> np.ndarray:
     return acc
 
 
-def _exp_pair(a: np.ndarray, pair: bool = True) -> tuple:
-    """exp(a), and exp(-a) when pair, as E + O and E - O from one even/odd
-    split of the Taylor polynomial.
-
-    The Taylor degree is the smallest m with ||a||_1 <= _TAYLOR_THETA[m - 1];
-    above the last threshold a is scaled by 2**-s and the results squared s
-    times.  The even part E = sum (a^2)^j / (2j)! and the odd part
-    O = a sum (a^2)^j / (2j + 1)! are polynomials in B = a^2, evaluated by
-    Paterson-Stockmeyer over the shared powers B, ..., B^q.  No input
-    check: non-finite input comes out non-finite, for the caller to detect.
-    """
-    # the 1-norm is the largest column sum; einsum sums the columns with far
-    # less overhead than sum(axis=-2) on small matrices
-    top = float(np.einsum("...ij->...j", np.abs(a)).max()) if a.size else 0.0
+def _taylor_plan(top: float) -> tuple:
+    """(m, s): the Taylor degree m and the squarings s for an argument of
+    1-norm top.  m is the smallest degree with top * 2**-s <=
+    _TAYLOR_THETA[m - 1], where s = 0 up to the last threshold and the
+    fewest halvings that bring top within it above.  A non-finite top gets
+    degree 1, which carries the non-finite entries through."""
     if not math.isfinite(top):
-        top = 0.0  # degree 1, which carries the non-finite entries through
+        return 1, 0
     squarings = 0
     if top > _TAYLOR_THETA[-1]:
         squarings = math.ceil(math.log2(top / _TAYLOR_THETA[-1]))
-        a = a * 2.0 ** -squarings
         top *= 2.0 ** -squarings
-    m = min(bisect.bisect_left(_TAYLOR_THETA, top), len(_TAYLOR_THETA) - 1) + 1
+    return min(bisect.bisect_left(_TAYLOR_THETA, top), len(_TAYLOR_THETA) - 1) + 1, squarings
+
+
+def _horner(coeffs, x):
+    """sum_j coeffs[j] x^j by Horner's rule; a lone coefficient stays a number."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _exp2_pair(a: np.ndarray, pair: bool) -> tuple:
+    """exp(a), and exp(-a) when pair, for 2x2 matrices, on the entries.
+
+    With t = tr(a) / 2 and b = a - t I, b^2 = d I where d = -det(b), so the
+    degree-m Taylor polynomial of exp(b) is C(d) I + S(d) b with
+    C = sum_{2j <= m} d^j / (2j)! and S = sum_{2j + 1 <= m} d^j / (2j + 1)!,
+    and exp(+-a) = e^(+-t) (C I +- S b).  m and the squarings s are
+    _taylor_plan's for ||b||_1, as the matrix series would take them; C
+    and S are evaluated at d / 4^s by Horner's rule, and each squaring is
+    C, S <- C^2 + d S^2, C S with d quadrupled.  exp(-a) is formed from
+    -t and -b, the values exp_map(-a) forms, so the pair is bit for bit
+    the two exponentials.
+    """
+    a4 = a.reshape(a.shape[:-2] + (4,))
+    a00, a01, a10, a11 = (a4[..., k] for k in range(4))
+    t = 0.5 * (a00 + a11)
+    h = 0.5 * (a00 - a11)  # b = [[h, a01], [a10, -h]]
+    top = float((np.maximum(np.abs(a01), np.abs(a10)) + np.abs(h)).max()) if a.size else 0.0
+    m, squarings = _taylor_plan(top)
+    d = h * h + a01 * a10
+    if squarings:
+        d = d * 4.0 ** -squarings
+    c = _TAYLOR_COEFFS[: m + 1]
+    cosh, sinhc = _horner(c[0::2], d), _horner(c[1::2], d)
+    for _ in range(squarings):
+        cosh, sinhc = cosh * cosh + d * (sinhc * sinhc), cosh * sinhc
+        d = 4.0 * d
+    out = []
+    for sign in (1, -1)[: 2 if pair else 1]:
+        e = np.exp(t if sign > 0 else -t)
+        ec, es = e * cosh, e * sinhc
+        if sign < 0:
+            es = -es  # S times -b is -S times b, bit for bit
+        g = np.empty(a4.shape, dtype=np.complex128)
+        esh = es * h
+        np.add(ec, esh, out=g[..., 0])
+        np.multiply(es, a01, out=g[..., 1])
+        np.multiply(es, a10, out=g[..., 2])
+        np.subtract(ec, esh, out=g[..., 3])
+        out.append(g.reshape(a.shape))
+    return tuple(out)
+
+
+def _exp_pair(a: np.ndarray, pair: bool = True) -> tuple:
+    """exp(a), and exp(-a) when pair, as E + O and E - O from one even/odd
+    split of the Taylor polynomial; 2x2 matrices take _exp2_pair.
+
+    The Taylor degree and the squarings are _taylor_plan's for ||a||_1; a
+    is scaled by 2**-s and the results squared s times.  The even part
+    E = sum (a^2)^j / (2j)! and the odd part O = a sum (a^2)^j / (2j + 1)!
+    are polynomials in B = a^2, evaluated by Paterson-Stockmeyer over the
+    shared powers B, ..., B^q.  No input check: non-finite input comes out
+    non-finite, for the caller to detect.
+    """
+    if a.shape[-2:] == (2, 2):
+        return _exp2_pair(a, pair)
+    # the 1-norm is the largest column sum; einsum sums the columns with far
+    # less overhead than sum(axis=-2) on small matrices
+    top = float(np.einsum("...ij->...j", np.abs(a)).max()) if a.size else 0.0
+    m, squarings = _taylor_plan(top)
+    if squarings:
+        a = a * 2.0 ** -squarings
     even = _TAYLOR_COEFFS[0 : m + 1 : 2]
     odd = _TAYLOR_COEFFS[1 : m + 1 : 2]
     # powers B .. B^q with q = ceil(sqrt(degree of E in B))

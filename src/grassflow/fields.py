@@ -152,8 +152,10 @@ def periodic_diff(values: np.ndarray, order: int, h: float) -> np.ndarray:
     offsets, weights, denom, power = _STENCILS[order]
     pad = max(offsets)  # the stencils are symmetric
     padded = _wrap_pad(v, pad)
-    acc = np.zeros(v.shape, dtype=np.result_type(v.dtype, np.float64))
-    for off, w in zip(offsets, weights):
+    first, dtype = pad + offsets[0], np.result_type(v.dtype, np.float64)
+    # the sum starts from its first term, in at least double precision
+    acc = np.multiply(weights[0], padded[first : first + npts], dtype=dtype)
+    for off, w in zip(offsets[1:], weights[1:]):
         acc += w * padded[pad + off : pad + off + npts]
     return acc / (denom * h ** power)
 

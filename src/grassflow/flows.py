@@ -42,10 +42,10 @@ from .algebra import (
     AlgebraSpec,
     Family,
     _exp_pair,
+    _inv,
     _matmul,
     _orbit_square,
     _project,
-    _solve,
     bracket,
 )
 from .fields import (
@@ -291,7 +291,7 @@ def _gcr(apply, precond, b: np.ndarray, tol: float) -> np.ndarray:
     return x
 
 
-def _isomp_step(gen, symbol, spec: AlgebraSpec, phi0: np.ndarray, frame0, dt: float):
+def _isomp_step(gen, symbol, peak: float, spec: AlgebraSpec, phi0: np.ndarray, frame0, dt: float):
     """One step of the isospectral midpoint (Modin and Viviani, FoCM 2020)
     for phi_t = [phi, gen(phi)].  With a = dt / 2 and W = gen(X), Newton
     solves (I + a W) X (I - a W) = phi0 for the midpoint X, each update by
@@ -299,17 +299,19 @@ def _isomp_step(gen, symbol, spec: AlgebraSpec, phi0: np.ndarray, frame0, dt: fl
     2004).  The step projects a W onto the algebra of spec and conjugates
     by the Cayley factor C = (I + a W)^-1 (I - a W): phi1 = C phi0 C^-1,
     frame1 = frame0 C^-1, so phi1 is isospectral to phi0, and stays in the
-    family, however far Newton got.
+    family, however far Newton got.  Since I - a W = 2 I - (I + a W),
+    C = 2 (I + a W)^-1 - I and C^-1 = 2 (I - a W)^-1 - I: two inverses
+    and no product.
 
     Returns (phi1, frame1, residual, tol) from the last iterate, residual
     being the max-abs residual of the midpoint equation and tol its stop
     test; the caller judges them.  A singular Cayley factor makes phi1
-    non-finite for n = 2 and raises LinAlgError otherwise.  symbol is the
-    FFT symbol of the linear part L of gen.
+    non-finite.  symbol is the FFT symbol of the linear part L of gen and
+    peak its largest modulus.
     """
     a = 0.5 * dt
     c2 = _orbit_square(spec)
-    tol = (NEWTON_TOL + np.finfo(float).eps * a * np.max(np.abs(symbol))) * np.max(np.abs(phi0))
+    tol = (NEWTON_TOL + np.finfo(float).eps * a * peak) * np.max(np.abs(phi0))
 
     def residual(x):
         aw = a * gen(x)
@@ -352,8 +354,8 @@ def _isomp_step(gen, symbol, spec: AlgebraSpec, phi0: np.ndarray, frame0, dt: fl
     # amplifies at large N; projected, the Cayley factor is in the group
     aw = _project(spec, aw)
     eye = np.eye(phi0.shape[-1])
-    c = _solve(eye + aw, eye - aw)
-    cinv = _solve(eye - aw, eye + aw)
+    c = 2.0 * _inv(eye + aw) - eye
+    cinv = 2.0 * _inv(eye - aw) - eye
     phi1 = _matmul(c, phi0, cinv)
     frame1 = None if frame0 is None else _matmul(frame0, cinv)
     return phi1, frame1, err, tol
@@ -374,28 +376,30 @@ def _second_order_generator(spec: AlgebraSpec, h: float):
     return gen
 
 
-_Flow = collections.namedtuple("_Flow", "bound generator symbol")
+_Flow = collections.namedtuple("_Flow", "bound generator symbol peak")
 
 
 @functools.lru_cache(maxsize=16)
 def _flow(spec: AlgebraSpec, grid: Grid, p: FlowParams, kind: FlowKind) -> _Flow:
     """What a step of this flow needs, built once: its explicit step bound,
-    its generator phi -> W and the real, read-only FFT symbol of the linear
-    part L = -alpha D2 + beta D4 of W.  The symbol is None where no midpoint
-    step applies: its preconditioner divides by 1 - 4 c^2 a^2 L^2, singular
+    its generator phi -> W, the real, read-only FFT symbol of the linear
+    part L = -alpha D2 + beta D4 of W, and the symbol's peak modulus, which
+    scales the midpoint's stop test.  Both are None where no midpoint step
+    applies: its preconditioner divides by 1 - 4 c^2 a^2 L^2, singular
     on para_gl (4 c^2 = +1: the flow is ill-posed at grid scale), and knows
     L only on the leading and third orders."""
     kind, h = FlowKind(kind), grid.h
     bound = stability_bound(p, h, kind)
     if kind is FlowKind.SECOND_ORDER:
-        return _Flow(bound, _second_order_generator(spec, h), None)
+        return _Flow(bound, _second_order_generator(spec, h), None, None)
     physics = _flow_params(p, kind)
-    symbol = None
+    symbol = peak = None
     if spec.family is not Family.PARA_REAL:
         d2, d4 = (stencil_symbol(order, grid.num_points, h) for order in (2, 4))
         symbol = (-physics.alpha * d2 + physics.beta * d4).real
         symbol.setflags(write=False)
-    return _Flow(bound, _generator(spec, h, physics), symbol)
+        peak = float(np.max(np.abs(symbol)))
+    return _Flow(bound, _generator(spec, h, physics), symbol, peak)
 
 
 def _check_stability(bound: float, dt: float):
@@ -413,7 +417,7 @@ def step(os: OrbitState, p: FlowParams, kind: FlowKind, dt: float) -> OrbitState
     raises FlowBlowupError, with os and step index 1, on a non-finite phi,
     frame or midpoint residual, or on a singular Cayley factor; the
     arithmetic that made the non-finite values warns of nothing."""
-    bound, gen, symbol = _flow(os.spec, os.phi.grid, p, kind)
+    bound, gen, symbol, peak = _flow(os.spec, os.phi.grid, p, kind)
     frame0 = None if os.frame is None else os.frame.values
     residual, tol = 0.0, math.inf  # an RKMK step solves nothing
     if symbol is None:
@@ -423,12 +427,9 @@ def step(os: OrbitState, p: FlowParams, kind: FlowKind, dt: float) -> OrbitState
         if explicit:
             phi1, frame1 = _rkmk_step(gen, os.phi.values, frame0, dt)
         else:
-            try:
-                phi1, frame1, residual, tol = _isomp_step(
-                    gen, symbol, os.spec, os.phi.values, frame0, dt
-                )
-            except np.linalg.LinAlgError:  # a singular Cayley factor, n > 2
-                raise FlowBlowupError(os, 1, os.time + dt) from None
+            phi1, frame1, residual, tol = _isomp_step(
+                gen, symbol, peak, os.spec, os.phi.values, frame0, dt
+            )
     if not all(np.all(np.isfinite(a)) for a in (phi1, frame1, residual) if a is not None):
         raise FlowBlowupError(os, 1, os.time + dt)
     if residual > tol:

@@ -6,11 +6,12 @@ the same underlying function.  For the same reason the amplitude of a
 bump, a random profile or a tangent field is its peak modulus on one fixed
 2048-point reference grid, which one normalizer sets for all three.  A
 spectral draw is evaluated as one product of a cos/sin table with its
-coefficients.
+coefficients, the table built once per grid and mode count.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 
 import numpy as np
@@ -24,30 +25,42 @@ from .reductions import Geometry, SpinField, s_to_phi
 _REFERENCE_POINTS = 2048
 
 
-def _reference_x(length: float) -> np.ndarray:
-    return np.linspace(0.0, length, _REFERENCE_POINTS, endpoint=False)
+def _reference_grid(length: float) -> Grid:
+    return Grid(_REFERENCE_POINTS, length)
 
 
 def _peak_normalized(env_of, grid, amplitude):
-    """env_of on grid, scaled so that its peak modulus on the reference grid
-    is amplitude: the same function of x at every resolution."""
-    peak = float(np.max(np.abs(env_of(_reference_x(grid.length)))))
+    """env_of(grid), scaled so that the peak modulus of env_of on the
+    reference grid is amplitude: the same function of x at every
+    resolution."""
+    peak = float(np.max(np.abs(env_of(_reference_grid(grid.length)))))
     if peak == 0.0:
         raise ValueError("degenerate envelope")
-    return (amplitude / peak) * env_of(grid.x)
+    return (amplitude / peak) * env_of(grid)
 
 
-def _trig_sum(x, length, coeffs):
-    """sum over m of cos(m w x) coeffs[0, m-1] + sin(m w x) coeffs[1, m-1],
-    w = 2 pi / L, as one product of the (2 modes, points) cos/sin table,
-    transposed, with the coefficients as a (2 modes, rows cols) matrix."""
-    modes = coeffs.shape[1]
-    phase = np.outer(np.arange(1, modes + 1) * (2.0 * np.pi / length), x)
+@functools.lru_cache(maxsize=32)
+def _trig_table(grid: Grid, modes: int) -> np.ndarray:
+    """The read-only (2 modes, N) table of cos(m w x) over sin(m w x),
+    m = 1 .. modes, w = 2 pi / L, at the nodes x of grid.  Built once per
+    grid and mode count: every draw of a run, and its peak on the reference
+    grid, evaluates the same table."""
+    phase = np.outer(np.arange(1, modes + 1) * (2.0 * np.pi / grid.length), grid.x)
     table = np.concatenate((np.cos(phase), np.sin(phase)))
+    table.setflags(write=False)
+    return table
+
+
+def _trig_sum(grid, coeffs):
+    """sum over m of cos(m w x) coeffs[0, m-1] + sin(m w x) coeffs[1, m-1]
+    at the nodes of grid, w = 2 pi / L, as one product of the cos/sin
+    table, transposed, with the coefficients as a (2 modes, rows cols)
+    matrix."""
+    modes = coeffs.shape[1]
     flat = coeffs.reshape(2 * modes, -1)
     # complex coefficients as pairs of real columns, so the product is real
-    values = table.T @ flat.view(np.float64)
-    return values.view(coeffs.dtype).reshape(x.shape + coeffs.shape[2:])
+    values = _trig_table(grid, modes).T @ flat.view(np.float64)
+    return values.view(coeffs.dtype).reshape((grid.num_points,) + coeffs.shape[2:])
 
 
 def _spectral_coeffs(rng, modes, rows, cols, complex_valued):
@@ -86,7 +99,7 @@ def random_smooth_potential(
     rng = np.random.default_rng(seed)
     rows, cols = spec.k, spec.n - spec.k
     coeffs = _spectral_coeffs(rng, modes, 1, 1, False)
-    profile = _peak_normalized(lambda x: _trig_sum(x, grid.length, coeffs)[:, 0, 0], grid, 1.0)
+    profile = _peak_normalized(lambda g: _trig_sum(g, coeffs)[:, 0, 0], grid, 1.0)
     qdir = _fixed_direction(rng, rows, cols, spec.family.is_unitary)
     q = amplitude * profile[:, None, None] * qdir
     if spec.family.is_unitary:
@@ -127,7 +140,7 @@ def gaussian_bump_potential(
     length = grid.length
     width = length / 10.0 if width is None else float(width)
     center = length / 2.0 if center is None else float(center)
-    env = _peak_normalized(lambda x: _periodized_bump(x, length, center, width), grid, amplitude)
+    env = _peak_normalized(lambda g: _periodized_bump(g.x, length, center, width), grid, amplitude)
     return _leading_entry_potential(spec, grid, env)
 
 
@@ -146,8 +159,8 @@ def two_bump_potential(
     c1 = (length - separation) / 2.0
     c2 = (length + separation) / 2.0
     env = _peak_normalized(
-        lambda x: _periodized_bump(x, length, c1, width)
-        + 0.7 * _periodized_bump(x, length, c2, width),
+        lambda g: _periodized_bump(g.x, length, c1, width)
+        + 0.7 * _periodized_bump(g.x, length, c2, width),
         grid,
         amplitude,
     )
@@ -181,7 +194,7 @@ def random_tangent_field(
     # the projection is real-linear and the cos/sin weights are real, so
     # projecting the coefficients projects every sample
     coeffs = _project(spec, coeffs)
-    return _peak_normalized(lambda x: _trig_sum(x, grid.length, coeffs), grid, amplitude)
+    return _peak_normalized(lambda g: _trig_sum(g, coeffs), grid, amplitude)
 
 
 def random_frame_state(

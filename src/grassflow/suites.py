@@ -224,7 +224,7 @@ def random_spin_field(geometry: Geometry, grid: Grid, seed: int = 0) -> SpinFiel
     draw = np.random.default_rng(seed).standard_normal((3, 2, 2))
     coeffs = draw.T * (0.4 / np.arange(1, 3) ** 2)[:, None]
     g = Geometry(geometry)
-    p = _trig_sum(grid.x, grid.length, coeffs).T
+    p = _trig_sum(grid, coeffs).T
     if g is Geometry.SPHERE:
         v = np.stack([1.5 + p[0], p[1], p[2]], axis=-1)
         s = v / np.linalg.norm(v, axis=-1, keepdims=True)

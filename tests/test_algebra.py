@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from grassflow.algebra import (
+    _BLOCK_ENTRIES,
     _TAYLOR_THETA,
     _exp_pair,
     _inv,
     _matmul,
-    _solve,
+    _project,
     AlgebraSpec,
     Family,
     bracket,
@@ -264,8 +265,76 @@ def test_solve_and_inverse_match_numpy(n):
     # 4 I plus a perturbation of 2-norm about 1: condition number below 2
     a = 4.0 * np.eye(n) + _draw(rng, 64, n, n) / (2 * n)
     b = _draw(rng, 64, n, n)
-    _assert_matches(_solve(a, b), np.linalg.solve(a, b), _KERNEL_RTOL)
+    # a solve is the closed-form inverse times the right-hand side
+    _assert_matches(_matmul(_inv(a), b), np.linalg.solve(a, b), _KERNEL_RTOL)
     _assert_matches(_inv(a), np.linalg.inv(a), _KERNEL_RTOL)
+
+
+@pytest.mark.parametrize("points", [128, 256])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kernels_match_numpy_at_suite_scales(n, points):
+    # the sizes the suites run: fields of n x n matrices, with constant
+    # (n, n) factors broadcast on either side; n = 1 also covers the
+    # rank-1 blocks (N, k, 1) x (N, 1, m) of the potential equations
+    rng = np.random.default_rng(15 + n)
+    a, b = _draw(rng, points, n, n), _draw(rng, points, n, n)
+    for x, y in [(a, b), (a, b[0]), (a[0], b)]:
+        _assert_matches(_matmul(x, y), x @ y, _KERNEL_RTOL)
+    if n == 1:
+        col, row = _draw(rng, points, 3, 1), _draw(rng, points, 1, 2)
+        _assert_matches(_matmul(col, row), col @ row, _KERNEL_RTOL)
+    well = 4.0 * np.eye(n) + a / (2 * n)
+    _assert_matches(_inv(well), np.linalg.inv(well), _KERNEL_RTOL)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_blocked_kernels_are_bit_equal_to_one_pass(n):
+    # a field of 3x3 or 4x4 matrices larger than a block is formed block by
+    # block; every point gets the values a pass over a few points gives it
+    rng = np.random.default_rng(16)
+    points = 2 * _BLOCK_ENTRIES // (n * n) + 7
+    a, b = _draw(rng, points, n, n), _draw(rng, points, n, n)
+    well = 4.0 * np.eye(n) + a / (2 * n)
+    for got, kernel, args in [
+        (_matmul(a, b), _matmul, (a, b)),
+        (_matmul(a, b[0]), lambda x: _matmul(x, b[0]), (a,)),
+        (_inv(well), _inv, (well,)),
+    ]:
+        pieces = [kernel(*(x[lo : lo + 9] for x in args)) for lo in range(0, points, 9)]
+        np.testing.assert_array_equal(got, np.concatenate(pieces))
+
+
+@pytest.mark.parametrize("family", [Family.COMPACT_UNITARY, Family.PARA_REAL])
+def test_two_by_two_exp_pair_matches_three_by_three_embedding(family):
+    # the closed form C(d) I +- S(d) b against the matrix series of the
+    # 3x3 block-diagonal embedding diag(a, 0), whose corner is exp(a)
+    rng = np.random.default_rng(17)
+    spec = AlgebraSpec(family, 2, 1)
+    for norm in [0.0] + _EXP_NORMS:
+        a = _project(spec, _draw(rng, 3, 2, 2))
+        a *= norm / np.max(np.sum(np.abs(a), axis=-2))
+        g, ginv = _exp_pair(a)
+        for sign, got in ((1.0, g), (-1.0, ginv)):
+            embedded = np.zeros((3, 3, 3), dtype=np.complex128)
+            embedded[:, :2, :2] = sign * a
+            want = exp_map(embedded)
+            _assert_matches(got, want[:, :2, :2], _KERNEL_RTOL)
+            assert np.all(want[:, 2, 2] == 1.0), norm
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cayley_factor_is_two_inverses(n):
+    # C = (I + aW)^-1 (I - aW) = 2 (I + aW)^-1 - I and C^-1 = 2 (I - aW)^-1 - I,
+    # as the midpoint step forms them, on a W of each unitary family
+    rng = np.random.default_rng(18)
+    eye = np.eye(n)
+    for family in (Family.COMPACT_UNITARY, Family.NONCOMPACT_UNITARY):
+        spec = AlgebraSpec(family, n, 1)
+        aw = _project(spec, _draw(rng, 256, n, n)) / (2 * n)
+        c = 2.0 * _inv(eye + aw) - eye
+        cinv = 2.0 * _inv(eye - aw) - eye
+        _assert_matches(c, np.linalg.solve(eye + aw, eye - aw), _KERNEL_RTOL)
+        assert np.max(np.abs(_matmul(c, cinv) - eye)) <= 1e-14, (n, family)
 
 
 def test_singular_two_by_two_is_non_finite_without_warning():
@@ -275,11 +344,17 @@ def test_singular_two_by_two_is_non_finite_without_warning():
     b = _draw(np.random.default_rng(14), 2, 2, 2)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        solved, inverse = _solve(a, b), _inv(a)
+        solved, inverse = _matmul(_inv(a), b), _inv(a)
     assert not np.any(np.isfinite(solved))
     assert not np.any(np.isfinite(inverse))
-    # larger matrices keep LAPACK's error
-    with pytest.raises(np.linalg.LinAlgError):
-        _solve(np.zeros((3, 3)), np.eye(3))
-    with pytest.raises(np.linalg.LinAlgError):
-        _inv(np.zeros((3, 3)))
+    # the larger closed forms and LAPACK's inverse keep the contract: a
+    # singular matrix among regular ones comes out non-finite, and the
+    # closed forms give the regular ones as they are
+    for n in (3, 4, 5):
+        batch = np.stack([np.eye(n), np.zeros((n, n)), np.ones((n, n)), 2.0 * np.eye(n)])
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inverse = _inv(batch.astype(np.complex128))
+        assert not np.any(np.isfinite(inverse[1:3])), n
+        if n <= 4:
+            np.testing.assert_array_equal(inverse[[0, 3]], [np.eye(n), 0.5 * np.eye(n)])

@@ -690,13 +690,24 @@ def _nan_generator(phi):
 
 
 @pytest.mark.parametrize("fault", ["nan_generator", "singular_cayley_factor"])
-def test_non_finite_midpoint_step_is_a_blowup(u2, monkeypatch, fault):
+def test_non_finite_midpoint_step_is_a_blowup(monkeypatch, fault):
     # a midpoint step that cannot give a finite field raises FlowBlowupError
     # from step itself, and the march counts the steps before it; here the
-    # first step is sound and the later ones are not
+    # first step is sound and the later ones are not.  The singular Cayley
+    # factor is a real one: on u(2,2), a W = [[0, I], [I, 0]] / a is in the
+    # algebra and I + a W is exactly singular, so its closed-form inverse
+    # is non-finite
+    spec = AlgebraSpec(Family.NONCOMPACT_UNITARY, 4, 2)
     grid = Grid(32, TWO_PI)
-    os = _state(u2, grid)
-    dt = 10 * stability_bound(PARAMS, grid.h)
+    os = _state(spec, grid)
+    dt = 2.0 ** -10  # a = dt / 2 and 1 / a are exact
+    assert dt > 5 * stability_bound(PARAMS, grid.h)
+    swap = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+    singular = swap / (0.5 * dt)
+
+    def singular_generator(phi):
+        return np.broadcast_to(singular, phi.shape).astype(np.complex128)
+
     real = flows._isomp_step
     calls = []
 
@@ -704,13 +715,13 @@ def test_non_finite_midpoint_step_is_a_blowup(u2, monkeypatch, fault):
         calls.append(gen)
         if len(calls) == 1:
             return real(gen, *args)
-        if fault == "nan_generator":
-            return real(_nan_generator, *args)
-        raise np.linalg.LinAlgError("Singular matrix")
+        return real(_nan_generator if fault == "nan_generator" else singular_generator, *args)
 
     monkeypatch.setattr(flows, "_isomp_step", faulty)
-    with pytest.raises(FlowBlowupError) as err:
-        evolve(os, PARAMS, FlowKind.THIRD_ORDER, 3 * dt, dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlowBlowupError) as err:
+            evolve(os, PARAMS, FlowKind.THIRD_ORDER, 3 * dt, dt)
     assert err.value.step_index == 2
     assert err.value.last_state.time == pytest.approx(dt)
     assert err.value.time == pytest.approx(2 * dt)
@@ -721,9 +732,30 @@ def test_non_finite_midpoint_step_is_a_blowup(u2, monkeypatch, fault):
     assert err.value.last_state is os
 
 
+@pytest.mark.parametrize(
+    "spec, points",
+    [
+        (AlgebraSpec(Family.COMPACT_UNITARY, 2, 1), 1024),
+        (AlgebraSpec(Family.NONCOMPACT_UNITARY, 4, 2), 256),
+    ],
+    ids=["u2-1024", "u22-256"],
+)
+def test_one_midpoint_step_keeps_the_orbit_at_scale(spec, points):
+    # one step of the example physics and data at the example's dt, far
+    # beyond the bound: the Cayley factor from two closed-form inverses
+    # keeps the spectrum and the family to roundoff
+    grid = Grid(points, TWO_PI)
+    data = {"generator": "random_smooth", "seed": 3, "modes": 2, "amplitude": 0.3}
+    os = make_initial_state(spec, grid, data)
+    assert 4e-5 > 1000 * stability_bound(PARAMS, grid.h)
+    new = step(os, PARAMS, FlowKind.THIRD_ORDER, 4e-5)
+    assert spectrum_deviation(new) < 1e-13
+    assert membership_residual(spec, new.phi.values) < 1e-13
+
+
 def test_singular_two_by_two_cayley_factor_is_a_blowup(monkeypatch):
     # on u(1,1), a W = [[0, 1], [1, 0]] is in the algebra and I + a W is
-    # exactly singular: the closed-form solve gives non-finite values, which
+    # exactly singular: the closed-form inverse gives non-finite values, which
     # step reports as a blow-up, warning of nothing
     spec = AlgebraSpec(Family.NONCOMPACT_UNITARY, 2, 1)
     grid = Grid(32, TWO_PI)

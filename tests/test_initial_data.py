@@ -11,12 +11,14 @@ from grassflow.algebra import (
     membership_residual,
     sigma3,
 )
+import grassflow.initial_data as initial_data
 from grassflow.fields import Grid
 from grassflow.gauge import PotentialState
 from grassflow.initial_data import (
     GENERATOR_NAMES,
     _fixed_direction,
-    _reference_x,
+    _reference_grid,
+    _trig_table,
     _spectral_coeffs,
     draws_seed,
     gaussian_bump_potential,
@@ -175,7 +177,8 @@ def _per_mode_tangent_field(spec, grid, seed, modes, amplitude):
     # projects and normalizes the summed field rather than the coefficients
     rng = np.random.default_rng(seed)
     cos_c, sin_c = _spectral_coeffs(rng, modes, spec.n, spec.n, spec.family.is_unitary)
-    ref = _project(spec, _per_mode_sum(_reference_x(grid.length), grid.length, cos_c, sin_c))
+    reference = _reference_grid(grid.length)
+    ref = _project(spec, _per_mode_sum(reference.x, grid.length, cos_c, sin_c))
     raw = _project(spec, _per_mode_sum(grid.x, grid.length, cos_c, sin_c))
     return (amplitude / np.max(np.abs(ref))) * raw
 
@@ -183,7 +186,7 @@ def _per_mode_tangent_field(spec, grid, seed, modes, amplitude):
 def _per_mode_smooth_potential(spec, grid, seed, modes, amplitude):
     rng = np.random.default_rng(seed)
     cos_c, sin_c = _spectral_coeffs(rng, modes, 1, 1, False)
-    ref = _per_mode_sum(_reference_x(grid.length), grid.length, cos_c, sin_c)
+    ref = _per_mode_sum(_reference_grid(grid.length).x, grid.length, cos_c, sin_c)
     profile = _per_mode_sum(grid.x, grid.length, cos_c, sin_c)[:, 0, 0] / np.max(np.abs(ref))
     qdir = _fixed_direction(rng, spec.k, spec.n - spec.k, spec.family.is_unitary)
     q = amplitude * profile[:, None, None] * qdir
@@ -214,6 +217,33 @@ def test_draws_match_the_per_mode_loop(family, n, modes, points):
             np.testing.assert_allclose(ps.r, want_r, rtol=0, atol=8 * eps * 0.3)
 
 
+def test_cached_trig_tables_give_the_uncached_draws(monkeypatch):
+    # a table is built once per (grid, modes) and shared, read-only, by
+    # every later draw and by the peak on the reference grid; the draws are
+    # bit for bit those of a table built afresh for each evaluation
+    specs = all_specs() + [AlgebraSpec(Family.NONCOMPACT_UNITARY, 4, 2)]
+    grids = [Grid(64, TWO_PI), Grid(128, TWO_PI), Grid(100, 7.5)]
+
+    def draws():
+        out = []
+        for spec in specs:
+            for grid in grids:
+                for seed in (0, 3):
+                    ps = random_smooth_potential(spec, grid, seed=seed)
+                    xi = random_tangent_field(spec, grid, seed=seed, modes=3)
+                    frame = random_orbit_state(spec, grid, seed=seed).frame.values
+                    out += [ps.q, ps.r, xi, frame]
+        return out
+
+    cached = draws()
+    table = _trig_table(grids[0], 2)
+    assert _trig_table(Grid(64, TWO_PI), 2) is table
+    assert not table.flags.writeable
+    monkeypatch.setattr(initial_data, "_trig_table", _trig_table.__wrapped__)
+    for got, want in zip(cached, draws(), strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("spec", all_specs() + [
     AlgebraSpec(Family.COMPACT_UNITARY, 4, 2),
     AlgebraSpec(Family.NONCOMPACT_UNITARY, 4, 2),
@@ -222,7 +252,7 @@ def test_draws_match_the_per_mode_loop(family, n, modes, points):
 def test_draw_peaks_on_the_reference_grid_are_the_amplitude(spec):
     # a grid of the reference size samples the points the peak is taken on
     grid = Grid(2048, TWO_PI)
-    np.testing.assert_array_equal(grid.x, _reference_x(grid.length))
+    assert grid == _reference_grid(grid.length)
     amplitude = 0.4
     ulp = np.spacing(amplitude)
     for seed in (0, 1, 2):
