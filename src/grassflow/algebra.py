@@ -17,14 +17,13 @@ parts of the series as polynomials in d.
 This module decides how batched small-matrix algebra is computed, and every
 other module goes through its two kernels rather than calling `@` or
 np.linalg.inv or solve on a field: _matmul (a left-to-right product of any
-number of factors) and _inv.  The matrix shape picks the path, and for every
-n <= 4 it is a closed form.  A product with an inner dimension of 1 is a
-broadcast multiply; an n x n product is a sum of n gathered columns times
-gathered rows on the flat (..., n^2) views; an inverse is the adjugate over
-the determinant, its cofactors built from 2x2 minors by gather tables built
-once, on first use.  Large fields of 3x3 and 4x4 matrices are formed in
-blocks of points.  n >= 5 goes to matmul and LAPACK.  A solve is an inverse
-times the right-hand side, and the midpoint step's Cayley factor
+number of factors) and _inv.  The matrix shape picks the path.  A product
+with an inner dimension of 1 is a broadcast multiply; a 2x2 or 3x3 product
+is a sum of n gathered columns times gathered rows on the flat (..., n^2)
+views, and larger products use matmul.  For n <= 4 an inverse is the
+adjugate over the determinant, its cofactors built from 2x2 minors by
+gather tables built once, at import; n >= 5 goes to LAPACK.  A solve is an
+inverse times the right-hand side, and the midpoint step's Cayley factor
 C = (I + aW)^-1 (I - aW) is 2 (I + aW)^-1 - I, its inverse
 2 (I - aW)^-1 - I.  For every n a singular matrix gives non-finite values
 from _inv, never LinAlgError, for the caller's finiteness check to catch.
@@ -195,41 +194,24 @@ _TAYLOR_THETA = (
 _TAYLOR_COEFFS = tuple(1.0 / math.factorial(k) for k in range(len(_TAYLOR_THETA) + 1))
 
 
-# Positions, in the row-major (..., 4) view of a 2x2 matrix, of: the diagonal
-# entry of each column (b00, b11, b00, b11), the entries with the columns
-# swapped (a01, a00, a11, a10), the off-diagonal entry of each column
-# (b10, b01, b10, b01), and the entries of the adjugate up to the signs
-# _ADJ_SIGN (a11, -a01, -a10, a00).
-_DIAG = np.array([0, 3, 0, 3])
-_SWAP = np.array([1, 0, 3, 2])
-_ANTI = np.array([2, 1, 2, 1])
+# Positions, in the row-major (..., 4) view of a 2x2 matrix, of the entries
+# of the adjugate up to the signs _ADJ_SIGN: (a11, -a01, -a10, a00).
 _ADJ = np.array([3, 1, 2, 0])
 _ADJ_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
-# Entries of the largest block a 3x3 or 4x4 gather kernel forms in one pass.
-# Where a kernel's temporaries reach about 128 KB they become fresh memory
-# mappings whose pages fault in on first touch, which costs more than the
-# arithmetic: on a 2-vCPU host a 4x4 product over 2048 points took 1.4 ms in
-# one pass and about 0.7 ms in blocks of 256 points written into one output,
-# against 0.9 ms by matmul.
-_BLOCK_ENTRIES = 4096
 
-
-@functools.cache
 def _product_gathers(n: int) -> tuple:
     """Gathers for a @ b on the row-major (..., n * n) views: (a @ b)[i, j]
     is sum_t a[i, k] b[k, j] with k = (j + t) % n.  Term 0 is a's own
     entries times the diagonal entry of each column of b; returns the
     positions of that diagonal and, for each later term, the positions of
-    its factors in a and in b, and the points of a block.  At n = 2 these
-    are _DIAG, _SWAP and _ANTI."""
+    its factors in a and in b."""
     i, j = np.divmod(np.arange(n * n), n)
     k = (j + np.arange(n)[:, None]) % n
     ka, kb = i * n + k, k * n + j
-    return kb[0], tuple(zip(ka[1:], kb[1:])), _BLOCK_ENTRIES // (n * n)
+    return kb[0], tuple(zip(ka[1:], kb[1:]))
 
 
-@functools.cache
 def _cofactor_gathers(n: int) -> tuple:
     """Gathers, on the row-major (..., n * n) view, for the adjugate of a
     3x3 or 4x4 matrix from 2x2 minors m = a[P] a[Q] - a[R] a[S], P, Q, R
@@ -269,46 +251,25 @@ def _cofactor_gathers(n: int) -> tuple:
     return np.array(gathers).T, np.array(entries).T, np.array(terms).T, signs
 
 
-def _block_cuts(*arrays: np.ndarray):
-    """Slices that cut the axis of points into blocks of at most
-    _BLOCK_ENTRIES entries, or None unless every array is an (N, n, n)
-    field on the same N points or an (n, n) constant.  An elementwise
-    kernel gives each point the values that a pass over a few points gives
-    it."""
-    points = {x.shape[0] for x in arrays if x.ndim == 3}
-    if len(points) != 1 or any(x.ndim > 3 for x in arrays):
-        return None
-    count, rows = points.pop(), _BLOCK_ENTRIES // arrays[0].shape[-1] ** 2
-    return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
+_PRODUCT_GATHERS = {n: _product_gathers(n) for n in (2, 3)}
+_COFACTOR_GATHERS = {n: _cofactor_gathers(n) for n in (3, 4)}
 
 
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Batched a @ b, broadcast over leading axes.  Two n x n operands with
-    n <= 4 are formed on the flat (..., n * n) views as
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched a @ b, broadcast over leading axes.  Two 2x2 or 3x3 operands
+    are formed on the flat (..., n * n) views as
     sum_t a[i, (j + t) % n] b[(j + t) % n, j], each term a gathered column
     of a times a gathered row of b: 2n - 1 gathers and n contiguous
-    products, without matmul's per-matrix overhead.  2x2 operands, the
-    common case, take it unrolled; a field of 3x3 or 4x4 matrices with more
-    points than a block is formed block by block, each into its rows of
-    one flat output (out, for a block).  An inner dimension of 1 is a
-    broadcast multiply.  Every other shape uses matmul."""
+    products, without matmul's per-matrix overhead.  An inner dimension of
+    1 is a broadcast multiply.  Every other shape uses matmul, 4x4 too:
+    there the gathered fields of a large batch cost more than matmul's
+    overhead (1.4 ms against 0.6 ms at 2048 points on a 2-vCPU Xeon)."""
     sa, sb = a.shape, b.shape
-    if sa[-2:] == (2, 2) == sb[-2:]:
-        a4, b4 = a.reshape(sa[:-2] + (4,)), b.reshape(sb[:-2] + (4,))
-        prod = a4 * b4.take(_DIAG, axis=-1) + a4.take(_SWAP, axis=-1) * b4.take(_ANTI, axis=-1)
-        return prod.reshape(sa if sa == sb else prod.shape[:-1] + (2, 2))
     n = sa[-1]
-    if 3 <= n <= 4 and sa[-2] == n and sb[-2:] == (n, n):
-        diag, terms, rows = _product_gathers(n)
-        if out is None and (sa[0] > rows or sb[0] > rows):
-            cuts = _block_cuts(a, b)
-            if cuts is not None:
-                out = np.empty((cuts[-1].stop, n * n), dtype=np.result_type(a, b))
-                for cut in cuts:
-                    _product(a[cut] if a.ndim == 3 else a, b[cut] if b.ndim == 3 else b, out[cut])
-                return out.reshape(-1, n, n)
+    if 2 <= n <= 3 and sa[-2] == n and sb[-2:] == (n, n):
+        diag, terms = _PRODUCT_GATHERS[n]
         a1, b1 = a.reshape(sa[:-2] + (n * n,)), b.reshape(sb[:-2] + (n * n,))
-        acc = np.multiply(a1, b1.take(diag, axis=-1), out=out)
+        acc = a1 * b1.take(diag, axis=-1)
         for ia, ib in terms:
             acc += a1.take(ia, axis=-1) * b1.take(ib, axis=-1)
         return acc.reshape(sa if sa == sb else acc.shape[:-1] + (n, n))
@@ -326,27 +287,32 @@ def _matmul(*factors: np.ndarray) -> np.ndarray:
 def _adjugate(flat: np.ndarray, n: int) -> np.ndarray:
     """The adjugate of each 3x3 or 4x4 matrix on the row-major (..., n * n)
     view, by the tables of _cofactor_gathers."""
-    gathers = _cofactor_gathers(n)
+    gathers = _COFACTOR_GATHERS[n]
     p, q, r, s = gathers[0]
-    minors = flat.take(p, axis=-1) * flat.take(q, axis=-1)
-    minors -= flat.take(r, axis=-1) * flat.take(s, axis=-1)
+    minors = flat.take(p, axis=-1)
+    minors *= flat.take(q, axis=-1)
+    term = flat.take(r, axis=-1)
+    term *= flat.take(s, axis=-1)
+    minors -= term
     if n == 3:
         return minors
     (e0, e1, e2), (m0, m1, m2), signs = gathers[1:]
-    adj = flat.take(e0, axis=-1) * minors.take(m0, axis=-1)
-    adj -= flat.take(e1, axis=-1) * minors.take(m1, axis=-1)
-    adj += flat.take(e2, axis=-1) * minors.take(m2, axis=-1)
+    adj = flat.take(e0, axis=-1)
+    adj *= minors.take(m0, axis=-1)
+    for e, m, update in ((e1, m1, np.subtract), (e2, m2, np.add)):
+        term = flat.take(e, axis=-1)
+        term *= minors.take(m, axis=-1)
+        update(adj, term, out=adj)
     adj *= signs
     return adj
 
 
-def _inv(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _inv(a: np.ndarray) -> np.ndarray:
     """Batched inverse.  For n <= 4 it is the adjugate over the
     determinant, non-finite where a is singular: for 2x2 the adjugate is
     gathered and signed, for 3x3 and 4x4 it is built by _adjugate and the
-    determinant is the first row of a times its first column, block by
-    block as _product forms a large field.  For n >= 5 it is
-    np.linalg.inv, and all non-finite when a matrix of the batch is
+    determinant is the first row of a times its first column.  For n >= 5
+    it is np.linalg.inv, and all non-finite when a matrix of the batch is
     singular.  It never raises LinAlgError."""
     if a.shape[-2:] == (2, 2):
         a4 = a.reshape(a.shape[:-2] + (4,))
@@ -354,20 +320,13 @@ def _inv(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return (a4.take(_ADJ, axis=-1) * _ADJ_SIGN / det[..., None]).reshape(a.shape)
     n = a.shape[-1]
     if 3 <= n <= 4:
-        if out is None and a.size > _BLOCK_ENTRIES:
-            cuts = _block_cuts(a)
-            if cuts is not None:
-                out = np.empty((cuts[-1].stop, n * n), dtype=np.result_type(a, 1.0))
-                for cut in cuts:
-                    _inv(a[cut], out[cut])
-                return out.reshape(a.shape)
         flat = a.reshape(a.shape[:-2] + (n * n,))
         adj = _adjugate(flat, n)
         det = flat[..., 0] * adj[..., 0]
         for k in range(1, n):
             det += flat[..., k] * adj[..., k * n]
-        inverse = np.multiply(adj, (1.0 / det)[..., None], out=adj if out is None else out)
-        return inverse.reshape(a.shape)
+        adj *= (1.0 / det)[..., None]
+        return adj.reshape(a.shape)
     if n == 1:
         return 1.0 / a
     try:

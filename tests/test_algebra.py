@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from grassflow.algebra import (
-    _BLOCK_ENTRIES,
     _TAYLOR_THETA,
     _exp_pair,
     _inv,
@@ -285,23 +284,6 @@ def test_kernels_match_numpy_at_suite_scales(n, points):
         _assert_matches(_matmul(col, row), col @ row, _KERNEL_RTOL)
     well = 4.0 * np.eye(n) + a / (2 * n)
     _assert_matches(_inv(well), np.linalg.inv(well), _KERNEL_RTOL)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_blocked_kernels_are_bit_equal_to_one_pass(n):
-    # a field of 3x3 or 4x4 matrices larger than a block is formed block by
-    # block; every point gets the values a pass over a few points gives it
-    rng = np.random.default_rng(16)
-    points = 2 * _BLOCK_ENTRIES // (n * n) + 7
-    a, b = _draw(rng, points, n, n), _draw(rng, points, n, n)
-    well = 4.0 * np.eye(n) + a / (2 * n)
-    for got, kernel, args in [
-        (_matmul(a, b), _matmul, (a, b)),
-        (_matmul(a, b[0]), lambda x: _matmul(x, b[0]), (a,)),
-        (_inv(well), _inv, (well,)),
-    ]:
-        pieces = [kernel(*(x[lo : lo + 9] for x in args)) for lo in range(0, points, 9)]
-        np.testing.assert_array_equal(got, np.concatenate(pieces))
 
 
 @pytest.mark.parametrize("family", [Family.COMPACT_UNITARY, Family.PARA_REAL])
