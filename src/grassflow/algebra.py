@@ -290,8 +290,8 @@ def _adjugate(flat: np.ndarray, n: int) -> np.ndarray:
     with mode="clip"; every index is in range) and the minors' buffers are
     freed before the expansion allocates its own, because fresh memory for
     a large field's temporaries costs page faults: at 2048 points a 4x4
-    inverse takes 1.0 ms so, 1.5 ms with new arrays per term, and 1.2 ms
-    by LAPACK on a 2-vCPU Xeon."""
+    inverse takes 1.0 ms this way, 1.5 ms with new arrays for every term,
+    and 1.2 ms by LAPACK on a 2-vCPU Xeon."""
     gathers = _cofactor_gathers(n)
     p, q, r, s = gathers[0]
     minors, work = flat.take(p, axis=-1), flat.take(q, axis=-1)
@@ -319,9 +319,9 @@ def _inv(a: np.ndarray) -> np.ndarray:
     """Batched inverse.  For n <= 4 it is the adjugate over the
     determinant, non-finite where a is singular: for 2x2 the adjugate is
     gathered and signed, for 3x3 and 4x4 it is built by _adjugate and the
-    determinant is the first row of a times its first column.  For n >= 5
-    it is np.linalg.inv, and all non-finite when a matrix of the batch is
-    singular.  It never raises LinAlgError."""
+    determinant is the first row of a times the adjugate's first column.
+    For n >= 5 it is np.linalg.inv, and all non-finite when a matrix of the
+    batch is singular.  It never raises LinAlgError."""
     if a.shape[-2:] == (2, 2):
         a4 = a.reshape(a.shape[:-2] + (4,))
         det = a4[..., 0] * a4[..., 3] - a4[..., 1] * a4[..., 2]
