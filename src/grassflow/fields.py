@@ -137,27 +137,38 @@ _STENCILS = {
 MIN_POINTS = {1: 5, 2: 5, 3: 16, 4: 16}
 
 
-def periodic_diff(values: np.ndarray, order: int, h: float) -> np.ndarray:
+def periodic_diff(values: np.ndarray, order: int | tuple[int, ...], h: float):
     """Central fourth-order-accurate difference along axis 0 with wraparound.
 
     Works on any array whose leading axis is the grid axis.  The array is
-    wrap-padded once and the stencil summed over shifted slices of it.
+    wrap-padded once and the stencil summed over shifted slices of it.  order
+    is 1, 2, 3 or 4, or a tuple of them: a tuple pads once, as wide as its
+    widest stencil, and gives a tuple of one array per order, each
+    byte-identical to its single-order call.
     """
-    if order not in _STENCILS:
+    if isinstance(order, tuple) and order and _STENCILS.keys() >= set(order):
+        orders, top = order, max(order)  # the highest order reaches furthest
+    elif not isinstance(order, (tuple, list)) and order in _STENCILS:
+        orders, top = (order,), order
+    else:
         raise ValueError("derivative order must be 1, 2, 3 or 4")
     v = np.asarray(values)
     npts = v.shape[0]
-    if npts < MIN_POINTS[order]:
-        raise ValueError(f"need at least {MIN_POINTS[order]} points for an order-{order} derivative")
-    offsets, weights, denom, power = _STENCILS[order]
-    pad = max(offsets)  # the stencils are symmetric
+    if npts < MIN_POINTS[top]:
+        raise ValueError(f"need at least {MIN_POINTS[top]} points for an order-{top} derivative")
+    pad = _STENCILS[top][0][-1]  # the offsets are symmetric and ascending
     padded = _wrap_pad(v, pad)
-    first, dtype = pad + offsets[0], np.result_type(v.dtype, np.float64)
-    # the sum starts from its first term, in at least double precision
-    acc = np.multiply(weights[0], padded[first : first + npts], dtype=dtype)
-    for off, w in zip(offsets[1:], weights[1:]):
-        acc += w * padded[pad + off : pad + off + npts]
-    return acc / (denom * h ** power)
+    dtype = np.promote_types(v.dtype, np.float64)
+    diffs = []
+    for o in orders:
+        offsets, weights, denom, power = _STENCILS[o]
+        # the sum starts from its first term, in at least double precision
+        first = pad + offsets[0]
+        acc = np.multiply(weights[0], padded[first : first + npts], dtype=dtype)
+        for off, w in zip(offsets[1:], weights[1:]):
+            acc += w * padded[pad + off : pad + off + npts]
+        diffs.append(acc / (denom * h ** power))
+    return tuple(diffs) if orders is order else diffs[0]
 
 
 def stencil_symbol(order: int, num_points: int, h: float) -> np.ndarray:

@@ -368,9 +368,9 @@ def _second_order_generator(spec: AlgebraSpec, h: float):
     c2 = _orbit_square(spec)
 
     def gen(phi: np.ndarray) -> np.ndarray:
-        phix = periodic_diff(phi, 1, h)
+        phix, phixxx = periodic_diff(phi, (1, 3), h)
         corr = bracket(phix, bracket(phi, phix))
-        rate = periodic_diff(phi, 3, h) + (-6.0 * c2) * periodic_diff(corr, 1, h)
+        rate = phixxx + (-6.0 * c2) * periodic_diff(corr, 1, h)
         return bracket(phi, rate) / (4.0 * c2)
 
     return gen
@@ -527,9 +527,7 @@ def curve_flow_rhs(os: OrbitState, p: FlowParams) -> MatrixField:
     at the anchor node."""
     h = os.phi.grid.h
     phi = os.phi.values
-    phix = periodic_diff(phi, 1, h)
-    phixx = periodic_diff(phi, 2, h)
-    phixxx = periodic_diff(phi, 3, h)
+    phix, phixx, phixxx = periodic_diff(phi, (1, 2, 3), h)
     out = -p.alpha * bracket(phi, phix)
     if p.beta != 0.0:
         out += p.beta * (bracket(phi, phixxx) - bracket(phix, phixx))

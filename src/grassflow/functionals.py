@@ -51,8 +51,7 @@ def energy_report(os: OrbitState, p: FlowParams) -> EnergyReport:
     spec = os.spec
     h = os.phi.grid.h
     phi = os.phi.values
-    phix = periodic_diff(phi, 1, h)
-    phixx = periodic_diff(phi, 2, h)
+    phix, phixx = periodic_diff(phi, (1, 2), h)
     phiinv = phi / _orbit_square(spec)  # phi^2 = c^2 I on the orbit
     r = _matmul(phix, phiinv)
     chain = _matmul(r, phix)  # phix phiinv phix
@@ -73,8 +72,7 @@ def tension(os: OrbitState) -> MatrixField:
     """Gradient of the base energy: -(phi_xx - phi_x phi^-1 phi_x)."""
     h = os.phi.grid.h
     phi = os.phi.values
-    phix = periodic_diff(phi, 1, h)
-    phixx = periodic_diff(phi, 2, h)
+    phix, phixx = periodic_diff(phi, (1, 2), h)
     phiinv = phi / _orbit_square(os.spec)  # phi^2 = c^2 I on the orbit
     return MatrixField(os.phi.grid, -(phixx - _matmul(phix, phiinv, phix)))
 
@@ -94,19 +92,15 @@ def functional_gradient(os: OrbitState, name: str) -> MatrixField:
     phix = periodic_diff(phi, 1, h)
     c2 = _orbit_square(spec)
     phiinv = phi / c2  # phi^2 = c^2 I on the orbit
-    s22 = -4.0 * c2
-    chain = _matmul(phiinv, phix, phiinv, phix, phiinv, phix, phiinv)
-    if name == "E22":
-        return MatrixField(os.phi.grid, s22 * periodic_diff(chain, 1, h))
-    if name == "E23":
-        return MatrixField(os.phi.grid, 0.5 * s22 * periodic_diff(chain, 1, h))
-    # Etilde
-    if spec.family is Family.COMPACT_UNITARY:
+    if name == "Etilde" and spec.family is Family.COMPACT_UNITARY:
         r = _matmul(phix, phiinv)
         r3 = _matmul(r, r, r)
-        grad = _matmul(phiinv, periodic_diff(r3, 1, h) + _matmul(r3, r))
-        return MatrixField(os.phi.grid, grad)
-    return MatrixField(os.phi.grid, s22 * periodic_diff(chain, 1, h))
+        return MatrixField(os.phi.grid, _matmul(phiinv, periodic_diff(r3, 1, h) + _matmul(r3, r)))
+    # E22, and Etilde off the compact family, are s22 (chain)_x; E23 is half of it
+    s22 = -4.0 * c2
+    chain = _matmul(phiinv, phix, phiinv, phix, phiinv, phix, phiinv)
+    scale = 0.5 * s22 if name == "E23" else s22
+    return MatrixField(os.phi.grid, scale * periodic_diff(chain, 1, h))
 
 
 def functional_value(os: OrbitState, name: str) -> float:

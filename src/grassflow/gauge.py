@@ -153,9 +153,7 @@ def connection(os: OrbitState, p: FlowParams, lam: float) -> tuple[np.ndarray, n
     phi^2 = c^2 I."""
     h = os.phi.grid.h
     phi = os.phi.values
-    phix = periodic_diff(phi, 1, h)
-    phixx = periodic_diff(phi, 2, h)
-    phixxx = periodic_diff(phi, 3, h)
+    phix, phixx, phixxx = periodic_diff(phi, (1, 2, 3), h)
     phix2 = _matmul(phix, phix)
     cube = _matmul(phix2, phix)
     lam = float(lam)
@@ -212,15 +210,15 @@ def _collected_block(q, r, h, alpha, beta, cnl):
     The complex families use i times this value as q_t; the split family
     uses its negative for q_t and the argument-swapped value for r_t.
     """
-    qx = periodic_diff(q, 1, h)
-    rx = periodic_diff(r, 1, h)
-    qxx = periodic_diff(q, 2, h)
+    if beta == 0.0:
+        qxx = periodic_diff(q, 2, h)
+    else:
+        qx, qxx, qxxxx = periodic_diff(q, (1, 2, 4), h)
+        rx, rxx = periodic_diff(r, (1, 2), h)
     rq = _matmul(r, q)
     qr = _matmul(q, r)
     out = alpha * (-qxx + 2.0 * _matmul(q, rq))
     if beta != 0.0:
-        rxx = periodic_diff(r, 2, h)
-        qxxxx = periodic_diff(q, 4, h)
         out = out + beta * (
             qxxxx
             - 4.0 * _matmul(qxx, rq)
@@ -350,11 +348,8 @@ def akns4_rhs(q: np.ndarray, h: float) -> np.ndarray:
     block, written independently of potential_rhs as an oracle."""
     q = np.asarray(q, dtype=np.complex128)
     qs = np.conj(np.swapaxes(q, -1, -2))
-    qx = periodic_diff(q, 1, h)
-    qsx = periodic_diff(qs, 1, h)
-    qxx = periodic_diff(q, 2, h)
-    qsxx = periodic_diff(qs, 2, h)
-    qxxxx = periodic_diff(q, 4, h)
+    qx, qxx, qxxxx = periodic_diff(q, (1, 2, 4), h)
+    qsx, qsxx = periodic_diff(qs, (1, 2), h)
     return 1j * (
         qxxxx
         + 4.0 * _matmul(qxx, qs, q)
@@ -371,9 +366,9 @@ def matrix_kdv_rhs(q: np.ndarray, h: float) -> np.ndarray:
     """Third-order integrable matrix equation used by the split-family
     cross-checks: Q_t = Q_xxx - 2(Q^3)_x - [Q, [Q, Q_x]]."""
     q = np.asarray(q, dtype=np.complex128)
-    qx = periodic_diff(q, 1, h)
+    qx, qxxx = periodic_diff(q, (1, 3), h)
     return (
-        periodic_diff(q, 3, h)
+        qxxx
         - 2.0 * periodic_diff(_matmul(q, q, q), 1, h)
         - bracket(q, bracket(q, qx))
     )

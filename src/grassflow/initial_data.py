@@ -174,6 +174,8 @@ def plane_wave_potential(
     mode: int = 1,
 ) -> PotentialState:
     """Single-harmonic standing profile in the leading entry."""
+    if mode != int(mode):  # a fractional mode breaks the profile at the wrap
+        raise ValueError("mode must be a whole number")
     if mode == 0:
         raise ValueError("mode must be nonzero")
     wave = 2.0 * np.pi * mode / grid.length
@@ -233,6 +235,8 @@ def latitude_circle_state(grid: Grid, mode: int = 8, height: float = 0.65) -> Or
     the state a sharp probe of time-integration error."""
     if not -1.0 < height < 1.0:
         raise ValueError("height must lie strictly between -1 and 1")
+    if mode != int(mode):  # a fractional mode breaks the circle at the wrap
+        raise ValueError("mode must be a whole number")
     radius = np.sqrt(1.0 - height * height)
     wave = 2.0 * np.pi * mode / grid.length
     s = np.empty((grid.num_points, 3))
@@ -274,11 +278,13 @@ def draws_seed(config: dict) -> bool:
 def _generate(spec: AlgebraSpec, grid: Grid, config: dict, seed: int | None):
     """Run the builder that config names with the rest of config as keyword
     options.  A builder that draws from a seed gets seed unless config
-    gives one.  Bad or non-finite options raise ValueError."""
+    gives one.  Bad, boolean or non-finite options raise ValueError."""
     options = dict(config)
     name = options.pop("generator", None)
     builder = _GENERATORS[name]
     for key, value in options.items():
+        if isinstance(value, bool):  # Python counts a boolean as an int
+            raise ValueError(f"bad options for generator '{name}': {key} must be a number")
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"bad options for generator '{name}': {key} must be finite")
     if seed is not None and draws_seed(config):

@@ -162,12 +162,14 @@ def spin_rhs(sf: SpinField, p: FlowParams) -> np.ndarray:
     g = sf.geometry
     h = sf.grid.h
     s = sf.s
-    core = -p.alpha * periodic_diff(s, 2, h)
-    if p.beta != 0.0:
-        core = core + p.beta * periodic_diff(s, 4, h)
+    if p.beta == 0.0:
+        sx, sxx = periodic_diff(s, (1, 2), h)
+        core = -p.alpha * sxx
+    else:
+        sx, sxx, sxxxx = periodic_diff(s, (1, 2, 4), h)
+        core = -p.alpha * sxx + p.beta * sxxxx
     coeff = 4.0 * p.gamma - 2.0 * p.beta
     if coeff != 0.0:
-        sx = periodic_diff(s, 1, h)
         nsq = quadric_value(g, sx)
         sgn = 1.0 if g is Geometry.HYPERBOLIC else -1.0
         core = core + (sgn * coeff) * periodic_diff(nsq[:, None] * sx, 1, h)
@@ -253,13 +255,10 @@ def cross_check_matrix_vs_vector(
 def _scalar_block(q, r, h, alpha, beta, cnl):
     """Scalar transcription of the shared potential-equation block, kept
     term by term so it can disambiguate the matrix assembly."""
-    qx = periodic_diff(q, 1, h)
-    rx = periodic_diff(r, 1, h)
-    qxx = periodic_diff(q, 2, h)
+    qx, qxx, qxxxx = periodic_diff(q, (1, 2, 4), h)
+    rx, rxx = periodic_diff(r, (1, 2), h)
     out = alpha * (-qxx + 2.0 * q * r * q)
     if beta != 0.0:
-        rxx = periodic_diff(r, 2, h)
-        qxxxx = periodic_diff(q, 4, h)
         out = out + beta * (
             qxxxx
             - 4.0 * qxx * r * q
@@ -283,11 +282,9 @@ def _closed_scalar_complex(q, h, alpha, beta, cnl, focusing_sign):
     argument is +1 for the compact case and -1 for the noncompact case."""
     qb = np.conj(q)
     a2 = (q * qb).real
-    qx = periodic_diff(q, 1, h)
-    qxx = periodic_diff(q, 2, h)
+    qx, qxx, qxxxx = periodic_diff(q, (1, 2, 4), h)
     s = -alpha * (qxx + focusing_sign * 2.0 * a2 * q)
     if beta != 0.0:
-        qxxxx = periodic_diff(q, 4, h)
         a2xx = periodic_diff(a2, 2, h)
         s = s + beta * (
             qxxxx
@@ -346,13 +343,10 @@ def _closed_scalar_split_q(q, r, h, alpha, beta, cnl):
     """Printed closed scalar q-equation of the split family; the r
     equation is the negative of the same expression with the arguments
     swapped."""
-    qx = periodic_diff(q, 1, h)
-    rx = periodic_diff(r, 1, h)
-    qxx = periodic_diff(q, 2, h)
-    rxx = periodic_diff(r, 2, h)
+    qx, qxx, qxxxx = periodic_diff(q, (1, 2, 4), h)
+    rx, rxx = periodic_diff(r, (1, 2), h)
     out = alpha * (qxx - 2.0 * q * q * r)
     if beta != 0.0:
-        qxxxx = periodic_diff(q, 4, h)
         out = out + beta * (
             -qxxxx
             + 6.0 * qx * qx * r

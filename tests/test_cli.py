@@ -525,6 +525,46 @@ def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, command, overrid
     assert not os.path.exists(out)
 
 
+_BAD_AMPLITUDE = "initial_data: bad options for generator 'random_smooth': amplitude must be a number"
+_FRACTIONAL_MODE = "initial_data: mode must be a whole number"
+
+
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("simulate", "initial_data.amplitude=false", _BAD_AMPLITUDE),
+        ("simulate", "initial_data.amplitude=true", _BAD_AMPLITUDE),
+        ("simulate", "initial_data.modes=true",
+         "initial_data: bad options for generator 'random_smooth': modes must be a number"),
+        ("gauge-compare", "initial_data.amplitude=false", _BAD_AMPLITUDE),
+        ("simulate", 'initial_data={"generator": "latitude_circle", "mode": 2.5}', _FRACTIONAL_MODE),
+        ("simulate", 'initial_data={"generator": "plane_wave", "mode": 2.5}', _FRACTIONAL_MODE),
+        ("gauge-compare", 'initial_data={"generator": "plane_wave", "mode": 2.5}', _FRACTIONAL_MODE),
+    ],
+    ids=["simulate_amplitude_false", "simulate_amplitude_true", "simulate_modes_true",
+         "gauge_amplitude_false", "latitude_circle_fraction", "plane_wave_fraction",
+         "gauge_plane_wave_fraction"],
+)
+def test_boolean_and_fractional_generator_options_are_config_errors(
+    tmp_path, capsys, command, override, message
+):
+    # false once ran on a zero potential, and mode 2.5 on a field broken at the wrap
+    cfg = _write_config(tmp_path / "c.json", flow="third_order",
+                        params={"alpha": 1.0, "beta": 0.1, "gamma": -0.0125},
+                        initial_data={"generator": "random_smooth", "modes": 2})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--override", override]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(out)
+
+
+def test_whole_number_modes_given_as_floats_still_run(tmp_path):
+    for generator in ("latitude_circle", "plane_wave"):
+        cfg = _write_config(tmp_path / "c.json", T=0.0,
+                            initial_data={"generator": generator, "mode": 2.0})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / generator)]) == 0
+
+
 @pytest.mark.parametrize("output_times", [[0.0, 0.001], []])
 @pytest.mark.parametrize("command", ["simulate", "gauge-compare", "reduce"])
 def test_output_times_must_end_at_the_end_of_the_run(tmp_path, capsys, command, output_times):

@@ -1,19 +1,26 @@
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+import grassflow.fields as fields
+from grassflow.algebra import AlgebraSpec, Family
 from grassflow.fields import (
+    MIN_POINTS,
     Grid,
     MatrixField,
     cumulative_trapezoid,
     periodic_diff,
     stencil_symbol,
 )
-from grassflow.flows import FOURTH_DERIV_GAIN, THIRD_DERIV_GAIN
+from grassflow.flows import FOURTH_DERIV_GAIN, THIRD_DERIV_GAIN, curve_flow_rhs
+from grassflow.functionals import FlowParams, energy_report
+from grassflow.gauge import akns4_rhs, connection, potential_rhs
+from grassflow.initial_data import random_orbit_state, random_smooth_potential
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,6 +151,97 @@ def test_padded_stencil_is_bit_equal_to_rolled_stencil():
                 want = _rolled_diff(values, order, h)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (npts, order)
+
+
+# every set of distinct orders, ascending and reversed
+ORDER_TUPLES = [
+    combo[::step]
+    for size in (1, 2, 3, 4)
+    for combo in itertools.combinations((1, 2, 3, 4), size)
+    for step in (1, -1)
+    if size > 1 or step == 1
+]
+
+
+@pytest.mark.parametrize("orders", ORDER_TUPLES, ids=str)
+def test_tuple_of_orders_is_bit_equal_to_single_order_calls(orders):
+    rng = np.random.default_rng(9)
+    for npts in (16, 128):
+        h = TWO_PI / npts
+        cplx = rng.standard_normal((npts, 2, 2)) + 1j * rng.standard_normal((npts, 2, 2))
+        real = rng.standard_normal((npts, 3))
+        for values in (cplx, real):
+            got = periodic_diff(values, orders, h)
+            assert isinstance(got, tuple) and len(got) == len(orders)
+            for order, diff in zip(orders, got):
+                want = periodic_diff(values, order, h)
+                assert diff.dtype == want.dtype
+                assert diff.tobytes() == want.tobytes(), (npts, orders, order)
+
+
+def test_tuple_of_orders_needs_the_most_points_of_its_orders():
+    for orders in ORDER_TUPLES:
+        fewest = max(MIN_POINTS[order] for order in orders)
+        periodic_diff(np.ones((fewest, 2, 2)), orders, 0.1)
+        with pytest.raises(ValueError, match=f"need at least {fewest} points"):
+            periodic_diff(np.ones((fewest - 1, 2, 2)), orders, 0.1)
+
+
+@pytest.mark.parametrize("orders", [(), (1, 5), (0, 2), [1, 2], [2]], ids=str)
+def test_empty_unknown_or_listed_orders_rejected(orders):
+    with pytest.raises(ValueError, match="derivative order must be 1, 2, 3 or 4"):
+        periodic_diff(np.ones((16, 2, 2)), orders, 0.1)
+
+
+@pytest.fixture
+def wrapped(monkeypatch):
+    """The arrays that periodic_diff wrap-pads, in call order."""
+    seen = []
+    real = fields._wrap_pad
+
+    def counted(values, pad):
+        seen.append(values)
+        return real(values, pad)
+
+    monkeypatch.setattr(fields, "_wrap_pad", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda os, p: energy_report(os, p),
+        lambda os, p: connection(os, p, 0.7),
+        lambda os, p: curve_flow_rhs(os, p),
+    ],
+    ids=["energy_report", "connection", "curve_flow_rhs"],
+)
+def test_orbit_side_wraps_phi_once(wrapped, evaluate):
+    os = random_orbit_state(AlgebraSpec(Family.COMPACT_UNITARY, 2, 1), Grid(32, TWO_PI), seed=2)
+    wrapped.clear()  # the frame draw differentiates too
+    evaluate(os, FlowParams(0.8, 0.1, 0.06))
+    assert len(wrapped) == 1 and wrapped[0] is os.phi.values
+
+
+@pytest.mark.parametrize(
+    "params, count",
+    # q, its products r q, q r and q r q, and at beta != 0 also r
+    [((1.0, 0.0, 0.02), 4), ((0.8, 0.1, 0.06), 5)],
+    ids=["beta_zero", "beta_nonzero"],
+)
+def test_potential_rhs_wraps_each_array_once(wrapped, params, count):
+    spec = AlgebraSpec(Family.COMPACT_UNITARY, 2, 1)
+    ps = random_smooth_potential(spec, Grid(32, TWO_PI), seed=1)
+    wrapped.clear()
+    potential_rhs(ps, FlowParams(*params))
+    assert len(wrapped) == count
+    assert len({id(values) for values in wrapped}) == count
+
+
+def test_akns4_rhs_wraps_q_and_its_adjoint_once_each(wrapped):
+    q = np.random.default_rng(3).standard_normal((32, 1, 1)) + 0j
+    akns4_rhs(q, TWO_PI / 32)
+    assert len(wrapped) == 2 and wrapped[0] is not wrapped[1]
 
 
 def test_cumulative_trapezoid_starts_at_zero_and_accumulates():

@@ -293,6 +293,11 @@ def test_make_initial_state_errors(u2, para2):
         make_initial_state(u2, grid, {"generator": "random_smooth", "bogus": 1})
     with pytest.raises(ValueError, match="amplitude must be finite"):
         make_initial_state(u2, grid, {"generator": "plane_wave", "amplitude": np.inf})
+    with pytest.raises(ValueError, match="amplitude must be a number"):
+        make_initial_state(u2, grid, {"generator": "plane_wave", "amplitude": False})
+    for name in ("plane_wave", "latitude_circle"):
+        with pytest.raises(ValueError, match="mode must be a whole number"):
+            make_initial_state(u2, grid, {"generator": name, "mode": 2.5})
 
 
 def test_seed_reaches_the_seeded_generators_unless_config_gives_one(u2):
