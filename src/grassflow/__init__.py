@@ -48,7 +48,6 @@ from .functionals import (
     energy_report,
     fd_gradient_check,
     functional_gradient,
-    functional_value,
     tension,
 )
 from .gauge import (

@@ -103,35 +103,27 @@ def functional_gradient(os: OrbitState, name: str) -> MatrixField:
     return MatrixField(os.phi.grid, scale * periodic_diff(chain, 1, h))
 
 
-def functional_value(os: OrbitState, name: str) -> float:
-    if name not in FUNCTIONAL_NAMES:
-        raise ValueError(f"unknown functional {name!r}")
-    rep = energy_report(os, FlowParams(0.0, 0.0, 0.0))
-    return getattr(rep, name)
-
-
 _FD_EPS = 1e-5
 
 
-def fd_gradient_check(os: OrbitState, name: str, xi: MatrixField) -> tuple[float, float]:
-    """Directional derivative two ways: the declared gradient paired with
-    the conjugation direction [phi, xi], and a centered finite difference
-    of step _FD_EPS of the functional along the conjugated family.
-
-    Returns (analytic, numeric).
-    """
+def fd_gradient_check(os: OrbitState, xi: MatrixField) -> dict[str, tuple[float, float]]:
+    """Directional derivative of every functional two ways, as
+    {name: (analytic, numeric)}: its declared gradient paired with the
+    conjugation direction [phi, xi], and a centered finite difference of
+    step _FD_EPS along the conjugated family, whose one pair of states and
+    their two energy reports serve every name in FUNCTIONAL_NAMES."""
     spec = os.spec
     grid = os.phi.grid
-    h = grid.h
     phi = os.phi.values
-    xiv = xi.values
-    grad = functional_gradient(os, name).values
-    delta = bracket(phi, xiv)
-    analytic = float(h * np.sum(inner(spec, grad, delta)))
-    g, ginv = _exp_pair(_FD_EPS * xiv)
-    phi_plus = _matmul(ginv, phi, g)
-    phi_minus = _matmul(g, phi, ginv)
-    f_plus = functional_value(OrbitState(spec, MatrixField(grid, phi_plus)), name)
-    f_minus = functional_value(OrbitState(spec, MatrixField(grid, phi_minus)), name)
-    numeric = (f_plus - f_minus) / (2.0 * _FD_EPS)
-    return analytic, numeric
+    delta = bracket(phi, xi.values)
+    g, ginv = _exp_pair(_FD_EPS * xi.values)
+    unweighted = FlowParams(0.0, 0.0, 0.0)
+    plus = energy_report(OrbitState(spec, MatrixField(grid, _matmul(ginv, phi, g))), unweighted)
+    minus = energy_report(OrbitState(spec, MatrixField(grid, _matmul(g, phi, ginv))), unweighted)
+    return {
+        name: (
+            float(grid.h * np.sum(inner(spec, functional_gradient(os, name).values, delta))),
+            (getattr(plus, name) - getattr(minus, name)) / (2.0 * _FD_EPS),
+        )
+        for name in FUNCTIONAL_NAMES
+    }

@@ -144,13 +144,8 @@ def state_from_potential(ps: PotentialState) -> OrbitState:
     return orbit_from_frame(fs)
 
 
-def connection(os: OrbitState, p: FlowParams, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Connection pair (A_x, A_t) at one spectral value along the
-    third-level flow, as value arrays on the grid.
-
-    One formula serves every family; the sign sgn = -4 c^2 (+1 for the
-    complex families, -1 for the split family) carries the orbit square
-    phi^2 = c^2 I."""
+def _connection_and_target(os: OrbitState, p: FlowParams, lam: float):
+    """connection's pair (A_x, A_t) and curvature_target's values, from one cube phi_x^3."""
     h = os.phi.grid.h
     phi = os.phi.values
     phix, phixx, phixxx = periodic_diff(phi, (1, 2, 3), h)
@@ -166,15 +161,25 @@ def connection(os: OrbitState, p: FlowParams, lam: float) -> tuple[np.ndarray, n
         + (lam ** 2) * (-sgn * p.alpha * phi + p.beta * (sgn * phixx - 6.0 * _matmul(phix2, phi)))
         + lam * (bracket(phi, inner_w) - p.beta * bracket(phix, phixx))
     )
+    target = -2.0 * (lam ** 2) * (8.0 * p.gamma + p.beta) * cube
+    return a_x, a_t, target
+
+
+def connection(os: OrbitState, p: FlowParams, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Connection pair (A_x, A_t) at one spectral value along the
+    third-level flow, as value arrays on the grid.
+
+    One formula serves every family; the sign sgn = -4 c^2 (+1 for the
+    complex families, -1 for the split family) carries the orbit square
+    phi^2 = c^2 I."""
+    a_x, a_t, _ = _connection_and_target(os, p, lam)
     return a_x, a_t
 
 
 def curvature_target(os: OrbitState, p: FlowParams, lam: float) -> MatrixField:
-    """The residual two-form left by the flow: a single cubic term."""
-    h = os.phi.grid.h
-    phix = periodic_diff(os.phi.values, 1, h)
-    coeff = -2.0 * (lam ** 2) * (8.0 * p.gamma + p.beta)
-    return MatrixField(os.phi.grid, coeff * _matmul(phix, phix, phix))
+    """The residual two-form left by the flow: a single cubic term, formed
+    with the connection as curvature_residual forms it."""
+    return MatrixField(os.phi.grid, _connection_and_target(os, p, lam)[2])
 
 
 def curvature_residual(states, p: FlowParams, lam: float) -> list[tuple[float, float]]:
@@ -196,11 +201,10 @@ def curvature_residual(states, p: FlowParams, lam: float) -> list[tuple[float, f
         phi_dot = (
             dm ** 2 * phi_next + (dp ** 2 - dm ** 2) * states[i].phi.values - dp ** 2 * phi_prev
         ) / (dp * dm * (dp + dm))
-        ax, at = connection(states[i], p, lam)
+        ax, at, target = _connection_and_target(states[i], p, lam)
         h = states[i].phi.grid.h
         f = periodic_diff(at, 1, h) - lam * phi_dot + bracket(ax, at)
-        k = curvature_target(states[i], p, lam).values
-        out.append((states[i].time, frobenius(f - k)))
+        out.append((states[i].time, frobenius(f - target)))
     return out
 
 
@@ -217,7 +221,8 @@ def _collected_block(q, r, h, alpha, beta, cnl):
         rx, rxx = periodic_diff(r, (1, 2), h)
     rq = _matmul(r, q)
     qr = _matmul(q, r)
-    out = alpha * (-qxx + 2.0 * _matmul(q, rq))
+    qrq = _matmul(q, rq)
+    out = alpha * (-qxx + 2.0 * qrq)
     if beta != 0.0:
         out = out + beta * (
             qxxxx
@@ -227,10 +232,9 @@ def _collected_block(q, r, h, alpha, beta, cnl):
             - 2.0 * _matmul(qx, rx, q)
             - 6.0 * _matmul(qx, r, qx)
             - 2.0 * _matmul(q, rx, qx)
-            + 6.0 * _matmul(q, rq, rq)
+            + 6.0 * _matmul(qrq, rq)
         )
     if cnl != 0.0:
-        qrq = _matmul(q, rq)
         n1 = cumulative_trapezoid(_matmul(q, periodic_diff(rq, 1, h), r), h)
         n2 = cumulative_trapezoid(_matmul(r, periodic_diff(qr, 1, h), q), h)
         out = out - cnl * (

@@ -64,7 +64,12 @@ def _trig_sum(grid, coeffs):
 
 
 def _spectral_coeffs(rng, modes, rows, cols, complex_valued):
-    """The cos and sin coefficients of a draw, shape (2, modes, rows, cols)."""
+    """The cos and sin coefficients of a draw, shape (2, modes, rows, cols).
+    modes must be an integer from 1 to the Nyquist mode of the reference
+    grid, which normalizes every draw."""
+    nyquist = _REFERENCE_POINTS // 2
+    if not isinstance(modes, (int, np.integer)) or not 1 <= modes <= nyquist:
+        raise ValueError(f"modes must be an integer from 1 to {nyquist}, got {modes!r}")
     # weight ~ m^-4 keeps high stencil derivatives of the samples small
     shape = (2, modes, rows, cols)
     coeffs = rng.standard_normal(shape)
@@ -117,6 +122,13 @@ def _periodized_bump(x, length, center, width):
     return env
 
 
+def _width(width) -> float:
+    width = float(width)
+    if not 0.0 < width < np.inf:
+        raise ValueError(f"width must be positive and finite, got {width!r}")
+    return width
+
+
 def _leading_entry_potential(spec: AlgebraSpec, grid: Grid, env: np.ndarray) -> PotentialState:
     rows, cols = spec.k, spec.n - spec.k
     q = np.zeros((grid.num_points, rows, cols), dtype=np.complex128)
@@ -138,7 +150,7 @@ def gaussian_bump_potential(
     """Localized pulse in the leading entry over a uniform negative offset
     that cancels its mean, periodized over three images."""
     length = grid.length
-    width = length / 10.0 if width is None else float(width)
+    width = _width(length / 10.0 if width is None else width)
     center = length / 2.0 if center is None else float(center)
     env = _peak_normalized(lambda g: _periodized_bump(g.x, length, center, width), grid, amplitude)
     return _leading_entry_potential(spec, grid, env)
@@ -154,7 +166,7 @@ def two_bump_potential(
     """Pair of pulses at different sites in the leading entry, the second
     slightly weaker, over the offset that cancels their combined mean."""
     length = grid.length
-    width = length / 12.0 if width is None else float(width)
+    width = _width(length / 12.0 if width is None else width)
     separation = length / 3.0 if separation is None else float(separation)
     c1 = (length - separation) / 2.0
     c2 = (length + separation) / 2.0

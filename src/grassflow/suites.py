@@ -158,10 +158,10 @@ def _gradient_draw(task):
     seed = 211 + 1009 * idx + offset
     os = random_orbit_state(spec, grid, seed, 2, 0.2)
     xi = MatrixField(grid, random_tangent_field(spec, grid, seed + 5000, 2, 0.3))
-    rels = {}
-    for name in FUNCTIONAL_NAMES:
-        analytic, numeric = fd_gradient_check(os, name, xi)
-        rels[name] = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+    rels = {
+        name: abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+        for name, (analytic, numeric) in fd_gradient_check(os, xi).items()
+    }
     rep = energy_report(os, FlowParams(0.0, 0.0, 0.0))
     return rels, abs(rep.Etilde - 2.0 * rep.E23) / max(1.0, abs(rep.Etilde))
 

@@ -558,6 +558,47 @@ def test_boolean_and_fractional_generator_options_are_config_errors(
     assert not os.path.exists(out)
 
 
+_MODES = "initial_data: modes must be an integer from 1 to 1024, got "
+_WIDTH = "initial_data: width must be positive and finite, got "
+
+
+@pytest.mark.parametrize("command", ["simulate", "gauge-compare"])
+@pytest.mark.parametrize(
+    "initial_data, message",
+    [
+        ({"generator": "random_smooth", "seed": 3, "modes": 100000000}, _MODES + "100000000"),
+        ({"generator": "random_smooth", "modes": 0}, _MODES + "0"),
+        ({"generator": "random_smooth", "modes": -2}, _MODES + "-2"),
+        ({"generator": "random_smooth", "modes": 2.0}, _MODES + "2.0"),
+        ({"generator": "gaussian_bump", "width": 0}, _WIDTH + "0.0"),
+        ({"generator": "gaussian_bump", "width": -0.3}, _WIDTH + "-0.3"),
+        ({"generator": "two_bump", "width": 0}, _WIDTH + "0.0"),
+    ],
+    ids=["modes_huge", "modes_zero", "modes_negative", "modes_float", "gaussian_width_zero",
+         "gaussian_width_negative", "two_bump_width_zero"],
+)
+def test_out_of_range_generator_options_are_config_errors(
+    tmp_path, capsys, command, initial_data, message
+):
+    # a huge modes once allocated terabytes, and modes 0 or width 0 failed
+    # with messages about reshapes, envelopes or holonomy
+    cfg = _write_config(tmp_path / "c.json", initial_data=initial_data)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("modes", [0, 1025, 100000000])
+def test_out_of_range_frame_modes_are_config_errors(tmp_path, capsys, modes):
+    cfg = _write_config(tmp_path / "c.json",
+                        initial_data={"generator": "random_frame", "modes": modes})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {_MODES}{modes}\n"
+    assert not os.path.exists(out)
+
+
 def test_whole_number_modes_given_as_floats_still_run(tmp_path):
     for generator in ("latitude_circle", "plane_wave"):
         cfg = _write_config(tmp_path / "c.json", T=0.0,

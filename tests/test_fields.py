@@ -17,9 +17,9 @@ from grassflow.fields import (
     periodic_diff,
     stencil_symbol,
 )
-from grassflow.flows import FOURTH_DERIV_GAIN, THIRD_DERIV_GAIN, curve_flow_rhs
+from grassflow.flows import FOURTH_DERIV_GAIN, THIRD_DERIV_GAIN, FlowKind, curve_flow_rhs, evolve
 from grassflow.functionals import FlowParams, energy_report
-from grassflow.gauge import akns4_rhs, connection, potential_rhs
+from grassflow.gauge import akns4_rhs, connection, curvature_residual, potential_rhs
 from grassflow.initial_data import random_orbit_state, random_smooth_potential
 
 TWO_PI = 2.0 * np.pi
@@ -221,6 +221,18 @@ def test_orbit_side_wraps_phi_once(wrapped, evaluate):
     wrapped.clear()  # the frame draw differentiates too
     evaluate(os, FlowParams(0.8, 0.1, 0.06))
     assert len(wrapped) == 1 and wrapped[0] is os.phi.values
+
+
+def test_curvature_residual_wraps_phi_once_per_snapshot(wrapped):
+    # the target comes from the connection's own cube, so phi is padded
+    # once, and A_t once for its x-derivative
+    p = FlowParams(0.8, 0.1, 0.06)
+    os = random_orbit_state(AlgebraSpec(Family.COMPACT_UNITARY, 2, 1), Grid(32, TWO_PI), seed=2)
+    states = evolve(os, p, FlowKind.THIRD_ORDER, 2e-6, 1e-6, output_times=[0.0, 1e-6, 2e-6])
+    wrapped.clear()
+    curvature_residual(states, p, 0.7)
+    assert len(wrapped) == 2
+    assert sum(values is states[1].phi.values for values in wrapped) == 1
 
 
 @pytest.mark.parametrize(

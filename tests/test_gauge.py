@@ -7,8 +7,8 @@ import pytest
 
 import grassflow.gauge as gauge
 
-from grassflow.algebra import AlgebraSpec, Family
-from grassflow.fields import Grid, MatrixField
+from grassflow.algebra import AlgebraSpec, Family, _matmul
+from grassflow.fields import Grid, MatrixField, periodic_diff
 from grassflow.functionals import FlowParams
 from grassflow.gauge import (
     GaugeError,
@@ -325,6 +325,16 @@ def test_curvature_target_vanishes_at_special_ratio(u2):
     assert np.max(np.abs(target.values)) == 0.0
     nonzero = curvature_target(os, FlowParams(1.0, 0.2, 0.0), 2.0)
     assert np.max(np.abs(nonzero.values)) > 0.0
+
+
+def test_curvature_target_is_the_cubic_term_bit_for_bit(para2):
+    grid = Grid(32, TWO_PI)
+    os = random_orbit_state(para2, grid, seed=4, modes=2, amplitude=0.2)
+    p, lam = FlowParams(0.8, 0.1, 0.06), 1.3
+    phix = periodic_diff(os.phi.values, 1, grid.h)
+    cube = _matmul(phix, phix, phix)
+    target = curvature_target(os, p, lam).values
+    assert np.array_equal(target, -2.0 * lam**2 * (8.0 * p.gamma + p.beta) * cube)
 
 
 def test_curvature_residual_small_on_flow_and_large_off_flow(u2):

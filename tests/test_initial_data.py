@@ -339,3 +339,25 @@ def test_random_orbit_state_all_families(grid64):
         os = random_orbit_state(spec, grid64, seed=2)
         assert spectrum_deviation(os) < 1e-12
         assert os.frame is not None
+
+
+@pytest.mark.parametrize("modes", [0, -2, 1025, 2.0, None])
+def test_spectral_draws_refuse_modes_off_the_reference_grid(u2, modes):
+    grid = Grid(32, TWO_PI)
+    for draw in (random_smooth_potential, random_tangent_field, random_orbit_state):
+        with pytest.raises(ValueError, match="modes must be an integer from 1 to 1024"):
+            draw(u2, grid, seed=1, modes=modes)
+
+
+def test_spectral_draws_take_modes_up_to_the_reference_nyquist(u2):
+    grid = Grid(32, TWO_PI)
+    for modes in (1, np.int64(1024)):
+        assert np.all(np.isfinite(random_tangent_field(u2, grid, seed=1, modes=modes)))
+
+
+@pytest.mark.parametrize("width", [0.0, -0.3, np.inf, np.nan])
+def test_bumps_refuse_widths_that_are_not_positive_and_finite(u2, width):
+    grid = Grid(32, TWO_PI)
+    for bump in (gaussian_bump_potential, two_bump_potential):
+        with pytest.raises(ValueError, match="width must be positive and finite"):
+            bump(u2, grid, width=width)
