@@ -47,16 +47,13 @@ from .functionals import (
     FlowParams,
     energy_report,
     fd_gradient_check,
-    functional_gradient,
-    tension,
+    functional_gradients,
 )
 from .gauge import (
     GaugeError,
     PotentialState,
     akns4_rhs,
-    connection,
     curvature_residual,
-    curvature_target,
     evolve_potential,
     frame_potential_gaps,
     gauge_transform,

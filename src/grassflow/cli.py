@@ -522,10 +522,8 @@ def cmd_curvature_residual(rc: RunConfig, out_dir: str) -> int:
 
     def body():
         states = evolve(state, rc.params, rc.kind, times[-1] - t0, dt, output_times=times)
-        rows = []
-        for lam in rc.lambdas:
-            for t, res in curvature_residual(states, physics, lam):
-                rows.append((t, lam, res))
+        residuals = curvature_residual(states, physics, rc.lambdas)
+        rows = [(t, lam, res) for lam, pairs in zip(rc.lambdas, residuals) for t, res in pairs]
         _write_csv(os.path.join(out_dir, "curvature.csv"), ("t", "lam", "residual"), rows)
 
     resolved = {"dt": dt, "output_times": times, "seed": rc.seed, "lambdas": rc.lambdas}

@@ -68,39 +68,27 @@ def energy_report(os: OrbitState, p: FlowParams) -> EnergyReport:
     return EnergyReport(e, e21, e22, e23, e2, etilde, ham)
 
 
-def tension(os: OrbitState) -> MatrixField:
-    """Gradient of the base energy: -(phi_xx - phi_x phi^-1 phi_x)."""
-    h = os.phi.grid.h
-    phi = os.phi.values
-    phix, phixx = periodic_diff(phi, (1, 2), h)
-    phiinv = phi / _orbit_square(os.spec)  # phi^2 = c^2 I on the orbit
-    return MatrixField(os.phi.grid, -(phixx - _matmul(phix, phiinv, phix)))
-
-
-def functional_gradient(os: OrbitState, name: str) -> MatrixField:
-    """Declared gradient field of one functional, up to directions that are
-    invisible in the tangent pairing."""
-    if name not in FUNCTIONAL_NAMES:
-        raise ValueError(f"unknown functional {name!r}")
+def functional_gradients(os: OrbitState) -> dict[str, MatrixField]:
+    """Declared gradient field of every functional, up to directions that
+    are invisible in the tangent pairing, from one padded copy of phi, one
+    r = phi_x phi^-1, and one chain phi^-1 (phi_x phi^-1)^3 and its derivative."""
     spec = os.spec
-    h = os.phi.grid.h
+    grid = os.phi.grid
     phi = os.phi.values
-    if name == "E":
-        return tension(os)
-    if name == "E21":
-        return MatrixField(os.phi.grid, periodic_diff(phi, 4, h))
-    phix = periodic_diff(phi, 1, h)
+    phix, phixx, phixxxx = periodic_diff(phi, (1, 2, 4), grid.h)
     c2 = _orbit_square(spec)
     phiinv = phi / c2  # phi^2 = c^2 I on the orbit
-    if name == "Etilde" and spec.family is Family.COMPACT_UNITARY:
-        r = _matmul(phix, phiinv)
-        r3 = _matmul(r, r, r)
-        return MatrixField(os.phi.grid, _matmul(phiinv, periodic_diff(r3, 1, h) + _matmul(r3, r)))
+    r = _matmul(phix, phiinv)
+    chain_x = periodic_diff(_matmul(phiinv, phix, phiinv, phix, phiinv, phix, phiinv), 1, grid.h)
     # E22, and Etilde off the compact family, are s22 (chain)_x; E23 is half of it
     s22 = -4.0 * c2
-    chain = _matmul(phiinv, phix, phiinv, phix, phiinv, phix, phiinv)
-    scale = 0.5 * s22 if name == "E23" else s22
-    return MatrixField(os.phi.grid, scale * periodic_diff(chain, 1, h))
+    etilde = e22 = s22 * chain_x
+    if spec.family is Family.COMPACT_UNITARY:
+        r3 = _matmul(r, r, r)
+        etilde = _matmul(phiinv, periodic_diff(r3, 1, grid.h) + _matmul(r3, r))
+    # in FUNCTIONAL_NAMES order; E's is the tension -(phi_xx - phi_x phi^-1 phi_x)
+    values = (-(phixx - _matmul(r, phix)), phixxxx, e22, (0.5 * s22) * chain_x, etilde)
+    return {name: MatrixField(grid, v) for name, v in zip(FUNCTIONAL_NAMES, values)}
 
 
 _FD_EPS = 1e-5
@@ -108,21 +96,23 @@ _FD_EPS = 1e-5
 
 def fd_gradient_check(os: OrbitState, xi: MatrixField) -> dict[str, tuple[float, float]]:
     """Directional derivative of every functional two ways, as
-    {name: (analytic, numeric)}: its declared gradient paired with the
-    conjugation direction [phi, xi], and a centered finite difference of
-    step _FD_EPS along the conjugated family, whose one pair of states and
-    their two energy reports serve every name in FUNCTIONAL_NAMES."""
+    {name: (analytic, numeric)}: its declared gradient, from one
+    functional_gradients pass, paired with the conjugation direction
+    [phi, xi], and a centered finite difference of step _FD_EPS along the
+    conjugated family, whose one pair of states and their two energy
+    reports serve every name in FUNCTIONAL_NAMES."""
     spec = os.spec
     grid = os.phi.grid
     phi = os.phi.values
     delta = bracket(phi, xi.values)
+    gradients = functional_gradients(os)
     g, ginv = _exp_pair(_FD_EPS * xi.values)
     unweighted = FlowParams(0.0, 0.0, 0.0)
     plus = energy_report(OrbitState(spec, MatrixField(grid, _matmul(ginv, phi, g))), unweighted)
     minus = energy_report(OrbitState(spec, MatrixField(grid, _matmul(g, phi, ginv))), unweighted)
     return {
         name: (
-            float(grid.h * np.sum(inner(spec, functional_gradient(os, name).values, delta))),
+            float(grid.h * np.sum(inner(spec, gradients[name].values, delta))),
             (getattr(plus, name) - getattr(minus, name)) / (2.0 * _FD_EPS),
         )
         for name in FUNCTIONAL_NAMES

@@ -144,67 +144,70 @@ def state_from_potential(ps: PotentialState) -> OrbitState:
     return orbit_from_frame(fs)
 
 
-def _connection_and_target(os: OrbitState, p: FlowParams, lam: float):
-    """connection's pair (A_x, A_t) and curvature_target's values, from one cube phi_x^3."""
+def _connection_terms(os: OrbitState, p: FlowParams):
+    """The terms of the connection pair (A_x, A_t) along the third-level
+    flow that no spectral value weights, from one padded copy of phi and one
+    cube phi_x^3.  One formula serves every family; the sign sgn = -4 c^2
+    (+1 for the complex families, -1 for the split family) carries the
+    orbit square phi^2 = c^2 I."""
     h = os.phi.grid.h
     phi = os.phi.values
     phix, phixx, phixxx = periodic_diff(phi, (1, 2, 3), h)
     phix2 = _matmul(phix, phix)
     cube = _matmul(phix2, phix)
-    lam = float(lam)
     sgn = -4.0 * _orbit_square(os.spec)
-    a_x = lam * phi
     inner_w = -p.alpha * phix + p.beta * phixxx + 4.0 * sgn * (4.0 * p.gamma - 2.0 * p.beta) * cube
+    square = -sgn * p.alpha * phi + p.beta * (sgn * phixx - 6.0 * _matmul(phix2, phi))
+    linear = bracket(phi, inner_w) - p.beta * bracket(phix, phixx)
+    return phi, sgn, bracket(phi, phix), square, linear, cube
+
+
+def _connection(terms, p: FlowParams, lam):
+    """(A_x, A_t) at one spectral value from _connection_terms, and the
+    residual two-form the flow leaves: the single cubic term
+    -2 lam^2 (8 gamma + beta) phi_x^3."""
+    phi, sgn, twist, square, linear, cube = terms
     a_t = (
         -(lam ** 4) * p.beta * phi
-        - (sgn * lam ** 3) * p.beta * bracket(phi, phix)
-        + (lam ** 2) * (-sgn * p.alpha * phi + p.beta * (sgn * phixx - 6.0 * _matmul(phix2, phi)))
-        + lam * (bracket(phi, inner_w) - p.beta * bracket(phix, phixx))
+        - (sgn * lam ** 3) * p.beta * twist
+        + (lam ** 2) * square
+        + lam * linear
     )
-    target = -2.0 * (lam ** 2) * (8.0 * p.gamma + p.beta) * cube
-    return a_x, a_t, target
+    return lam * phi, a_t, -2.0 * (lam ** 2) * (8.0 * p.gamma + p.beta) * cube
 
 
-def connection(os: OrbitState, p: FlowParams, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Connection pair (A_x, A_t) at one spectral value along the
-    third-level flow, as value arrays on the grid.
-
-    One formula serves every family; the sign sgn = -4 c^2 (+1 for the
-    complex families, -1 for the split family) carries the orbit square
-    phi^2 = c^2 I."""
-    a_x, a_t, _ = _connection_and_target(os, p, lam)
-    return a_x, a_t
-
-
-def curvature_target(os: OrbitState, p: FlowParams, lam: float) -> MatrixField:
-    """The residual two-form left by the flow: a single cubic term, formed
-    with the connection as curvature_residual forms it."""
-    return MatrixField(os.phi.grid, _connection_and_target(os, p, lam)[2])
-
-
-def curvature_residual(states, p: FlowParams, lam: float) -> list[tuple[float, float]]:
+def curvature_residual(states, p: FlowParams, lams) -> list[list[tuple[float, float]]]:
     """Curvature defect at the interior snapshots of a list of states, each
-    at its own time (as evolve returns them).
+    at its own time (as evolve returns them): for each spectral value in
+    lams, a list of (time, residual) pairs.
 
     The time derivative of A_x is formed by centered differencing of the
-    neighbouring snapshots (second order, uneven spacing handled); the
-    result is a list of (time, residual) pairs.
+    neighbouring snapshots (second order, uneven spacing handled); it and
+    the connection's lam-free terms are formed once per snapshot.  Raises
+    ValueError naming the value if a residual is not finite.
     """
     if len(states) < 3:
         raise ValueError("need at least three snapshots for a curvature residual")
-    out = []
-    for i in range(1, len(states) - 1):
-        dm = states[i].time - states[i - 1].time
-        dp = states[i + 1].time - states[i].time
-        phi_prev = states[i - 1].phi.values
-        phi_next = states[i + 1].phi.values
-        phi_dot = (
-            dm ** 2 * phi_next + (dp ** 2 - dm ** 2) * states[i].phi.values - dp ** 2 * phi_prev
-        ) / (dp * dm * (dp + dm))
-        ax, at, target = _connection_and_target(states[i], p, lam)
-        h = states[i].phi.grid.h
-        f = periodic_diff(at, 1, h) - lam * phi_dot + bracket(ax, at)
-        out.append((states[i].time, frobenius(f - target)))
+    # as numpy scalars, a power beyond the float range is inf, not OverflowError
+    lams = [np.float64(lam) for lam in lams]
+    out = [[] for _ in lams]
+    # a non-finite residual raises ValueError below, without warnings
+    with np.errstate(all="ignore"):
+        for prev, here, after in zip(states, states[1:], states[2:]):
+            dm, dp = here.time - prev.time, after.time - here.time
+            phi_dot = (
+                dm ** 2 * after.phi.values
+                + (dp ** 2 - dm ** 2) * here.phi.values
+                - dp ** 2 * prev.phi.values
+            ) / (dp * dm * (dp + dm))
+            terms = _connection_terms(here, p)
+            for lam, pairs in zip(lams, out):
+                ax, at, target = _connection(terms, p, lam)
+                f = periodic_diff(at, 1, here.phi.grid.h) - lam * phi_dot + bracket(ax, at)
+                residual = frobenius(f - target)
+                if not np.isfinite(residual):
+                    raise ValueError(f"curvature residual at lam={lam:g} is not finite")
+                pairs.append((here.time, residual))
     return out
 
 

@@ -115,10 +115,13 @@ def random_smooth_potential(
 
 
 def _periodized_bump(x, length, center, width):
-    # demeaned analytically, so the profile integrates to zero at any N
+    # demeaned analytically, so the profile integrates to zero at any N; a
+    # width too narrow to evaluate is refused by the potential's checks
+    # later, without warnings here
     env = np.full_like(x, -np.sqrt(2.0 * np.pi) * width / length)
-    for image in (-1.0, 0.0, 1.0):
-        env += np.exp(-((x - center - image * length) ** 2) / (2.0 * width**2))
+    with np.errstate(all="ignore"):
+        for image in (-1.0, 0.0, 1.0):
+            env += np.exp(-((x - center - image * length) ** 2) / (2.0 * width**2))
     return env
 
 

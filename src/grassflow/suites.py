@@ -309,12 +309,15 @@ def measure_curvature():
     _, fine = _three_steps(_FINE, p, 613, 0.25)
     # the fine trajectory's middle state stamped at all three of its times
     frozen = [replace(fine[1], time=s.time) for s in fine]
+    lams = (0.5, 1.0, 2.0)
+    # one call per trajectory covers every value; each has one interior snapshot
+    coarse_res, fine_res, bad_res = (
+        [pairs[0][1] for pairs in curvature_residual(states, p, lams)]
+        for states in (coarse, fine, frozen)
+    )
     checks = []
-    for lam in (0.5, 1.0, 2.0):
+    for lam, res_coarse, res_fine, bad in zip(lams, coarse_res, fine_res, bad_res):
         tag = f"{lam:g}"
-        res_coarse, res_fine, bad = (
-            curvature_residual(states, p, lam)[0][1] for states in (coarse, fine, frozen)
-        )
         checks += _refined(
             f"curvature_residual_lam{tag}", f"curvature_order_lam{tag}", res_coarse, res_fine, 1e-3, 2.0
         )

@@ -792,6 +792,40 @@ def test_curvature_residual_needs_three_output_times(tmp_path, capsys):
     assert "three snapshots" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1e40, 1e200])
+def test_a_non_finite_curvature_residual_aborts_cleanly(tmp_path, capsys, lam):
+    # 1e200 once escaped as an OverflowError traceback with the manifest left
+    # running; 1e40 wrote an inf or nan row under RuntimeWarnings and exit 0
+    cfg = _write_config(
+        tmp_path / "c.json",
+        params={"alpha": 1.0, "beta": 0.05, "gamma": -0.00625},
+        flow="third_order",
+        grid={"N": 48, "L": 2 * np.pi},
+        output_times=[0.0, 1e-5, 2e-5],
+        lambdas=[0.5, lam],
+    )
+    out = tmp_path / "out"
+    assert main(["curvature-residual", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"aborted: curvature residual at lam={lam:g} is not finite\n"
+    manifest = json.loads(_read(out / "manifest.json"))
+    assert manifest["status"] == "aborted"
+    assert manifest["abort"]["error"] == "ValueError"
+    assert not os.path.exists(out / "curvature.csv")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("generator", ["gaussian_bump", "two_bump"])
+def test_a_bump_too_narrow_to_evaluate_is_one_config_error(tmp_path, capsys, generator):
+    # the bump's exponent divides by width^2, which underflows to zero
+    cfg = _write_config(tmp_path / "c.json", initial_data={"generator": generator, "width": 1e-200})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: initial_data: potential ")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("family, n, points", [
     ("compact_u", 2, 128), ("noncompact_u", 4, 256), ("para_gl", 3, 17),
 ])

@@ -19,7 +19,8 @@ from grassflow.fields import (
 )
 from grassflow.flows import FOURTH_DERIV_GAIN, THIRD_DERIV_GAIN, FlowKind, curve_flow_rhs, evolve
 from grassflow.functionals import FlowParams, energy_report
-from grassflow.gauge import akns4_rhs, connection, curvature_residual, potential_rhs
+import grassflow.gauge as gauge
+from grassflow.gauge import akns4_rhs, curvature_residual, potential_rhs
 from grassflow.initial_data import random_orbit_state, random_smooth_potential
 
 TWO_PI = 2.0 * np.pi
@@ -211,7 +212,7 @@ def wrapped(monkeypatch):
     "evaluate",
     [
         lambda os, p: energy_report(os, p),
-        lambda os, p: connection(os, p, 0.7),
+        lambda os, p: gauge._connection_terms(os, p),
         lambda os, p: curve_flow_rhs(os, p),
     ],
     ids=["energy_report", "connection", "curve_flow_rhs"],
@@ -224,15 +225,19 @@ def test_orbit_side_wraps_phi_once(wrapped, evaluate):
 
 
 def test_curvature_residual_wraps_phi_once_per_snapshot(wrapped):
-    # the target comes from the connection's own cube, so phi is padded
-    # once, and A_t once for its x-derivative
+    # the lam-free terms and the target's cube come from one padded phi per
+    # interior snapshot, whatever the number of values; A_t is padded once
+    # per value for its x-derivative
     p = FlowParams(0.8, 0.1, 0.06)
     os = random_orbit_state(AlgebraSpec(Family.COMPACT_UNITARY, 2, 1), Grid(32, TWO_PI), seed=2)
-    states = evolve(os, p, FlowKind.THIRD_ORDER, 2e-6, 1e-6, output_times=[0.0, 1e-6, 2e-6])
+    times = [0.0, 1e-6, 2e-6, 3e-6]
+    states = evolve(os, p, FlowKind.THIRD_ORDER, 3e-6, 1e-6, output_times=times)
+    lams = (0.5, 1.0, 2.0)
     wrapped.clear()
-    curvature_residual(states, p, 0.7)
-    assert len(wrapped) == 2
-    assert sum(values is states[1].phi.values for values in wrapped) == 1
+    curvature_residual(states, p, lams)
+    assert len(wrapped) == 2 * (1 + len(lams))
+    for interior in states[1:-1]:
+        assert sum(values is interior.phi.values for values in wrapped) == 1
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import grassflow.fields as fields
 import grassflow.functionals as functionals
 import grassflow.suites as suites
 from grassflow.algebra import (
@@ -22,8 +23,7 @@ from grassflow.functionals import (
     EnergyReport,
     energy_report,
     fd_gradient_check,
-    functional_gradient,
-    tension,
+    functional_gradients,
 )
 from grassflow.initial_data import (
     latitude_circle_state,
@@ -101,15 +101,52 @@ def test_quartic_functional_is_twice_its_partner_on_orbit(grid64):
         assert abs(rep.Etilde - 2.0 * rep.E23) / max(1.0, abs(rep.Etilde)) < 1e-10
 
 
-def test_unknown_functional_name_rejected(u2, grid64):
-    os = random_orbit_state(u2, grid64, seed=24)
-    with pytest.raises(ValueError):
-        functional_gradient(os, "E99")
+def _tension(os):
+    """-(phi_xx - phi_x phi^-1 phi_x), formed apart from the other gradients."""
+    h = os.phi.grid.h
+    phi = os.phi.values
+    phix, phixx = periodic_diff(phi, (1, 2), h)
+    phiinv = phi / _orbit_square(os.spec)
+    return -(phixx - _matmul(phix, phiinv, phix))
+
+
+def _gradient_of(os, name):
+    """The declared gradient of one functional by the formula for that name
+    alone, each from its own differences of phi."""
+    spec = os.spec
+    h = os.phi.grid.h
+    phi = os.phi.values
+    if name == "E":
+        return _tension(os)
+    if name == "E21":
+        return periodic_diff(phi, 4, h)
+    phix = periodic_diff(phi, 1, h)
+    c2 = _orbit_square(spec)
+    phiinv = phi / c2
+    if name == "Etilde" and spec.family is Family.COMPACT_UNITARY:
+        r = _matmul(phix, phiinv)
+        r3 = _matmul(r, r, r)
+        return _matmul(phiinv, periodic_diff(r3, 1, h) + _matmul(r3, r))
+    s22 = -4.0 * c2
+    chain = _matmul(phiinv, phix, phiinv, phix, phiinv, phix, phiinv)
+    scale = 0.5 * s22 if name == "E23" else s22
+    return scale * periodic_diff(chain, 1, h)
+
+
+def test_gradients_equal_the_formula_of_each_name_bit_for_bit(u2, para2, u31, grid64):
+    for spec in (u2, para2, u31):
+        os = random_orbit_state(spec, grid64, seed=25, amplitude=0.25)
+        gradients = functional_gradients(os)
+        assert tuple(gradients) == FUNCTIONAL_NAMES
+        for name in FUNCTIONAL_NAMES:
+            assert np.array_equal(gradients[name].values, _gradient_of(os, name)), (
+                f"{spec.family} {name}"
+            )
 
 
 def test_tension_is_the_gradient_of_the_quadratic_energy(u2, grid64):
     os = random_orbit_state(u2, grid64, seed=25)
-    assert np.array_equal(tension(os).values, functional_gradient(os, "E").values)
+    assert np.array_equal(functional_gradients(os)["E"].values, _tension(os))
 
 
 def test_gradients_match_finite_differences(u2, para2):
@@ -129,7 +166,7 @@ def _one_name_check(os, name, xi):
     with [phi, xi], and the centred difference of the functional between
     the energy reports of the state conjugated by exp(+-eps xi)."""
     spec, grid, phi = os.spec, os.phi.grid, os.phi.values
-    grad = functional_gradient(os, name).values
+    grad = _gradient_of(os, name)
     analytic = float(grid.h * np.sum(inner(spec, grad, bracket(phi, xi.values))))
     eps = functionals._FD_EPS
     g, ginv = _exp_pair(eps * xi.values)
@@ -163,15 +200,28 @@ def _counted(monkeypatch, module, name, counts):
 
 def test_gradient_draw_derives_one_conjugated_pair(monkeypatch, u2):
     # two reports of the conjugated pair and one of the drawn state; the one
-    # exponential pair is the one the check forms (the draw's exp_map aside)
+    # exponential pair is the one the check forms (the draw's exp_map aside),
+    # and one gradients pass serves all five names
     counts = {}
     for module in (functionals, suites):
         _counted(monkeypatch, module, "energy_report", counts)
     _counted(monkeypatch, functionals, "_exp_pair", counts)
-    _counted(monkeypatch, functionals, "functional_gradient", counts)
+    _counted(monkeypatch, functionals, "functional_gradients", counts)
     suites._gradient_draw((u2, 0, 0))
-    assert counts == {
-        "energy_report": 3,
-        "_exp_pair": 1,
-        "functional_gradient": len(FUNCTIONAL_NAMES),
-    }
+    assert counts == {"energy_report": 3, "_exp_pair": 1, "functional_gradients": 1}
+
+
+def test_gradient_check_pads_phi_once(monkeypatch, u2, grid64):
+    # once for the gradients; the energy reports pad the conjugated pair
+    os = random_orbit_state(u2, grid64, seed=26, amplitude=0.2)
+    xi = MatrixField(grid64, random_tangent_field(u2, grid64, seed=27, amplitude=0.3))
+    padded = []
+    real = fields._wrap_pad
+
+    def counted(values, pad):
+        padded.append(values)
+        return real(values, pad)
+
+    monkeypatch.setattr(fields, "_wrap_pad", counted)
+    fd_gradient_check(os, xi)
+    assert sum(values is os.phi.values for values in padded) == 1

@@ -1,22 +1,22 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 import grassflow.gauge as gauge
 
-from grassflow.algebra import AlgebraSpec, Family, _matmul
+from grassflow.algebra import AlgebraSpec, Family, _matmul, _orbit_square, bracket
 from grassflow.fields import Grid, MatrixField, periodic_diff
 from grassflow.functionals import FlowParams
 from grassflow.gauge import (
     GaugeError,
     PotentialState,
     akns4_rhs,
-    connection,
     curvature_residual,
-    curvature_target,
     evolve_potential,
     gauge_transform,
     matrix_kdv_rhs,
@@ -311,20 +311,25 @@ def test_split_kdv_point_reduces_to_scalar():
     assert np.max(np.abs(got[:, 0, 0])) == 0.0
 
 
+def _connection(os, p, lam):
+    """(A_x, A_t) and the curvature target at one spectral value."""
+    return gauge._connection(gauge._connection_terms(os, p), p, lam)
+
+
 def test_connection_base_component_is_spectral_multiple(u2):
     grid = Grid(32, TWO_PI)
     os = random_orbit_state(u2, grid, seed=2, modes=2, amplitude=0.2)
-    a_x, _ = connection(os, FlowParams(1.0, 0.1, -0.0125), 1.5)
+    a_x, _, _ = _connection(os, FlowParams(1.0, 0.1, -0.0125), 1.5)
     np.testing.assert_array_equal(a_x, 1.5 * os.phi.values)
 
 
 def test_curvature_target_vanishes_at_special_ratio(u2):
     grid = Grid(32, TWO_PI)
     os = random_orbit_state(u2, grid, seed=2, modes=2, amplitude=0.2)
-    target = curvature_target(os, FlowParams(1.0, 0.2, -0.025), 2.0)
-    assert np.max(np.abs(target.values)) == 0.0
-    nonzero = curvature_target(os, FlowParams(1.0, 0.2, 0.0), 2.0)
-    assert np.max(np.abs(nonzero.values)) > 0.0
+    _, _, target = _connection(os, FlowParams(1.0, 0.2, -0.025), 2.0)
+    assert np.max(np.abs(target)) == 0.0
+    _, _, nonzero = _connection(os, FlowParams(1.0, 0.2, 0.0), 2.0)
+    assert np.max(np.abs(nonzero)) > 0.0
 
 
 def test_curvature_target_is_the_cubic_term_bit_for_bit(para2):
@@ -333,11 +338,41 @@ def test_curvature_target_is_the_cubic_term_bit_for_bit(para2):
     p, lam = FlowParams(0.8, 0.1, 0.06), 1.3
     phix = periodic_diff(os.phi.values, 1, grid.h)
     cube = _matmul(phix, phix, phix)
-    target = curvature_target(os, p, lam).values
+    _, _, target = _connection(os, p, lam)
     assert np.array_equal(target, -2.0 * lam**2 * (8.0 * p.gamma + p.beta) * cube)
 
 
-def test_curvature_residual_small_on_flow_and_large_off_flow(u2):
+def _connection_at(os, p, lam):
+    """The parent formula of (A_x, A_t) and the target at one spectral value,
+    every term formed at that value."""
+    phi = os.phi.values
+    phix, phixx, phixxx = periodic_diff(phi, (1, 2, 3), os.phi.grid.h)
+    phix2 = _matmul(phix, phix)
+    cube = _matmul(phix2, phix)
+    sgn = -4.0 * _orbit_square(os.spec)
+    inner_w = -p.alpha * phix + p.beta * phixxx + 4.0 * sgn * (4.0 * p.gamma - 2.0 * p.beta) * cube
+    a_t = (
+        -(lam ** 4) * p.beta * phi
+        - (sgn * lam ** 3) * p.beta * bracket(phi, phix)
+        + (lam ** 2) * (-sgn * p.alpha * phi + p.beta * (sgn * phixx - 6.0 * _matmul(phix2, phi)))
+        + lam * (bracket(phi, inner_w) - p.beta * bracket(phix, phixx))
+    )
+    return lam * phi, a_t, -2.0 * (lam ** 2) * (8.0 * p.gamma + p.beta) * cube
+
+
+@pytest.mark.parametrize("family", ["u2", "u31", "para2"])
+def test_connection_from_shared_terms_equals_the_formula_at_each_value(request, family):
+    spec = request.getfixturevalue(family)
+    grid = Grid(32, TWO_PI)
+    os = random_orbit_state(spec, grid, seed=5, modes=2, amplitude=0.2)
+    p = FlowParams(0.8, 0.1, 0.06)
+    terms = gauge._connection_terms(os, p)
+    for lam in (0.5, 1.0, 2.0, -1.3):
+        for got, want in zip(gauge._connection(terms, p, lam), _connection_at(os, p, lam)):
+            assert np.array_equal(got, want), f"{family} {lam}"
+
+
+def _on_flow_trajectory(u2):
     grid = Grid(128, TWO_PI)
     ps = random_smooth_potential(u2, grid, seed=7, modes=2, amplitude=0.25)
     from grassflow.initial_data import state_from_potential
@@ -348,13 +383,18 @@ def test_curvature_residual_small_on_flow_and_large_off_flow(u2):
     delta = 2e-4
     states = evolve(os, p, FlowKind.THIRD_ORDER, 2 * delta, dt,
                     output_times=[0.0, delta, 2 * delta])
-    residual = curvature_residual(states, p, 1.0)
+    return states, p, delta
+
+
+def test_curvature_residual_small_on_flow_and_large_off_flow(u2):
+    states, p, delta = _on_flow_trajectory(u2)
+    (residual,) = curvature_residual(states, p, (1.0,))
     assert len(residual) == 1
     t, value = residual[0]
     assert t == delta
     assert value < 1e-3, f"{value:.3e}"
-    wrong = curvature_residual(states, FlowParams(1.0, 0.1, 0.05), 1.0)[0][1]
-    assert wrong > 10.0 * value
+    (wrong,) = curvature_residual(states, FlowParams(1.0, 0.1, 0.05), (1.0,))
+    assert wrong[0][1] > 10.0 * value
 
 
 def test_curvature_residual_needs_three_snapshots(u2):
@@ -362,4 +402,27 @@ def test_curvature_residual_needs_three_snapshots(u2):
     os = random_orbit_state(u2, grid, seed=2, modes=2, amplitude=0.2)
     states = evolve(os, FlowParams(0.1, 0, 0), FlowKind.LEADING_ORDER, 0.0, 1e-4)
     with pytest.raises(ValueError):
-        curvature_residual(states, FlowParams(0.1, 0, 0), 1.0)
+        curvature_residual(states, FlowParams(0.1, 0, 0), (1.0,))
+
+
+def test_curvature_residual_gives_one_list_per_value_in_order(u2):
+    p = FlowParams(0.8, 0.1, 0.06)
+    os = random_orbit_state(u2, Grid(32, TWO_PI), seed=2, modes=2, amplitude=0.2)
+    states = evolve(os, p, FlowKind.THIRD_ORDER, 3e-6, 1e-6, output_times=[0.0, 1e-6, 2e-6, 3e-6])
+    lams = (0.5, 1.0, 2.0)
+    together = curvature_residual(states, p, lams)
+    assert len(together) == len(lams)
+    for lam, pairs in zip(lams, together):
+        assert [t for t, _ in pairs] == [1e-6, 2e-6]
+        assert pairs == curvature_residual(states, p, (lam,))[0]
+    assert curvature_residual(states, p, ()) == []
+
+
+@pytest.mark.parametrize("lam", [1e40, 1e77, 1e200])
+def test_a_non_finite_residual_names_its_value(u2, lam):
+    # 1e200 overflows the fourth power itself; the others overflow the fields
+    states, p, _ = _on_flow_trajectory(u2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"curvature residual at lam={lam:g} is not")):
+            curvature_residual(states, p, (0.5, lam))
