@@ -34,11 +34,9 @@ from .flows import (
     FlowKind,
     NewtonError,
     StabilityError,
-    curve_flow_rhs,
     evolve,
     stability_bound,
     step,
-    sym_pohlmeyer_curve,
     third_order_generator,
 )
 from .functionals import (
@@ -54,12 +52,14 @@ from .gauge import (
     PotentialState,
     akns4_rhs,
     curvature_residual,
+    curve_flow_rhs,
     evolve_potential,
     frame_potential_gaps,
     gauge_transform,
     matrix_kdv_rhs,
     potential_rhs,
     slaved_r,
+    sym_pohlmeyer_curve,
 )
 from .initial_data import (
     GENERATOR_NAMES,

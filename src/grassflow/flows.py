@@ -53,7 +53,6 @@ from .fields import (
     Grid,
     MatrixField,
     _wrap_pad,
-    cumulative_trapezoid,
     periodic_diff,
     stencil_symbol,
 )
@@ -513,27 +512,3 @@ def evolve(
         _check_stability(flow.bound, dt)
     return list(_march(os, times, dt, lambda state, h: step(state, p, kind, h)))
 
-
-def sym_pohlmeyer_curve(os: OrbitState) -> MatrixField:
-    """Curve whose derivative is the orbit field: the running integral of
-    phi anchored at the first node."""
-    grid = os.phi.grid
-    return MatrixField(grid, cumulative_trapezoid(os.phi.values, grid.h))
-
-
-def curve_flow_rhs(os: OrbitState, p: FlowParams) -> MatrixField:
-    """Velocity of the reconstructed curve, written in terms of phi.  The
-    curve built by sym_pohlmeyer_curve moves by this field minus its value
-    at the anchor node."""
-    h = os.phi.grid.h
-    phi = os.phi.values
-    phix, phixx, phixxx = periodic_diff(phi, (1, 2, 3), h)
-    out = -p.alpha * bracket(phi, phix)
-    if p.beta != 0.0:
-        out += p.beta * (bracket(phi, phixxx) - bracket(phix, phixx))
-    coeff = 4.0 * p.gamma - 2.0 * p.beta
-    if coeff != 0.0:
-        phiinv = phi / _orbit_square(os.spec)  # phi^2 = c^2 I on the orbit
-        chain = _matmul(phix, phiinv, phix, phiinv, phix)
-        out += coeff * bracket(phi, chain)
-    return MatrixField(os.phi.grid, out)

@@ -3,16 +3,18 @@
 The connection pair (A_x, A_t) depends polynomially on a spectral
 parameter; along solutions of the third-level flow its curvature collapses
 to a single cubic term, which curvature_residual measures from trajectory
-snapshots.  gauge_transform rewrites a gauge-fixed framed state as a pair
-of rectangular blocks (q, r), and potential_rhs evolves the pair directly;
-state_from_potential goes back by one frame march, which also gives the
-closure defect it checks.  frame_potential_gaps compares the two routes for
-the gauge-compare command, and the verification suite runs the same two
-sides apart.
+snapshots.  Its lam-linear coefficient is the velocity of the curve whose
+tangent is phi (curve_flow_rhs, sym_pohlmeyer_curve).  gauge_transform
+rewrites a gauge-fixed framed state as a pair of rectangular blocks (q, r),
+and potential_rhs evolves the pair directly; state_from_potential goes back
+by one frame march, which also gives the closure defect it checks.
+frame_potential_gaps compares the two routes for the gauge-compare command,
+and the verification suite runs the same two sides apart.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,12 +146,16 @@ def state_from_potential(ps: PotentialState) -> OrbitState:
     return orbit_from_frame(fs)
 
 
-def _connection_terms(os: OrbitState, p: FlowParams):
+_ConnectionTerms = collections.namedtuple("_ConnectionTerms", "phi sgn twist square linear cube")
+
+
+def _connection_terms(os: OrbitState, p: FlowParams) -> _ConnectionTerms:
     """The terms of the connection pair (A_x, A_t) along the third-level
     flow that no spectral value weights, from one padded copy of phi and one
-    cube phi_x^3.  One formula serves every family; the sign sgn = -4 c^2
-    (+1 for the complex families, -1 for the split family) carries the
-    orbit square phi^2 = c^2 I."""
+    cube phi_x^3: phi, the sign sgn, the twist [phi, phi_x], the lam^2 and
+    lam coefficients of A_t, and the cube.  One formula serves every family;
+    sgn = -4 c^2 (+1 for the complex families, -1 for the split family)
+    carries the orbit square phi^2 = c^2 I."""
     h = os.phi.grid.h
     phi = os.phi.values
     phix, phixx, phixxx = periodic_diff(phi, (1, 2, 3), h)
@@ -159,21 +165,36 @@ def _connection_terms(os: OrbitState, p: FlowParams):
     inner_w = -p.alpha * phix + p.beta * phixxx + 4.0 * sgn * (4.0 * p.gamma - 2.0 * p.beta) * cube
     square = -sgn * p.alpha * phi + p.beta * (sgn * phixx - 6.0 * _matmul(phix2, phi))
     linear = bracket(phi, inner_w) - p.beta * bracket(phix, phixx)
-    return phi, sgn, bracket(phi, phix), square, linear, cube
+    return _ConnectionTerms(phi, sgn, bracket(phi, phix), square, linear, cube)
 
 
-def _connection(terms, p: FlowParams, lam):
+def _connection(terms: _ConnectionTerms, p: FlowParams, lam):
     """(A_x, A_t) at one spectral value from _connection_terms, and the
     residual two-form the flow leaves: the single cubic term
     -2 lam^2 (8 gamma + beta) phi_x^3."""
-    phi, sgn, twist, square, linear, cube = terms
     a_t = (
-        -(lam ** 4) * p.beta * phi
-        - (sgn * lam ** 3) * p.beta * twist
-        + (lam ** 2) * square
-        + lam * linear
+        -(lam ** 4) * p.beta * terms.phi
+        - (terms.sgn * lam ** 3) * p.beta * terms.twist
+        + (lam ** 2) * terms.square
+        + lam * terms.linear
     )
-    return lam * phi, a_t, -2.0 * (lam ** 2) * (8.0 * p.gamma + p.beta) * cube
+    return lam * terms.phi, a_t, -2.0 * (lam ** 2) * (8.0 * p.gamma + p.beta) * terms.cube
+
+
+def sym_pohlmeyer_curve(os: OrbitState) -> MatrixField:
+    """Curve whose derivative is the orbit field: the running integral of
+    phi anchored at the first node."""
+    grid = os.phi.grid
+    return MatrixField(grid, cumulative_trapezoid(os.phi.values, grid.h))
+
+
+def curve_flow_rhs(os: OrbitState, p: FlowParams) -> MatrixField:
+    """Velocity of the reconstructed curve: the lam-linear coefficient
+    [phi, V] - beta [phi_x, phi_xx] of the connection's A_t, with V_x the
+    flow generator W, so its x-derivative is the flow velocity [phi, W].
+    The curve built by sym_pohlmeyer_curve moves by this field minus its
+    value at the anchor node."""
+    return MatrixField(os.phi.grid, _connection_terms(os, p).linear)
 
 
 def curvature_residual(states, p: FlowParams, lams) -> list[list[tuple[float, float]]]:

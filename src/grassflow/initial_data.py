@@ -116,8 +116,8 @@ def random_smooth_potential(
 
 def _periodized_bump(x, length, center, width):
     # demeaned analytically, so the profile integrates to zero at any N; a
-    # width too narrow to evaluate is refused by the potential's checks
-    # later, without warnings here
+    # centre far off the period overflows to a zero pulse, which the
+    # potential's checks refuse later, without warnings here
     env = np.full_like(x, -np.sqrt(2.0 * np.pi) * width / length)
     with np.errstate(all="ignore"):
         for image in (-1.0, 0.0, 1.0):
@@ -125,11 +125,33 @@ def _periodized_bump(x, length, center, width):
     return env
 
 
-def _width(width) -> float:
+def _width(width, grid: Grid) -> float:
+    """A bump's width, refused unless it is positive, finite and at least
+    the spacing L / min(N, 2048) of the coarser of the run grid and the
+    reference grid: a narrower bump falls between the nodes of one of them,
+    which then samples only its offset or misses its peak."""
     width = float(width)
     if not 0.0 < width < np.inf:
         raise ValueError(f"width must be positive and finite, got {width!r}")
+    limit = grid.length / min(grid.num_points, _REFERENCE_POINTS)
+    if width < limit:
+        raise ValueError(
+            f"width must be at least L / min(N, {_REFERENCE_POINTS}) = {limit:.6g}, got {width!r}"
+        )
     return width
+
+
+def _mode(mode, grid: Grid, vanishing: bool) -> int:
+    """A harmonic's mode number, refused unless it is a whole number that
+    the grid resolves: |mode| <= N/2, or |mode| < N/2 where vanishing, for a
+    sine whose samples vanish at N/2.  A higher mode aliases to a lower one."""
+    if mode != int(mode):  # a fractional mode breaks the profile at the wrap
+        raise ValueError("mode must be a whole number")
+    half = grid.num_points / 2
+    if abs(mode) > half or (vanishing and abs(mode) == half):
+        relation = "<" if vanishing else "<="
+        raise ValueError(f"mode must satisfy |mode| {relation} N/2 = {half:g}, got {mode!r}")
+    return mode
 
 
 def _leading_entry_potential(spec: AlgebraSpec, grid: Grid, env: np.ndarray) -> PotentialState:
@@ -153,7 +175,7 @@ def gaussian_bump_potential(
     """Localized pulse in the leading entry over a uniform negative offset
     that cancels its mean, periodized over three images."""
     length = grid.length
-    width = _width(length / 10.0 if width is None else width)
+    width = _width(length / 10.0 if width is None else width, grid)
     center = length / 2.0 if center is None else float(center)
     env = _peak_normalized(lambda g: _periodized_bump(g.x, length, center, width), grid, amplitude)
     return _leading_entry_potential(spec, grid, env)
@@ -169,7 +191,7 @@ def two_bump_potential(
     """Pair of pulses at different sites in the leading entry, the second
     slightly weaker, over the offset that cancels their combined mean."""
     length = grid.length
-    width = _width(length / 12.0 if width is None else width)
+    width = _width(length / 12.0 if width is None else width, grid)
     separation = length / 3.0 if separation is None else float(separation)
     c1 = (length - separation) / 2.0
     c2 = (length + separation) / 2.0
@@ -189,9 +211,7 @@ def plane_wave_potential(
     mode: int = 1,
 ) -> PotentialState:
     """Single-harmonic standing profile in the leading entry."""
-    if mode != int(mode):  # a fractional mode breaks the profile at the wrap
-        raise ValueError("mode must be a whole number")
-    if mode == 0:
+    if _mode(mode, grid, vanishing=False) == 0:
         raise ValueError("mode must be nonzero")
     wave = 2.0 * np.pi * mode / grid.length
     return _leading_entry_potential(spec, grid, amplitude * np.cos(wave * grid.x))
@@ -250,8 +270,7 @@ def latitude_circle_state(grid: Grid, mode: int = 8, height: float = 0.65) -> Or
     the state a sharp probe of time-integration error."""
     if not -1.0 < height < 1.0:
         raise ValueError("height must lie strictly between -1 and 1")
-    if mode != int(mode):  # a fractional mode breaks the circle at the wrap
-        raise ValueError("mode must be a whole number")
+    _mode(mode, grid, vanishing=True)
     radius = np.sqrt(1.0 - height * height)
     wave = 2.0 * np.pi * mode / grid.length
     s = np.empty((grid.num_points, 3))

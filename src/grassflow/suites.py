@@ -17,21 +17,16 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Family, bracket
 from .fields import Grid, MatrixField
-from .flows import (
-    FlowKind,
-    auto_dt,
-    curve_flow_rhs,
-    evolve,
-    sym_pohlmeyer_curve,
-    third_order_generator,
-)
+from .flows import FlowKind, auto_dt, evolve, third_order_generator
 from .functionals import FUNCTIONAL_NAMES, FlowParams, energy_report, fd_gradient_check
 from .gauge import (
     _frame_invariants,
     _potential_invariants,
     akns4_rhs,
     curvature_residual,
+    curve_flow_rhs,
     potential_rhs,
+    sym_pohlmeyer_curve,
 )
 from .initial_data import (
     _trig_sum,

@@ -560,6 +560,7 @@ def test_boolean_and_fractional_generator_options_are_config_errors(
 
 _MODES = "initial_data: modes must be an integer from 1 to 1024, got "
 _WIDTH = "initial_data: width must be positive and finite, got "
+_NARROW = "initial_data: width must be at least L / min(N, 2048) = 0.19635, got "
 
 
 @pytest.mark.parametrize("command", ["simulate", "gauge-compare"])
@@ -573,9 +574,14 @@ _WIDTH = "initial_data: width must be positive and finite, got "
         ({"generator": "gaussian_bump", "width": 0}, _WIDTH + "0.0"),
         ({"generator": "gaussian_bump", "width": -0.3}, _WIDTH + "-0.3"),
         ({"generator": "two_bump", "width": 0}, _WIDTH + "0.0"),
+        ({"generator": "gaussian_bump", "width": 0.01}, _NARROW + "0.01"),
+        ({"generator": "two_bump", "width": 0.19}, _NARROW + "0.19"),
+        ({"generator": "plane_wave", "mode": 200},
+         "initial_data: mode must satisfy |mode| <= N/2 = 16, got 200"),
     ],
     ids=["modes_huge", "modes_zero", "modes_negative", "modes_float", "gaussian_width_zero",
-         "gaussian_width_negative", "two_bump_width_zero"],
+         "gaussian_width_negative", "two_bump_width_zero", "gaussian_width_below_spacing",
+         "two_bump_width_below_spacing", "plane_wave_mode_aliased"],
 )
 def test_out_of_range_generator_options_are_config_errors(
     tmp_path, capsys, command, initial_data, message
@@ -596,6 +602,18 @@ def test_out_of_range_frame_modes_are_config_errors(tmp_path, capsys, modes):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {_MODES}{modes}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("mode", [16, 200])
+def test_a_latitude_circle_mode_the_grid_cannot_resolve_is_a_config_error(tmp_path, capsys, mode):
+    # mode 200 on 128 points once ended in a Newton abort
+    cfg = _write_config(tmp_path / "c.json",
+                        initial_data={"generator": "latitude_circle", "mode": mode})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    message = f"config error: initial_data: mode must satisfy |mode| < N/2 = 16, got {mode}\n"
+    assert capsys.readouterr().err == message
     assert not os.path.exists(out)
 
 
@@ -822,7 +840,7 @@ def test_a_bump_too_narrow_to_evaluate_is_one_config_error(tmp_path, capsys, gen
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error: initial_data: potential ")
+    assert lines == [f"config error: {_NARROW}1e-200"]
     assert not os.path.exists(out)
 
 

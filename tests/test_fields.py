@@ -17,10 +17,10 @@ from grassflow.fields import (
     periodic_diff,
     stencil_symbol,
 )
-from grassflow.flows import FOURTH_DERIV_GAIN, THIRD_DERIV_GAIN, FlowKind, curve_flow_rhs, evolve
+from grassflow.flows import FOURTH_DERIV_GAIN, THIRD_DERIV_GAIN, FlowKind, evolve
 from grassflow.functionals import FlowParams, energy_report
 import grassflow.gauge as gauge
-from grassflow.gauge import akns4_rhs, curvature_residual, potential_rhs
+from grassflow.gauge import akns4_rhs, curvature_residual, curve_flow_rhs, potential_rhs
 from grassflow.initial_data import random_orbit_state, random_smooth_potential
 
 TWO_PI = 2.0 * np.pi

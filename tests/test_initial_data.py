@@ -361,3 +361,37 @@ def test_bumps_refuse_widths_that_are_not_positive_and_finite(u2, width):
     for bump in (gaussian_bump_potential, two_bump_potential):
         with pytest.raises(ValueError, match="width must be positive and finite"):
             bump(u2, grid, width=width)
+
+
+@pytest.mark.parametrize("points", [128, 4096])
+def test_bumps_refuse_widths_below_the_coarser_grid_spacing(u2, points):
+    # at N = 128 a width of 0.01 h sampled only the offset; at N = 4096 one
+    # of 0.5 h fell between the reference grid's nodes and peaked at 0.585
+    # where 0.3 was asked
+    grid = Grid(points, TWO_PI)
+    limit = TWO_PI / min(points, 2048)
+    message = rf"width must be at least L / min\(N, 2048\) = {limit:.6g}, got "
+    for bump in (gaussian_bump_potential, two_bump_potential):
+        for width in (0.01 * grid.h, 0.5 * grid.h, 0.999 * limit):
+            with pytest.raises(ValueError, match=message):
+                bump(u2, grid, width=width)
+        # at the limit the run grid's peak is within 6% of the reference grid's
+        peak = np.max(np.abs(bump(u2, grid, amplitude=0.3, width=limit).q))
+        assert abs(peak - 0.3) < 0.02, bump.__name__
+
+
+@pytest.mark.parametrize("points", [128, 4096])
+def test_mode_generators_refuse_modes_the_grid_cannot_resolve(u2, points):
+    # mode 200 on 128 points once ran as mode 56 (plane_wave) or ended in a
+    # Newton abort (latitude_circle), whose sine samples vanish at N/2
+    grid = Grid(points, TWO_PI)
+    half = points // 2
+    for mode in (half + 1, -half - 1, 200 + points):
+        with pytest.raises(ValueError, match=rf"\|mode\| <= N/2 = {half}, got {mode}$"):
+            plane_wave_potential(u2, grid, mode=mode)
+    for mode in (half, -half, half + 1):
+        with pytest.raises(ValueError, match=rf"\|mode\| < N/2 = {half}, got {mode}$"):
+            latitude_circle_state(grid, mode=mode)
+    wave = plane_wave_potential(u2, grid, amplitude=0.3, mode=-half).q[:, 0, 0]
+    np.testing.assert_allclose(wave, 0.3 * (-1.0) ** np.arange(points), rtol=0, atol=1e-12)
+    assert spectrum_deviation(latitude_circle_state(grid, mode=half - 1)) < 1e-12
