@@ -316,11 +316,11 @@ def _adjugate(flat: np.ndarray, n: int) -> np.ndarray:
 
 
 def _inv(a: np.ndarray) -> np.ndarray:
-    """Batched inverse.  For n <= 4 it is the adjugate over the
+    """Batched inverse.  For 2 <= n <= 4 it is the adjugate over the
     determinant, non-finite where a is singular: for 2x2 the adjugate is
     gathered and signed, for 3x3 and 4x4 it is built by _adjugate and the
     determinant is the first row of a times the adjugate's first column.
-    For n >= 5 it is np.linalg.inv, and all non-finite when a matrix of the
+    Otherwise it is np.linalg.inv, and all non-finite when a matrix of the
     batch is singular.  It never raises LinAlgError."""
     if a.shape[-2:] == (2, 2):
         a4 = a.reshape(a.shape[:-2] + (4,))
@@ -335,8 +335,6 @@ def _inv(a: np.ndarray) -> np.ndarray:
             det += flat[..., k] * adj[..., k * n]
         adj *= (1.0 / det)[..., None]
         return adj.reshape(a.shape)
-    if n == 1:
-        return 1.0 / a
     try:
         return np.linalg.inv(a)
     except np.linalg.LinAlgError:  # raised for the whole batch

@@ -1,4 +1,5 @@
-"""Periodic grid, matrix-valued fields, finite differences, running integrals."""
+"""Periodic grid, matrix-valued fields, finite differences, running integrals,
+and the classical fourth-order step _rk4 of every fixed-tableau march."""
 
 from __future__ import annotations
 
@@ -190,6 +191,21 @@ def _wrap_pad(values: np.ndarray, pad: int) -> np.ndarray:
     after, along axis 0."""
     npts = values.shape[0]
     return np.concatenate((values[npts - pad :], values, values[:pad]))
+
+
+def _rk4(rhs, y: tuple, h: float, land=None) -> tuple:
+    """One classical fourth-order Runge-Kutta step over h of y' = rhs(c, *y)
+    for a tuple y of arrays, c being the stage's offset in units of h; land,
+    if given, maps each stage value and the result back onto a constraint."""
+    land = land or (lambda v: v)
+    k1 = rhs(0.0, *y)
+    k2 = rhs(0.5, *(land(a + 0.5 * h * k) for a, k in zip(y, k1)))
+    k3 = rhs(0.5, *(land(a + 0.5 * h * k) for a, k in zip(y, k2)))
+    k4 = rhs(1.0, *(land(a + h * k) for a, k in zip(y, k3)))
+    return tuple(
+        land(a + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+        for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
+    )
 
 
 def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:

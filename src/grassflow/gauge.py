@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Family, _matmul, _orbit_square, bracket, decompose, frobenius
-from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
+from .fields import Grid, MatrixField, _rk4, cumulative_trapezoid, periodic_diff
 from .flows import (
     FlowBlowupError,
     FlowKind,
@@ -297,27 +297,21 @@ def evolve_potential(
     dt: float,
     output_times: list[float] | None = None,
 ) -> list[PotentialState]:
-    """Integrate the potential equations with a classical one-step method
-    and return the state at each output time, stamped with that time
+    """Integrate the potential equations by the classical fourth-order step
+    _rk4 and return the state at each output time, stamped with that time
     exactly.  Raises FlowBlowupError (with the last finite state and the
     offending step index) if q or r stops being finite."""
     spec = ps.spec
     h = ps.grid.h
     times = _output_times(ps.time, T, dt, output_times)
 
-    def rhs(q, r):
+    def rhs(c, q, r):
         return _potential_values(spec, h, q, r, p)
 
     def advance(state, dt_step):
-        q, r = state.q, state.r
         # a non-finite result raises FlowBlowupError below, without warnings
         with np.errstate(all="ignore"):
-            k1q, k1r = rhs(q, r)
-            k2q, k2r = rhs(q + 0.5 * dt_step * k1q, r + 0.5 * dt_step * k1r)
-            k3q, k3r = rhs(q + 0.5 * dt_step * k2q, r + 0.5 * dt_step * k2r)
-            k4q, k4r = rhs(q + dt_step * k3q, r + dt_step * k3r)
-            q = q + (dt_step / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            r = r + (dt_step / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            q, r = _rk4(rhs, (state.q, state.r), dt_step)
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(r))):
             raise FlowBlowupError(state, 1, state.time + dt_step)
         return PotentialState(spec, state.grid, q, r, state.time + dt_step)

@@ -141,6 +141,20 @@ def _width(width, grid: Grid) -> float:
     return width
 
 
+def _center(center, length: float) -> float:
+    """A bump's centre c, refused unless the images c - L, c, c + L that
+    _periodized_bump sums include every image within L/2 of the period,
+    which holds for -L/2 <= c < 3L/2.  Further off, the missing image breaks
+    the pulse at the wrap, and far off no image reaches the period at all."""
+    center = float(center)
+    if not -0.5 * length <= center < 1.5 * length:
+        raise ValueError(
+            f"center must lie in [-L/2, 3L/2) = [{-0.5 * length:.6g}, {1.5 * length:.6g}), "
+            f"got {center!r}"
+        )
+    return center
+
+
 def _mode(mode, grid: Grid, vanishing: bool) -> int:
     """A harmonic's mode number, refused unless it is a whole number that
     the grid resolves: |mode| <= N/2, or |mode| < N/2 where vanishing, for a
@@ -176,7 +190,7 @@ def gaussian_bump_potential(
     that cancels its mean, periodized over three images."""
     length = grid.length
     width = _width(length / 10.0 if width is None else width, grid)
-    center = length / 2.0 if center is None else float(center)
+    center = _center(length / 2.0 if center is None else center, length)
     env = _peak_normalized(lambda g: _periodized_bump(g.x, length, center, width), grid, amplitude)
     return _leading_entry_potential(spec, grid, env)
 
@@ -193,6 +207,12 @@ def two_bump_potential(
     length = grid.length
     width = _width(length / 12.0 if width is None else width, grid)
     separation = length / 3.0 if separation is None else float(separation)
+    # the centres (L -+ separation) / 2 both lie in [-L/2, 3L/2), as _center asks
+    if not abs(separation) < 2.0 * length:
+        raise ValueError(
+            f"separation must lie in (-2L, 2L) = ({-2.0 * length:.6g}, {2.0 * length:.6g}), "
+            f"got {separation!r}"
+        )
     c1 = (length - separation) / 2.0
     c2 = (length + separation) / 2.0
     env = _peak_normalized(

@@ -27,7 +27,7 @@ from .algebra import (
     frobenius,
     sigma3,
 )
-from .fields import MatrixField, periodic_diff
+from .fields import MatrixField, _rk4, periodic_diff
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def _running_products(m: np.ndarray) -> np.ndarray:
 
 def _rk4_path(a: np.ndarray, h: float) -> np.ndarray:
     """March the linear equation m' = a(x) m from the identity once around
-    the periodic grid by the classic fourth-order one-step method.  Cell j
+    the periodic grid by the classical fourth-order step _rk4.  Cell j
     runs from node j to node j + 1 (wrapping); a at its half node comes
     from cubic interpolation of the four nearest nodes.  Returns the N + 1
     values from the identity at x = 0 to the value at x = L.
@@ -128,13 +128,12 @@ def _rk4_path(a: np.ndarray, h: float) -> np.ndarray:
     a1 = np.roll(a, -1, axis=0)
     am = (-np.roll(a, 1, axis=0) + 9.0 * a + 9.0 * a1 - np.roll(a, -2, axis=0)) / 16.0
     eye = np.eye(a.shape[-1], dtype=np.complex128)
-    k2 = _matmul(am, eye + 0.5 * h * a)
-    k3 = _matmul(am, eye + 0.5 * h * k2)
-    k4 = _matmul(a1, eye + h * k3)
-    out = np.empty((len(a) + 1,) + eye.shape, dtype=np.complex128)
-    out[0] = eye
-    out[1:] = _running_products(eye + (h / 6.0) * (a + 2.0 * k2 + 2.0 * k3 + k4))
-    return out
+
+    def rhs(c, m):
+        # the step starts at the identity, so the first stage is a itself
+        return (a,) if c == 0.0 else (_matmul(am if c == 0.5 else a1, m),)
+
+    return np.concatenate((eye[None], _running_products(_rk4(rhs, (eye,), h)[0])))
 
 
 def frame_from_potential(

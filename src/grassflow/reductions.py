@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Family
-from .fields import Grid, MatrixField, cumulative_trapezoid, periodic_diff
+from .fields import Grid, MatrixField, _rk4, cumulative_trapezoid, periodic_diff
 from .flows import FlowBlowupError, FlowKind, _check_stability, _flow, _flow_params, _march, evolve
 from .functionals import FlowParams
 from .orbit import OrbitState
@@ -159,9 +159,11 @@ def geometry_cross(geometry: Geometry, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 def spin_rhs(sf: SpinField, p: FlowParams) -> np.ndarray:
     """Vector form of the third-level flow for all three geometries."""
-    g = sf.geometry
-    h = sf.grid.h
-    s = sf.s
+    return _spin_values(sf.geometry, sf.grid.h, sf.s, p)
+
+
+def _spin_values(g: Geometry, h: float, s: np.ndarray, p: FlowParams) -> np.ndarray:
+    """spin_rhs on the bare (N, 3) array s of geometry g and spacing h."""
     if p.beta == 0.0:
         sx, sxx = periodic_diff(s, (1, 2), h)
         core = -p.alpha * sxx
@@ -190,26 +192,15 @@ def renormalize(geometry: Geometry, s: np.ndarray) -> np.ndarray:
 
 
 def spin_step(sf: SpinField, p: FlowParams, dt: float) -> SpinField:
-    """One classical step of the vector flow with per-stage projection.
-    Raises ValueError when a stage leaves the cone of the quadric or is not
-    finite; the arithmetic that made it so warns of nothing."""
-    g = sf.geometry
-    grid = sf.grid
-
-    def rhs(values):
-        return spin_rhs(SpinField(g, grid, values), p)
-
-    s = sf.s
+    """One classical fourth-order step (_rk4) of the vector flow, each stage
+    and the result renormalized onto the quadric.  Raises ValueError, with
+    no warnings, when a stage leaves its cone or the result is not finite."""
+    g, h = sf.geometry, sf.grid.h
     with np.errstate(all="ignore"):
-        k1 = rhs(s)
-        s2 = renormalize(g, s + 0.5 * dt * k1)
-        k2 = rhs(s2)
-        s3 = renormalize(g, s + 0.5 * dt * k2)
-        k3 = rhs(s3)
-        s4 = renormalize(g, s + dt * k3)
-        k4 = rhs(s4)
-        out = renormalize(g, s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        return SpinField(g, grid, out, sf.time + dt)
+        (out,) = _rk4(
+            lambda c, s: (_spin_values(g, h, s, p),), (sf.s,), dt, lambda s: renormalize(g, s)
+        )
+        return SpinField(g, sf.grid, out, sf.time + dt)
 
 
 def matrix_and_vector_spins(

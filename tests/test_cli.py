@@ -561,6 +561,8 @@ def test_boolean_and_fractional_generator_options_are_config_errors(
 _MODES = "initial_data: modes must be an integer from 1 to 1024, got "
 _WIDTH = "initial_data: width must be positive and finite, got "
 _NARROW = "initial_data: width must be at least L / min(N, 2048) = 0.19635, got "
+_CENTER = "initial_data: center must lie in [-L/2, 3L/2) = [-3.14159, 9.42478), got "
+_SEPARATION = "initial_data: separation must lie in (-2L, 2L) = (-12.5664, 12.5664), got "
 
 
 @pytest.mark.parametrize("command", ["simulate", "gauge-compare"])
@@ -576,12 +578,16 @@ _NARROW = "initial_data: width must be at least L / min(N, 2048) = 0.19635, got 
         ({"generator": "two_bump", "width": 0}, _WIDTH + "0.0"),
         ({"generator": "gaussian_bump", "width": 0.01}, _NARROW + "0.01"),
         ({"generator": "two_bump", "width": 0.19}, _NARROW + "0.19"),
+        ({"generator": "gaussian_bump", "center": 40}, _CENTER + "40.0"),
+        ({"generator": "gaussian_bump", "center": 1e200}, _CENTER + "1e+200"),
+        ({"generator": "two_bump", "separation": 1e200}, _SEPARATION + "1e+200"),
         ({"generator": "plane_wave", "mode": 200},
          "initial_data: mode must satisfy |mode| <= N/2 = 16, got 200"),
     ],
     ids=["modes_huge", "modes_zero", "modes_negative", "modes_float", "gaussian_width_zero",
          "gaussian_width_negative", "two_bump_width_zero", "gaussian_width_below_spacing",
-         "two_bump_width_below_spacing", "plane_wave_mode_aliased"],
+         "two_bump_width_below_spacing", "gaussian_center_off_period", "gaussian_center_huge",
+         "two_bump_separation_huge", "plane_wave_mode_aliased"],
 )
 def test_out_of_range_generator_options_are_config_errors(
     tmp_path, capsys, command, initial_data, message

@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from grassflow.fields import (
     MIN_POINTS,
     Grid,
     MatrixField,
+    _rk4,
     cumulative_trapezoid,
     periodic_diff,
     stencil_symbol,
@@ -280,6 +282,38 @@ def test_cumulative_integral_of_derivative_loses_two_orders():
         errs.append(np.max(np.abs(back[:, 0, 0] - target)))
     rate = np.log2(errs[0] / errs[1])
     assert 1.6 < rate < 2.4
+
+
+def _coupled_rhs(c, u, v):
+    # nonlinear, coupled and explicitly dependent on the stage offset
+    return np.sin(u) * v + c, u * v - c * c
+
+
+@pytest.mark.parametrize("land", [None, lambda v: v / (1.0 + 0.25 * np.abs(v))])
+def test_rk4_is_the_textbook_tableau_bit_for_bit(land):
+    rng = np.random.default_rng(21)
+    y = (rng.standard_normal(40), rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    h = 0.37
+    put = land or (lambda v: v)
+    u, v = y
+    k1u, k1v = _coupled_rhs(0.0, u, v)
+    k2u, k2v = _coupled_rhs(0.5, put(u + 0.5 * h * k1u), put(v + 0.5 * h * k1v))
+    k3u, k3v = _coupled_rhs(0.5, put(u + 0.5 * h * k2u), put(v + 0.5 * h * k2v))
+    k4u, k4v = _coupled_rhs(1.0, put(u + h * k3u), put(v + h * k3v))
+    want_u = put(u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))
+    want_v = put(v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+    got_u, got_v = _rk4(_coupled_rhs, y, h, land)
+    assert np.array_equal(got_u, want_u) and np.array_equal(got_v, want_v)
+
+
+def test_rk4_step_of_a_linear_equation_is_the_quartic_taylor_polynomial():
+    # one step of y' = lam y multiplies y by sum_{j <= 4} (lam h)^j / j!
+    lam = np.array([-3.0, 0.5, 2.0j, -1.0 + 4.0j, 10.0])
+    h = 0.1
+    (got,) = _rk4(lambda c, y: (lam * y,), (np.ones(5, dtype=complex),), h)
+    z = lam * h
+    want = sum(z ** j / math.factorial(j) for j in range(5))
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-15
 
 
 def test_matrix_field_validation():

@@ -10,7 +10,7 @@ import pytest
 import grassflow.gauge as gauge
 
 from grassflow.algebra import AlgebraSpec, Family, _matmul, _orbit_square, bracket
-from grassflow.fields import Grid, MatrixField, periodic_diff
+from grassflow.fields import Grid, MatrixField, periodic_diff, stencil_symbol
 from grassflow.functionals import FlowParams
 from grassflow.gauge import (
     GaugeError,
@@ -158,6 +158,41 @@ def test_plane_wave_phase_rotation(u2):
     exact = q0 * np.exp(1j * alpha * (sym2 - 2.0 * c**2) * T)
     gap = np.max(np.abs(last.q - exact))
     assert gap < 1e-10, f"{gap:.3e}"
+
+
+def _plane_wave_errors(family, mode, dts):
+    # q = A e^{imx} only turns its phase, at the rate Omega written from the
+    # stencil symbols; kappa = +|A|^2 compact, -|A|^2 noncompact
+    grid = Grid(64, TWO_PI)
+    p = FlowParams(0.8, 0.1, 0.06)
+    amp = 0.35
+    kappa = (1.0 if family is Family.COMPACT_UNITARY else -1.0) * amp ** 2
+    s1, s2, s4 = (stencil_symbol(k, grid.num_points, grid.h)[mode] for k in (1, 2, 4))
+    cnl = 2.0 * (8.0 * p.gamma + p.beta)
+    omega = (
+        p.alpha * (-s2 - 2.0 * kappa)
+        + p.beta * (s4 + 10.0 * kappa * s2 - 2.0 * abs(s1) ** 2 * kappa + 6.0 * kappa ** 2)
+        - cnl * (kappa * s2 + 2.0 * kappa ** 2)
+    ).real
+    q0 = (amp * np.exp(1j * mode * grid.x))[:, None, None]
+    ps = PotentialState.from_q(AlgebraSpec(family, 2, 1), grid, q0)
+    T = 40 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
+    errors = []
+    for dt in dts:
+        (last,) = evolve_potential(ps, p, T, dt, output_times=[T])
+        errors.append(np.max(np.abs(last.q - q0 * np.exp(1j * omega * T))))
+    return errors
+
+
+@pytest.mark.parametrize("family", [Family.COMPACT_UNITARY, Family.NONCOMPACT_UNITARY])
+def test_plane_wave_turns_at_its_symbol_rate_at_nonzero_beta(family):
+    bound = stability_bound(FlowParams(0.8, 0.1, 0.06), TWO_PI / 64, FlowKind.THIRD_ORDER)
+    (gap,) = _plane_wave_errors(family, 3, [bound])
+    assert gap < 1e-13, f"{gap:.3e}"
+    for mode in (12, 16):
+        errors = _plane_wave_errors(family, mode, [bound, bound / 2, bound / 4])
+        orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert min(orders) > 3.8, (mode, errors)
 
 
 def test_zero_potential_is_stationary(para2):

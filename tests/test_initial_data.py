@@ -380,6 +380,23 @@ def test_bumps_refuse_widths_below_the_coarser_grid_spacing(u2, points):
         assert abs(peak - 0.3) < 0.02, bump.__name__
 
 
+def test_bumps_refuse_centers_whose_images_miss_the_period(u2):
+    # the three images c - L, c, c + L cover the period for -L/2 <= c < 3L/2;
+    # beyond it the pulse broke at the wrap (closure defect 0.43 at c = -L)
+    # and far off it vanished, refused only as holonomy
+    grid = Grid(128, TWO_PI)
+    for center in (-0.5 * TWO_PI, 0.0, 1.5 * TWO_PI - 1e-9):
+        state_from_potential(gaussian_bump_potential(u2, grid, center=center))
+    for separation in (-2.0 * TWO_PI + 1e-9, 2.0 * TWO_PI - 1e-9):
+        state_from_potential(two_bump_potential(u2, grid, separation=separation))
+    for center in (-0.5 * TWO_PI - 1e-9, 1.5 * TWO_PI, 40.0, 1e200, np.nan):
+        with pytest.raises(ValueError, match=r"center must lie in \[-L/2, 3L/2\)"):
+            gaussian_bump_potential(u2, grid, center=center)
+    for separation in (2.0 * TWO_PI, -2.0 * TWO_PI, 1e200, np.nan):
+        with pytest.raises(ValueError, match=r"separation must lie in \(-2L, 2L\)"):
+            two_bump_potential(u2, grid, separation=separation)
+
+
 @pytest.mark.parametrize("points", [128, 4096])
 def test_mode_generators_refuse_modes_the_grid_cannot_resolve(u2, points):
     # mode 200 on 128 points once ran as mode 56 (plane_wave) or ended in a

@@ -5,7 +5,7 @@ import pytest
 
 import grassflow.reductions as reductions
 from grassflow.algebra import AlgebraSpec, Family, inner, membership_residual
-from grassflow.fields import Grid, periodic_diff
+from grassflow.fields import Grid, periodic_diff, stencil_symbol
 from grassflow.flows import FlowBlowupError, FlowKind, auto_dt, stability_bound
 from grassflow.functionals import FlowParams
 from grassflow.orbit import spectrum_deviation
@@ -166,6 +166,43 @@ def test_spin_step_stays_on_quadric():
             assert np.all(sf.s[:, 2] > 0)
 
 
+def _helix_errors(mode, dts, height=0.65):
+    # the latitude circle at height z turns its phase m x by omega3 t, with
+    # omega3 written from the stencil symbols: k1 = Im sigma1, k2 = -sigma2,
+    # k4 = sigma4 and rho = 1 - z^2
+    grid = Grid(64, TWO_PI)
+    p = FlowParams(0.8, 0.1, 0.06)
+    s1, s2, s4 = (stencil_symbol(k, grid.num_points, grid.h)[mode] for k in (1, 2, 4))
+    k1, k2, k4 = s1.imag, -s2.real, s4.real
+    rho = 1.0 - height ** 2
+    omega3 = height * (
+        p.alpha * k2 + p.beta * (k4 - 2.0 * rho * k1 ** 4) + 4.0 * p.gamma * rho * k1 ** 4
+    )
+
+    def helix(phase):
+        turn = mode * grid.x + phase
+        return np.stack([np.sqrt(rho) * np.cos(turn), np.sqrt(rho) * np.sin(turn),
+                         np.full(grid.num_points, height)], axis=-1)
+
+    T = 40 * stability_bound(p, grid.h, FlowKind.THIRD_ORDER)
+    errors = []
+    for dt in dts:
+        sf = SpinField(Geometry.SPHERE, grid, helix(0.0))
+        for _ in range(round(T / dt)):
+            sf = spin_step(sf, p, dt)
+        errors.append(np.max(np.abs(sf.s - helix(omega3 * T))))
+    return errors
+
+
+def test_latitude_circle_turns_at_its_symbol_rate_at_nonzero_beta():
+    bound = stability_bound(FlowParams(0.8, 0.1, 0.06), TWO_PI / 64, FlowKind.THIRD_ORDER)
+    (gap,) = _helix_errors(8, [bound])
+    assert gap < 1e-12, f"{gap:.3e}"
+    errors = _helix_errors(12, [bound, bound / 2, bound / 4])
+    orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) > 3.8, errors
+
+
 def test_cross_check_rejects_second_order_flow(grid64):
     sf = _quadric_field(Geometry.SPHERE, grid64, seed=1)
     with pytest.raises(ValueError, match="leading_order and third_order"):
@@ -213,7 +250,7 @@ def test_non_finite_vector_side_says_so(monkeypatch):
     os = s_to_phi(random_spin_field(Geometry.SPHERE, Grid(32, TWO_PI), 3))
     p = FlowParams(1.0, 0.0, 0.0)
     dt = auto_dt(p, os.phi.grid.h, FlowKind.LEADING_ORDER)
-    monkeypatch.setattr(reductions, "spin_rhs", lambda sf, p: np.full_like(sf.s, np.nan))
+    monkeypatch.setattr(reductions, "_spin_values", lambda g, h, s, p: np.full_like(s, np.nan))
     with pytest.raises(FlowBlowupError) as err:
         matrix_and_vector_spins(os, p, FlowKind.LEADING_ORDER, [0.0, 2 * dt], dt)
     assert err.value.step_index == 1
